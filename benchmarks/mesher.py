@@ -1,0 +1,116 @@
+"""Before/after figures for the far-field mesher, one checkout per run.
+
+    python3 benchmarks/mesher.py --root CHECKOUT --label before|after --out BENCH.json
+
+Times ``mesh.generate`` of CHECKOUT (its ``src/`` on a fresh interpreter
+per level) on the default quadratic pair (curvature 2) at eps = 1e-3 at
+refinement levels 0, 2, 3, 4, 5 and 6, with vertex and triangle counts
+and the sha256 of the vertex and triangle arrays; a level that raises
+records the error and the time until it did.  Then runs CHECKOUT's
+``perfbench/run.py`` on the ``sweep`` and ``gate`` workloads at seed 0
+for the 50 s that ``BENCHMARK.json`` sets, and keeps their JSON line and
+whether the seed-0 mesh fingerprints matched.  The result is merged into
+OUT under LABEL, so running the script once per checkout gives one file
+with both columns.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+LEVELS = (0, 2, 3, 4, 5, 6)
+SECONDS = 50.0
+GENERATE_CODE = """
+import hashlib, json, sys, time
+import numpy as np
+from neckfield.geometry import InclusionPair, NeckProfile, ProfileKind
+from neckfield.mesh import MeshParams, generate
+pair = InclusionPair(2, NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=(2.0,)), 1e-3)
+level, repeats = int(sys.argv[1]), int(sys.argv[2])
+times = []
+for _ in range(repeats):
+    t0 = time.perf_counter()
+    try:
+        mesh = generate(pair, MeshParams(refinement=level))
+    except Exception as exc:
+        print(json.dumps({"error": f"{type(exc).__name__}: {exc}", "seconds": time.perf_counter() - t0}))
+        raise SystemExit(0)
+    times.append(time.perf_counter() - t0)
+digest = hashlib.sha256()
+digest.update(np.ascontiguousarray(mesh.vertices, dtype=np.float64).tobytes())
+digest.update(np.ascontiguousarray(mesh.triangles, dtype=np.int64).tobytes())
+print(json.dumps({
+    "seconds": sorted(times)[len(times) // 2],
+    "repeats": repeats,
+    "vertices": mesh.vertex_count,
+    "triangles": mesh.triangle_count,
+    "sha256": digest.hexdigest(),
+}))
+"""
+
+
+def _env(root: Path) -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def time_generate(root: Path, level: int) -> dict:
+    repeats = 5 if level <= 2 else 1
+    out = subprocess.run(
+        [sys.executable, "-c", GENERATE_CODE, str(level), str(repeats)],
+        env=_env(root),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def run_workload(root: Path, name: str) -> dict:
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", name, "--seed", "0", "--seconds", str(SECONDS)],
+        cwd=root,
+        env=_env(root),
+        capture_output=True,
+        text=True,
+    )
+    lines = out.stdout.strip().splitlines()
+    return {
+        "exit_code": out.returncode,
+        "meshes_match_reference": any("meshes match the seed-0 reference" in line for line in lines),
+        "metrics": json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None,
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, required=True)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+    root = args.root.resolve()
+    commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root, capture_output=True, text=True).stdout.strip()
+    entry = {"commit": commit, "generate": {}, "workloads": {}}
+    for level in LEVELS:
+        entry["generate"][str(level)] = time_generate(root, level)
+        print(f"refinement {level}: {entry['generate'][str(level)]}", flush=True)
+    for name in ("sweep", "gate"):
+        entry["workloads"][name] = run_workload(root, name)
+        print(f"{name}: {entry['workloads'][name]}", flush=True)
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("host", f"{platform.machine()}, {os.cpu_count()} cores, Python {platform.python_version()}")
+    doc[args.label] = entry
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

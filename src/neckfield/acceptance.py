@@ -76,17 +76,24 @@ class AcceptanceContext:
             self._cache[key] = build()
         return self._cache[key]
 
+    def sweep(self, order: int):
+        """Records and per-gap failures of the quadratic (2) or quartic (4) sweep."""
+        pair = self.quad_pair(1e-3) if order == 2 else self.pow4_pair(1e-3)
+        return self._get(f"sweep_m{order}", lambda: run_sweep(pair, self.phi, self.eps_list, self.params))
+
     def records_m2(self):
-        return self._get(
-            "records_m2",
-            lambda: run_sweep(self.quad_pair(1e-3), self.phi, self.eps_list, self.params)[0],
-        )
+        return self.sweep(2)[0]
 
     def records_m4(self):
-        return self._get(
-            "records_m4",
-            lambda: run_sweep(self.pow4_pair(1e-3), self.phi, self.eps_list, self.params)[0],
-        )
+        return self.sweep(4)[0]
+
+    def dropped_gaps(self, *orders: int) -> list[tuple[str, bool]]:
+        """One failing check per gap that a sweep dropped, with its error."""
+        return [
+            (f"m={order} sweep dropped eps={eps:.1e}: {error}", False)
+            for order in orders
+            for eps, error in sorted(self.sweep(order)[1].items(), reverse=True)
+        ]
 
     def convergence(self):
         return self._get(
@@ -235,7 +242,7 @@ def criterion_4_blowup_rates(ctx: AcceptanceContext) -> CriterionResult:
     tol = ctx.tol.rate_slope
     rec2 = ctx.records_m2()
     rec4 = ctx.records_m4()
-    checks = []
+    checks = ctx.dropped_gaps(2, 4)
     s_u2 = fit_rate(rec2, "max_grad_u_neck").slope
     checks.append((f"m=2 slope of max|grad u| = {s_u2:.4f} in -0.5 +- {tol}", abs(s_u2 + 0.5) <= tol))
     s_u4 = fit_rate(rec4, "max_grad_u_neck").slope
@@ -259,7 +266,7 @@ def criterion_5_energy_constants(ctx: AcceptanceContext) -> CriterionResult:
     pair = ctx.quad_pair(1e-3)
     efit = fit_energy_constants(rec2, pair)
     tol = ctx.tol.energy_constant_rel
-    checks = [
+    checks = ctx.dropped_gaps(2) + [
         (
             f"amplitude {efit.amplitude:.5f} within {100 * tol:.0f}% of oracle pi "
             f"(ratio {efit.amplitude_over_oracle:.4f})",
@@ -324,7 +331,7 @@ def criterion_7_blowup_factor_convergence(ctx: AcceptanceContext) -> CriterionRe
     a = np.column_stack([np.log(eps[:-1]), np.ones(len(diffs))])
     slope = float(np.linalg.lstsq(a, np.log(diffs), rcond=None)[0][0])
     tol = ctx.tol.cauchy_slope
-    checks = [
+    checks = ctx.dropped_gaps(2) + [
         (f"Cauchy slope of factor differences = {slope:.4f} in 0.5 +- {tol}", abs(slope - 0.5) <= tol)
     ]
     b0_ext, sig_ext = ctx.blowup_extrapolated()
@@ -352,7 +359,7 @@ def criterion_8_boundedness_surrogates(ctx: AcceptanceContext) -> CriterionResul
     v_vals = [r.max_grad_v1_neck for r in rec2]
     w_span = max(w_vals) / min(w_vals)
     v_growth = max(v_vals) / min(v_vals)
-    checks = [
+    checks = ctx.dropped_gaps(2) + [
         (f"max|grad(v1 - explicit)| varies {w_span:.2f}x (< 2x) across sweep", w_span < 2.0),
         (f"max|grad v1| grows {v_growth:.0f}x (>= 10x)", v_growth >= 10.0),
     ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .conductivity import BoundaryData
 from .geometry import GeometryError, InclusionPair, NeckProfile, ProfileKind
-from .mesh import MeshParams
+from .mesh import MeshError, MeshParams
 
 __all__ = [
     "ConfigError",
@@ -297,6 +297,11 @@ def parse_config(text: str) -> ExperimentConfig:
             mesh = MeshParams(**mesh_kwargs)
         except Exception as exc:  # noqa: BLE001 - report, do not crash
             problems.append((where("mesh", "layers"), "mesh", str(exc)))
+        else:
+            try:
+                mesh.check_budget(geometry.outer_radius)
+            except MeshError as exc:
+                problems.append((where("mesh", "refinement"), "refinement", str(exc)))
         try:
             geometry.neck_profile()
         except GeometryError as exc:

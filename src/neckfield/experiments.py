@@ -25,8 +25,9 @@ from .closed_forms import (
     printed_energy_constant,
 )
 from .conductivity import BoundaryData, SolveBundle, neck_remainder, solve_bundle
-from .geometry import InclusionPair
-from .mesh import Mesh, MeshParams, generate, refine_quadrisect
+from .geometry import GeometryError, InclusionPair
+from .mesh import Mesh, MeshError, MeshParams, generate, refine_quadrisect
+from .quadrature import QuadratureError
 
 __all__ = [
     "SweepRecord",
@@ -198,7 +199,7 @@ def _sweep_entry(args) -> tuple[float, SweepRecord | None, str | None]:
     try:
         p = pair.with_gap(eps)
         return eps, sweep_record(p, generate(p, params), phi), None
-    except Exception as exc:  # noqa: BLE001 - per-gap failures are data
+    except (MeshError, fem.SolverError, GeometryError, QuadratureError) as exc:
         return eps, None, f"{type(exc).__name__}: {exc}"
 
 

@@ -14,6 +14,7 @@ Boundary edge tags: OUTER, INCLUSION1 (upper), INCLUSION2 (lower).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -49,6 +50,12 @@ TAG_NAMES = {OUTER: "outer", INCLUSION1: "inclusion1", INCLUSION2: "inclusion2"}
 _MIN_ANGLE_DEG = 20.0
 _SIZE_SLACK = 1.35
 _BATCH_LIMIT = 400
+_MIN_ITER = 60
+_MAX_POINTS = 200_000
+# Far-field points per h**2 of domain area: 1.2-1.5 measured at refinement
+# 0-4, the excess over an equilateral mesh coming from the junction grading.
+_POINT_DENSITY = 1.5
+_PAIR_CHUNK = 1 << 16
 
 
 class MeshError(RuntimeError):
@@ -87,6 +94,11 @@ class MeshParams:
         """(effective neck factor, effective far size) after refinement."""
         shrink = 2.0 ** (-0.5 * self.refinement)
         return self.neck_step_factor * shrink, self.h_far * shrink
+
+    def check_budget(self, outer_radius: float) -> None:
+        """Fail at once when the far field of a domain of this outer radius
+        would need more points than the mesher allows at this refinement."""
+        _expected_points(0.5 * math.pi * outer_radius**2, self.scaled()[1])
 
 
 @dataclass
@@ -309,22 +321,37 @@ def _polygon_points(chains: list[_Chain]) -> np.ndarray:
     return np.asarray(pts)
 
 
+def _area2(poly: np.ndarray) -> float:
+    """Twice the signed (counterclockwise positive) area of a polygon."""
+    return float(np.sum(poly[:, 0] * np.roll(poly[:, 1], -1) - np.roll(poly[:, 0], -1) * poly[:, 1]))
+
+
 def _points_inside(poly: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Even-odd rule, vectorized over query points."""
+    """Even-odd rule.
+
+    Each polygon edge is tested only against the query points whose y lies
+    in the edge's half-open y-range, found by bisection on the sorted y
+    values; the (edge, point) pairs are built in chunks of bounded size.
+    """
     x, y = query[:, 0], query[:, 1]
     x0, y0 = poly[:, 0], poly[:, 1]
     x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    inside = np.zeros(len(query), dtype=bool)
-    for i in range(len(poly)):
-        cond = (y0[i] > y) != (y1[i] > y)
-        if not cond.any():
-            continue
-        t = (y[cond] - y0[i]) / (y1[i] - y0[i])
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
+    start = np.searchsorted(ys, np.minimum(y0, y1), side="left")
+    count = np.searchsorted(ys, np.maximum(y0, y1), side="left") - start
+    crossings = np.zeros(len(query), dtype=np.int64)
+    edges = np.flatnonzero(count)
+    cuts = np.searchsorted(np.cumsum(count[edges]), np.arange(_PAIR_CHUNK, count.sum(), _PAIR_CHUNK))
+    for e in np.split(edges, np.unique(cuts)):
+        c = count[e]
+        first = np.cumsum(c) - c
+        p = order[np.repeat(start[e] - first, c) + np.arange(c.sum())]
+        i = np.repeat(e, c)
+        t = (y[p] - y0[i]) / (y1[i] - y0[i])
         xc = x0[i] + t * (x1[i] - x0[i])
-        flip = x[cond] < xc
-        idx = np.flatnonzero(cond)[flip]
-        inside[idx] = ~inside[idx]
-    return inside
+        crossings += np.bincount(p[x[p] < xc], minlength=len(query))
+    return crossings % 2 == 1
 
 
 def _tri_min_angles(p: np.ndarray) -> np.ndarray:
@@ -353,8 +380,21 @@ def _circumcenters(p: np.ndarray) -> np.ndarray:
     return np.column_stack([ux, uy])
 
 
-def _refine_polygon(chains: list[_Chain], size_fn, max_iter: int = 60, max_points: int = 200_000) -> _Piece:
-    """Delaunay refinement of the region bounded by the chain loop."""
+def _expected_points(area: float, h: float) -> int:
+    """Far-field point count expected for target edge length ``h``; fails
+    at once above the point budget."""
+    expected = math.ceil(_POINT_DENSITY * area / h**2)
+    if expected > _MAX_POINTS:
+        raise MeshError(
+            f"far field at edge length {h:.6g} needs about {expected} points, "
+            f"above the budget of {_MAX_POINTS}; lower the refinement or raise h_far"
+        )
+    return expected
+
+
+def _refine_polygon(chains: list[_Chain], size_fn, h: float) -> _Piece:
+    """Delaunay refinement of the region bounded by the chain loop, with
+    target edge length ``size_fn`` (at most ``h``)."""
     # Global vertex store; chains index into it.
     coords: list[np.ndarray] = []
     index: dict[tuple[float, float], int] = {}
@@ -369,38 +409,42 @@ def _refine_polygon(chains: list[_Chain], size_fn, max_iter: int = 60, max_point
         return got
 
     chain_ids: list[list[int]] = [[intern(p) for p in ch.points] for ch in chains]
+    area = 0.5 * abs(_area2(_polygon_points(chains)))
+    # Each pass inserts at most _BATCH_LIMIT points and some passes only
+    # split boundary segments, hence the factor 2 and the margin.
+    max_iter = max(_MIN_ITER, 2 * math.ceil(_expected_points(area, h) / _BATCH_LIMIT) + 20)
     free: list[np.ndarray] = []
 
-    for iteration in range(max_iter):
-        pts = np.asarray(coords + free)
-        if len(pts) > max_points:
-            raise MeshError(f"refinement exceeded {max_points} points")
+    for _ in range(max_iter):
+        boundary = np.asarray(coords)
+        pts = np.concatenate([boundary, *free])
+        if len(pts) > _MAX_POINTS:
+            raise MeshError(f"refinement exceeded {_MAX_POINTS} points")
         try:
             tri = Delaunay(pts)
         except QhullError as exc:  # pragma: no cover - defensive
             raise MeshError(f"Delaunay triangulation failed: {exc}") from exc
-        poly = _polygon_points_current(chains, chain_ids, coords)
+        seg_a, seg_b, seg_prot, seg_ci, seg_k = _segment_arrays(chains, chain_ids)
+        poly = boundary[seg_a]
         cells = tri.simplices
         cent = pts[cells].mean(axis=1)
         keep = _points_inside(poly, cent)
         cells = cells[keep]
-        edges = set()
-        for t in cells:
-            for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                edges.add((min(int(a), int(b)), max(int(a), int(b))))
 
         # Conformity: every chain segment must be a triangulation edge.
-        missing: list[tuple[int, int]] = []
-        for ci, ids in enumerate(chain_ids):
-            for k in range(len(ids) - 1):
-                a, b = ids[k], ids[k + 1]
-                if (min(a, b), max(a, b)) not in edges:
-                    missing.append((ci, k))
-        if missing:
-            for ci, k in reversed(missing):
-                if chains[ci].protected:
-                    raise MeshError("protected interface segment lost Delaunay conformity")
-                _split_chain_segment(chains[ci], chain_ids[ci], k, coords, index)
+        # Boundary vertices come first in pts, so only edges between two
+        # of them can be chain segments.
+        nb = len(boundary)
+        lo = np.minimum(cells, np.roll(cells, -1, axis=1)).ravel()
+        hi = np.maximum(cells, np.roll(cells, -1, axis=1)).ravel()
+        on_boundary = hi < nb
+        seg_keys = np.minimum(seg_a, seg_b) * nb + np.maximum(seg_a, seg_b)
+        missing = np.flatnonzero(~np.isin(seg_keys, lo[on_boundary] * nb + hi[on_boundary]))
+        if len(missing):
+            if seg_prot[missing].any():
+                raise MeshError("protected interface segment lost Delaunay conformity")
+            for s in missing[::-1]:
+                _split_chain_segment(chains[seg_ci[s]], chain_ids[seg_ci[s]], seg_k[s], coords, index)
             continue
 
         pcoords = pts[cells]
@@ -414,8 +458,7 @@ def _refine_polygon(chains: list[_Chain], size_fn, max_iter: int = 60, max_point
             axis=1,
         )
         longest = lengths.max(axis=1)
-        cent = pts[cells].mean(axis=1)
-        target = size_fn(cent)
+        target = size_fn(cent[keep])
         too_big = longest > _SIZE_SLACK * target
         too_thin = min_ang < math.radians(_MIN_ANGLE_DEG)
         bad = np.flatnonzero(too_big | too_thin)
@@ -426,52 +469,24 @@ def _refine_polygon(chains: list[_Chain], size_fn, max_iter: int = 60, max_point
         order = np.lexsort((bad, -ratio))
         bad = bad[order][:_BATCH_LIMIT]
         cands = _circumcenters(pcoords[bad])
-        inside = _points_inside(poly, cands)
+        a, b = boundary[seg_a], boundary[seg_b]
+        mid = 0.5 * (a + b)
+        rad2 = np.sum((a - mid) ** 2, axis=1)
+        accepted, split = _screen_candidates(cands, _points_inside(poly, cands), pts, mid, rad2, seg_prot, size_fn)
 
-        seg_a, seg_b, seg_prot, seg_ci, seg_k = _segment_arrays(chains, chain_ids)
-        mid = 0.5 * (np.asarray([coords[i] for i in seg_a]) + np.asarray([coords[i] for i in seg_b]))
-        rad2 = np.sum((np.asarray([coords[i] for i in seg_a]) - mid) ** 2, axis=1)
-
-        tree = cKDTree(pts)
-        accepted: list[np.ndarray] = []
-        split_requests: set[tuple[int, int]] = set()
-        for ci_cand in range(len(cands)):
-            cand = cands[ci_cand]
-            if not inside[ci_cand]:
-                # Circumcenter escaped the domain: treat the triangle's
-                # nearest boundary segment as encroached instead.
-                owner = _nearest_segment(cand, mid)
-                if not seg_prot[owner]:
-                    split_requests.add((seg_ci[owner], seg_k[owner]))
-                continue
-            d2 = np.sum((mid - cand) ** 2, axis=1)
-            enc = d2 < rad2 * (1.0 - 1e-12)
-            if enc.any():
-                hit = np.flatnonzero(enc)
-                if seg_prot[hit].any():
-                    continue
-                for h in hit:
-                    split_requests.add((seg_ci[h], seg_k[h]))
-                continue
-            local = float(size_fn(cand[None, :])[0])
-            if tree.query(cand)[0] < 0.45 * local:
-                continue
-            if any(np.hypot(*(cand - q)) < 0.45 * local for q in accepted):
-                continue
-            accepted.append(cand)
-
-        if split_requests:
-            for ci, k in sorted(split_requests, reverse=True):
-                _split_chain_segment(chains[ci], chain_ids[ci], k, coords, index)
-        free.extend(accepted)
-        if not accepted and not split_requests:
+        # Segment order is (chain, position) order; split from the back so
+        # positions ahead stay valid.
+        for s in split[::-1]:
+            _split_chain_segment(chains[seg_ci[s]], chain_ids[seg_ci[s]], seg_k[s], coords, index)
+        free.append(accepted)
+        if not len(accepted) and not len(split):
             break
     else:
-        raise MeshError("far-field refinement did not settle within the iteration budget")
+        raise MeshError(f"far-field refinement did not settle within the iteration budget of {max_iter}")
 
-    pts = np.asarray(coords + free)
+    pts = np.concatenate([np.asarray(coords), *free])
     tri = Delaunay(pts)
-    poly = _polygon_points_current(chains, chain_ids, coords)
+    poly = _polygon_points(chains)
     cells = tri.simplices
     keep = _points_inside(poly, pts[cells].mean(axis=1))
     cells = cells[keep]
@@ -484,11 +499,63 @@ def _refine_polygon(chains: list[_Chain], size_fn, max_iter: int = 60, max_point
     return _Piece(vertices=pts, triangles=np.asarray(cells, dtype=np.int64), segments=segments)
 
 
-def _polygon_points_current(chains, chain_ids, coords) -> np.ndarray:
-    pts = []
-    for ids in chain_ids:
-        pts.extend(coords[i] for i in ids[:-1])
-    return np.asarray(pts)
+def _screen_candidates(cands, inside, pts, mid, rad2, seg_prot, size_fn) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy filter of one batch of circumcenters, in batch order.
+
+    A candidate that escaped the domain asks for a split of the boundary
+    segment with the nearest midpoint.  One that encroaches on segments
+    asks for their splits, unless one of them is protected.  Otherwise it
+    is accepted unless it lies within 0.45 local sizes of a mesh point or
+    of a candidate accepted before it.  Returns the accepted points and the
+    sorted indices of the segments to split.
+    """
+    split = []
+    out = np.flatnonzero(~inside)
+    if len(out):
+        q, s = _ball_pairs(mid, cands[out], cKDTree(mid).query(cands[out])[0])
+        d2 = np.sum((mid[s] - cands[out][q]) ** 2, axis=1)
+        first = np.lexsort((s, d2, q))
+        owner = s[first][np.unique(q[first], return_index=True)[1]]
+        split.append(owner[~seg_prot[owner]])
+
+    ins = np.flatnonzero(inside)
+    s, c = _ball_pairs(cands[ins], mid, np.sqrt(rad2))
+    hit = np.sum((mid[s] - cands[ins][c]) ** 2, axis=1) < rad2[s] * (1.0 - 1e-12)
+    s, c = s[hit], c[hit]
+    blocked = np.zeros(len(ins), dtype=bool)
+    blocked[c[seg_prot[s]]] = True
+    split.append(s[~blocked[c]])
+    enc = np.zeros(len(ins), dtype=bool)
+    enc[c] = True
+
+    fresh = cands[ins[~enc]]
+    radius = 0.45 * size_fn(fresh)
+    if len(fresh):
+        near = cKDTree(pts).query(fresh)[0] < radius
+        fresh, radius = fresh[~near], radius[~near]
+    j, i = _ball_pairs(fresh, fresh, radius)
+    earlier = i < j
+    j, i = j[earlier], i[earlier]
+    d = fresh[j] - fresh[i]
+    close = np.hypot(d[:, 0], d[:, 1]) < radius[j]
+    # Pairs in ascending j: each earlier candidate's fate is settled first.
+    accept = [True] * len(fresh)
+    for jj, ii in sorted(zip(j[close].tolist(), i[close].tolist())):
+        if accept[ii]:
+            accept[jj] = False
+    return fresh[np.asarray(accept, dtype=bool)], np.unique(np.concatenate(split))
+
+
+def _ball_pairs(points: np.ndarray, queries: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (query, point) with the point within a hair over the
+    query's radius: a kd-tree superset for an exact test by the caller."""
+    if len(points) == 0 or len(queries) == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    hits = cKDTree(points).query_ball_point(queries, radii * (1.0 + 1e-9))
+    counts = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
+    q = np.repeat(np.arange(len(hits)), counts)
+    p = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=int(counts.sum()))
+    return q, p
 
 
 def _segment_arrays(chains, chain_ids):
@@ -501,16 +568,12 @@ def _segment_arrays(chains, chain_ids):
             ci_list.append(ci)
             k_list.append(k)
     return (
-        np.asarray(a),
-        np.asarray(b),
+        np.asarray(a, dtype=np.int64),
+        np.asarray(b, dtype=np.int64),
         np.asarray(prot, dtype=bool),
         np.asarray(ci_list),
         np.asarray(k_list),
     )
-
-
-def _nearest_segment(p: np.ndarray, midpoints: np.ndarray) -> int:
-    return int(np.argmin(np.sum((midpoints - p) ** 2, axis=1)))
 
 
 def _split_chain_segment(chain: _Chain, ids: list[int], k: int, coords, index) -> None:
@@ -564,9 +627,7 @@ def _far_half_piece(pair: InclusionPair, params: MeshParams, end_fiber: np.ndarr
     ]
     # The loop above runs clockwise in angle on the caps but the overall
     # traversal keeps the interior on the left; fix orientation by area.
-    poly = _polygon_points(chains)
-    area2 = np.sum(poly[:, 0] * np.roll(poly[:, 1], -1) - np.roll(poly[:, 0], -1) * poly[:, 1])
-    if area2 < 0.0:
+    if _area2(_polygon_points(chains)) < 0.0:
         chains = [
             _Chain(points=list(reversed(ch.points)), tag=ch.tag, protected=ch.protected, projector=ch.projector)
             for ch in reversed(chains)
@@ -578,7 +639,7 @@ def _far_half_piece(pair: InclusionPair, params: MeshParams, end_fiber: np.ndarr
         d = np.sqrt(np.min(np.sum((pts[:, None, :] - junctions[None, :, :]) ** 2, axis=2), axis=1))
         return np.minimum(h_far, s_jun + 0.45 * d)
 
-    return _refine_polygon(chains, size_fn)
+    return _refine_polygon(chains, size_fn, h_far)
 
 
 def _mirror_piece(piece: _Piece) -> _Piece:
@@ -924,7 +985,7 @@ def mesh_convex_polygon(corners: np.ndarray, h: float) -> Mesh:
     def size_fn(pts: np.ndarray) -> np.ndarray:
         return np.full(len(pts), h)
 
-    piece = _refine_polygon(chains, size_fn)
+    piece = _refine_polygon(chains, size_fn, h)
     count = len(piece.triangles)
     piece.neck = np.zeros(count, dtype=bool)
     piece.column_x = np.full(count, np.nan)

@@ -8,7 +8,8 @@ criterion's pass/fail line and its detail rows.
 
 import pytest
 
-from neckfield import acceptance
+from neckfield import acceptance, experiments
+from neckfield.mesh import MeshError
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +59,22 @@ def test_c8_boundedness_surrogates(ctx):
 
 def test_c9_self_convergence(ctx):
     _check(acceptance.criterion_9_self_convergence(ctx))
+
+
+def test_dropped_gap_fails_the_sweep_criteria(monkeypatch):
+    real = experiments.generate
+
+    def flaky(pair, params):
+        if pair.eps < 1e-5:
+            raise MeshError("forced failure")
+        return real(pair, params)
+
+    monkeypatch.setattr(experiments, "generate", flaky)
+    fresh = acceptance.AcceptanceContext()
+    for criterion in (
+        acceptance.criterion_5_energy_constants,
+        acceptance.criterion_8_boundedness_surrogates,
+    ):
+        result = criterion(fresh)
+        assert not result.passed
+        assert "BAD m=2 sweep dropped eps=9.8e-06: MeshError: forced failure" in result.details

@@ -60,6 +60,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("[sweep]\nepsilons = 2.0 0.5 0.1 0.01\n")
 
+    def test_refinement_over_point_budget_located(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[mesh]\nrefinement = 8\n")
+        (line, key, msg), = err.value.problems
+        assert (line, key) == (2, "refinement")
+        assert "241275 points" in msg and "budget of 200000" in msg
+
 
 class TestCommands:
     def test_init_config_prints(self, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from neckfield import experiments
 from neckfield.conductivity import BoundaryData, fit_blowup_limit
 from neckfield.experiments import (
     SWEEP_CSV_HEADER,
@@ -100,6 +101,14 @@ class TestRunSweep:
         assert len(records) == 3
         assert list(failures) == [1e-14]
         assert "MeshError" in failures[1e-14]
+
+    def test_programming_errors_crash(self, pair, phi, monkeypatch):
+        def broken(p, params):
+            raise TypeError("not a gap failure")
+
+        monkeypatch.setattr(experiments, "generate", broken)
+        with pytest.raises(TypeError, match="not a gap failure"):
+            run_sweep(pair, phi, [1e-2, 1e-3, 1e-4, 1e-5], MeshParams())
 
     def test_worker_pool_matches_sequential(self, pair, phi, records):
         eps_list = [r.eps for r in records]
