@@ -1,4 +1,4 @@
-"""Before/after figures for the far-field mesher, one checkout per run.
+"""Before/after figures for the mesher, one checkout per run.
 
     python3 benchmarks/mesher.py --root CHECKOUT --label before|after --out BENCH.json
 
@@ -6,7 +6,9 @@ Times ``mesh.generate`` of CHECKOUT (its ``src/`` on a fresh interpreter
 per level) on the default quadratic pair (curvature 2) at eps = 1e-3 at
 refinement levels 0, 2, 3, 4, 5 and 6, with vertex and triangle counts
 and the sha256 of the vertex and triangle arrays; a level that raises
-records the error and the time until it did.  Then runs CHECKOUT's
+records the error and the time until it did.  Times ``refine_quadrisect``
+on the same pair at ladder levels 1-3, starting from the refinement-0
+mesh, with the same counts and hash.  Then runs CHECKOUT's
 ``perfbench/run.py`` on the ``sweep`` and ``gate`` workloads at seed 0
 for the 50 s that ``BENCHMARK.json`` sets, and keeps their JSON line and
 whether the seed-0 mesh fingerprints matched.  The result is merged into
@@ -53,6 +55,38 @@ print(json.dumps({
     "sha256": digest.hexdigest(),
 }))
 """
+QUADRISECT_LEVELS = 3
+QUADRISECT_REPEATS = 5
+QUADRISECT_CODE = """
+import hashlib, json, sys, time
+import numpy as np
+from neckfield.geometry import InclusionPair, NeckProfile, ProfileKind
+from neckfield.mesh import MeshParams, generate, refine_quadrisect
+pair = InclusionPair(2, NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=(2.0,)), 1e-3)
+levels, repeats = int(sys.argv[1]), int(sys.argv[2])
+base = generate(pair, MeshParams())
+times = [[] for _ in range(levels)]
+for _ in range(repeats):
+    mesh = base
+    for level in range(levels):
+        t0 = time.perf_counter()
+        mesh = refine_quadrisect(mesh, pair)
+        times[level].append(time.perf_counter() - t0)
+mesh = base
+for level in range(levels):
+    mesh = refine_quadrisect(mesh, pair)
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(mesh.vertices, dtype=np.float64).tobytes())
+    digest.update(np.ascontiguousarray(mesh.triangles, dtype=np.int64).tobytes())
+    print(json.dumps({
+        "level": level + 1,
+        "seconds": sorted(times[level])[repeats // 2],
+        "repeats": repeats,
+        "vertices": mesh.vertex_count,
+        "triangles": mesh.triangle_count,
+        "sha256": digest.hexdigest(),
+    }))
+"""
 
 
 def _env(root: Path) -> dict[str, str]:
@@ -73,6 +107,18 @@ def time_generate(root: Path, level: int) -> dict:
         check=True,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def time_quadrisect(root: Path) -> dict:
+    out = subprocess.run(
+        [sys.executable, "-c", QUADRISECT_CODE, str(QUADRISECT_LEVELS), str(QUADRISECT_REPEATS)],
+        env=_env(root),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    rows = [json.loads(line) for line in out.stdout.strip().splitlines()]
+    return {str(row.pop("level")): row for row in rows}
 
 
 def run_workload(root: Path, name: str) -> dict:
@@ -99,10 +145,13 @@ def main() -> None:
     args = parser.parse_args()
     root = args.root.resolve()
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root, capture_output=True, text=True).stdout.strip()
-    entry = {"commit": commit, "generate": {}, "workloads": {}}
+    entry = {"commit": commit, "generate": {}, "quadrisect": {}, "workloads": {}}
     for level in LEVELS:
         entry["generate"][str(level)] = time_generate(root, level)
         print(f"refinement {level}: {entry['generate'][str(level)]}", flush=True)
+    entry["quadrisect"] = time_quadrisect(root)
+    for level, row in entry["quadrisect"].items():
+        print(f"quadrisect level {level}: {row}", flush=True)
     for name in ("sweep", "gate"):
         entry["workloads"][name] = run_workload(root, name)
         print(f"{name}: {entry['workloads'][name]}", flush=True)

@@ -25,7 +25,7 @@ import scipy
 from . import __version__, fem
 from .acceptance import run_all
 from .closed_forms import AsymptoticParams, constants_report, energy_error_scale_m
-from .conductivity import fit_blowup_limit, neck_remainder, solve_bundle
+from .conductivity import fit_blowup_limit
 from .config import ConfigError, ExperimentConfig, default_config_text, emit_config, parse_config
 from .experiments import (
     SWEEP_CSV_HEADER,
@@ -141,7 +141,7 @@ def _cmd_solve(args) -> int:
     pair = cfg.geometry.pair(eps)
     phi = cfg.boundary.data()
     mesh = generate(pair, cfg.mesh)
-    record = sweep_record(pair, mesh, phi)
+    record, bundle, w = sweep_record(pair, mesh, phi)
     doc = {
         "epsilon": eps,
         "a11": record.a11,
@@ -165,8 +165,6 @@ def _cmd_solve(args) -> int:
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     outputs = [out.name]
     if args.dump_fields:
-        bundle = solve_bundle(mesh, phi)
-        w = neck_remainder(pair, bundle)
         for name, f in (
             ("u", bundle.u),
             ("v1", bundle.v1),

@@ -248,21 +248,49 @@ def printed_energy_constant(n: int, m: float, coefficient: float) -> float:
 # singular neck fields
 
 
+def _strip_rows(pair: InclusionPair, x, touching: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One point (n,) or N points (N, n) as rows, with the relative profile
+    at each; rejects, naming the first, a point outside the neck range or
+    the gap strip."""
+    arr = np.asarray(x, dtype=float)
+    n = pair.dimension
+    if arr.shape != (n,) and not (arr.ndim == 2 and arr.shape[1] == n):
+        raise GeometryError(f"point must have {n} components, got shape {arr.shape}")
+    pts = arr.reshape(-1, n)
+    xp, xn = pts[:, :-1], pts[:, -1]
+    rho = np.sqrt(np.sum(xp * xp, axis=1))
+    limit = pair.neck_radius if touching else 2.0 * pair.neck_radius
+    far = rho > limit + 1e-12
+    rel = np.full(len(pts), np.nan)
+    rel[~far] = _relative_rows(pair.profile, xp[~far])
+    s1, s2 = pair.profile.split
+    h1, h2 = s1 * rel, -s2 * rel
+    tol = 1e-12 * np.maximum(1.0, np.abs(xn))
+    top = (h1 if touching else pair.eps + h1) + tol
+    bad = np.flatnonzero(far | ~((h2 - tol <= xn) & (xn <= top)))
+    if len(bad):
+        i = bad[0]
+        if far[i]:
+            raise GeometryError(f"|x'| = {rho[i]:.6g} outside the neck range {limit}")
+        raise GeometryError(f"point {pts[i]} lies outside the gap strip")
+    return pts, rel
+
+
+def _relative_rows(prof, xp: np.ndarray) -> np.ndarray:
+    """``prof.relative`` at each row of xp, with the same bits."""
+    if prof.kind is ProfileKind.QUADRATIC:
+        return 0.5 * np.sum(np.asarray(prof.curvatures, dtype=float) * xp * xp, axis=1)
+    # Python's float power, not np.power: the two differ in the last bit.
+    r = np.sqrt(np.sum(xp * xp, axis=1))
+    return np.array([prof.coefficient * ri**prof.order for ri in r.tolist()], dtype=float)
+
+
 def _require_in_neck_formulas(pair: InclusionPair, x, touching: bool) -> tuple[np.ndarray, float]:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (pair.dimension,):
         raise GeometryError(f"point must have {pair.dimension} components, got shape {arr.shape}")
-    xp, xn = arr[:-1], float(arr[-1])
-    rho = float(np.sqrt(np.sum(xp * xp)))
-    limit = pair.neck_radius if touching else 2.0 * pair.neck_radius
-    if rho > limit + 1e-12:
-        raise GeometryError(f"|x'| = {rho:.6g} outside the neck range {limit}")
-    h1, h2 = pair.profile.heights(xp)
-    tol = 1e-12 * max(1.0, abs(xn))
-    top = (h1 if touching else pair.eps + h1) + tol
-    if not (h2 - tol <= xn <= top):
-        raise GeometryError(f"point {arr} lies outside the gap strip")
-    return xp, xn
+    _strip_rows(pair, arr, touching)
+    return arr[:-1], float(arr[-1])
 
 
 def _relative_gradient(pair: InclusionPair, xp: np.ndarray) -> np.ndarray:
@@ -276,14 +304,19 @@ def _relative_gradient(pair: InclusionPair, xp: np.ndarray) -> np.ndarray:
     return prof.coefficient * prof.order * r ** (prof.order - 2.0) * xp
 
 
-def neck_potential(pair: InclusionPair, x) -> float:
-    """Explicit potential (x_n - h2)/(eps + h1 - h2), 0 below and 1 above."""
-    xp, xn = _require_in_neck_formulas(pair, x, touching=False)
-    _, h2 = pair.profile.heights(xp)
-    delta = pair.eps + pair.profile.relative(xp)
-    if delta <= 0.0:
+def neck_potential(pair: InclusionPair, x):
+    """Explicit potential (x_n - h2)/(eps + h1 - h2), 0 below and 1 above.
+
+    ``x`` is one point, shape (n,), giving a float, or N points, shape
+    (N, n), giving an array of N values.
+    """
+    pts, rel = _strip_rows(pair, x, touching=False)
+    delta = pair.eps + rel
+    if np.any(delta <= 0.0):
         raise GeometryError("degenerate gap at the evaluation point")
-    return (xn - h2) / delta
+    h2 = -pair.profile.split[1] * rel
+    values = (pts[:, -1] - h2) / delta
+    return values if np.ndim(x) == 2 else float(values[0])
 
 
 def neck_potential_gradient(pair: InclusionPair, x) -> np.ndarray:

@@ -30,6 +30,7 @@ __all__ = [
     "flux_system",
     "solve_constants",
     "solve_bundle",
+    "neck_interpolant",
     "neck_remainder",
     "fit_blowup_limit",
     "estimate_blowup_factor",
@@ -185,14 +186,23 @@ def solve_bundle(
     )
 
 
-def neck_remainder(pair: InclusionPair, bundle: SolveBundle) -> fem.ScalarField:
-    """Difference between the solved unit-potential field and the explicit
-    neck potential, as a nodal field supported on the neck strip."""
+def neck_interpolant(pair: InclusionPair, mesh: Mesh) -> np.ndarray:
+    """Nodal interpolant of the explicit neck potential: its values at the
+    vertices of the neck strip, 0 elsewhere."""
+    ids = np.unique(mesh.triangles[mesh.neck])
+    ramp = np.zeros(mesh.vertex_count)
+    ramp[ids] = neck_potential(pair, mesh.vertices[ids])
+    return ramp
+
+
+def neck_remainder(bundle: SolveBundle, ramp: np.ndarray) -> fem.ScalarField:
+    """Difference between the solved unit-potential field and ``ramp``, the
+    nodal interpolant of the explicit neck potential, as a nodal field
+    supported on the neck strip."""
     mesh = bundle.mesh
     ids = np.unique(mesh.triangles[mesh.neck])
     w = np.zeros(mesh.vertex_count)
-    for i in ids:
-        w[i] = bundle.v1.values[i] - neck_potential(pair, mesh.vertices[i])
+    w[ids] = bundle.v1.values[ids] - ramp[ids]
     return fem.ScalarField(mesh, w)
 
 

@@ -18,13 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .closed_forms import (
-    energy_limit_constant,
-    gap_rate_m,
-    neck_potential,
-    printed_energy_constant,
-)
-from .conductivity import BoundaryData, SolveBundle, neck_remainder, solve_bundle
+from .closed_forms import energy_limit_constant, gap_rate_m, printed_energy_constant
+from .conductivity import BoundaryData, SolveBundle, neck_interpolant, neck_remainder, solve_bundle
 from .geometry import GeometryError, InclusionPair
 from .mesh import Mesh, MeshError, MeshParams, generate, refine_quadrisect
 from .quadrature import QuadratureError
@@ -123,16 +118,13 @@ def vb_station_profile(bundle: SolveBundle) -> list[tuple[float, float]]:
     return out
 
 
-def _centerline_residual(pair: InclusionPair, bundle: SolveBundle) -> float:
+def _centerline_residual(bundle: SolveBundle, ramp: np.ndarray) -> float:
     """Max over gap-centerline triangles of |grad u - (c1-c2) grad of the
     explicit neck potential|, with the potential represented in the same
-    P1 space (nodal interpolation) so the comparison is consistent."""
+    P1 space (its nodal interpolant ``ramp``) so the comparison is
+    consistent."""
     mesh = bundle.mesh
     neck_ids = np.flatnonzero(mesh.neck)
-    vert_ids = np.unique(mesh.triangles[neck_ids])
-    ramp = np.zeros(mesh.vertex_count)
-    for i in vert_ids:
-        ramp[i] = neck_potential(pair, mesh.vertices[i])
     grads_u = fem.element_gradients(bundle.u)
     grads_ramp = fem.element_gradients(fem.ScalarField(mesh, ramp))
     coeff = bundle.c1 - bundle.c2
@@ -148,11 +140,15 @@ def _centerline_residual(pair: InclusionPair, bundle: SolveBundle) -> float:
     return worst
 
 
-def sweep_record(pair: InclusionPair, mesh: Mesh, phi: BoundaryData) -> SweepRecord:
-    """Solve one gap value and collect its observables."""
+def sweep_record(
+    pair: InclusionPair, mesh: Mesh, phi: BoundaryData
+) -> tuple[SweepRecord, SolveBundle, fem.ScalarField]:
+    """Solve one gap value and collect its observables; also returns the
+    solved bundle and the neck remainder field."""
     t0 = time.perf_counter()
     bundle = solve_bundle(mesh, phi)
-    w = neck_remainder(pair, bundle)
+    ramp = neck_interpolant(pair, mesh)
+    w = neck_remainder(bundle, ramp)
     mg_u, _ = fem.max_gradient(bundle.u, "neck")
     mg_v1, _ = fem.max_gradient(bundle.v1, "neck")
     mg_w, _ = fem.max_gradient(w, "neck")
@@ -167,7 +163,7 @@ def sweep_record(pair: InclusionPair, mesh: Mesh, phi: BoundaryData) -> SweepRec
         float(vs[np.argmin(np.abs(xs + half))]),
     )
     m, _ = pair.profile.power_equivalent()
-    return SweepRecord(
+    record = SweepRecord(
         eps=pair.eps,
         rate=gap_rate_m(pair.eps, pair.dimension, m),
         energy_v1=bundle.a11,
@@ -186,19 +182,20 @@ def sweep_record(pair: InclusionPair, mesh: Mesh, phi: BoundaryData) -> SweepRec
         max_grad_vb_neck=mg_vb,
         vb_center=vb_center,
         vb_offside=vb_off,
-        centerline_residual=_centerline_residual(pair, bundle),
+        centerline_residual=_centerline_residual(bundle, ramp),
         vertex_count=mesh.vertex_count,
         triangle_count=mesh.triangle_count,
         wall_time=time.perf_counter() - t0,
         vb_profile=profile,
     )
+    return record, bundle, w
 
 
 def _sweep_entry(args) -> tuple[float, SweepRecord | None, str | None]:
     pair, eps, phi, params = args
     try:
         p = pair.with_gap(eps)
-        return eps, sweep_record(p, generate(p, params), phi), None
+        return eps, sweep_record(p, generate(p, params), phi)[0], None
     except (MeshError, fem.SolverError, GeometryError, QuadratureError) as exc:
         return eps, None, f"{type(exc).__name__}: {exc}"
 

@@ -23,8 +23,6 @@ __all__ = [
     "ScalarField",
     "StiffnessOperator",
     "assemble",
-    "energy",
-    "flux",
     "element_gradients",
     "max_gradient",
 ]
@@ -145,14 +143,6 @@ def assemble(mesh: Mesh) -> StiffnessOperator:
     ).tocsr()
     k = (k + k.T) * 0.5
     return StiffnessOperator(mesh, k.tocsr())
-
-
-def energy(op: StiffnessOperator, f: ScalarField) -> float:
-    return op.energy(f)
-
-
-def flux(op: StiffnessOperator, f: ScalarField, tag: int) -> float:
-    return op.flux(f, tag)
 
 
 def element_gradients(f: ScalarField) -> np.ndarray:

@@ -142,14 +142,19 @@ class Mesh:
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Edge -> number of incident triangles."""
-        counts: dict[tuple[int, int], int] = {}
-        for tri in self.triangles:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (int(min(a, b)), int(max(a, b)))
-                counts[key] = counts.get(key, 0) + 1
-        return counts
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Undirected edges as sorted (E, 2) rows, lower id first, and the
+        number of triangles incident to each."""
+        n = self.vertex_count
+        keys, counts = np.unique(_edge_keys(self.triangles, n), return_counts=True)
+        return np.column_stack([keys // n, keys % n]), counts
+
+
+def _edge_keys(triangles: np.ndarray, n: int) -> np.ndarray:
+    """Key lo*n + hi of each triangle edge: triangle by triangle, edges
+    (v0, v1), (v1, v2), (v2, v0)."""
+    nxt = np.roll(triangles, -1, axis=1)
+    return (np.minimum(triangles, nxt) * n + np.maximum(triangles, nxt)).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -656,26 +661,30 @@ def _mirror_piece(piece: _Piece) -> _Piece:
     )
 
 
-def _merge_pieces(pieces: list[_Piece]) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]], np.ndarray, np.ndarray]:
-    key2id: dict[tuple[float, float], int] = {}
-    verts: list[tuple[float, float]] = []
-    tris = []
-    segs: list[tuple[int, int, int]] = []
-    neck_flags = []
-    col_x = []
+def _merge_pieces(pieces: list[_Piece]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Glue the pieces at coincident vertices.  Vertices match by value, so
+    -0.0 meets 0.0; ids and coordinates follow first occurrence."""
+    allv = np.concatenate([piece.vertices for piece in pieces])
+    key = allv + 0.0  # -0.0 -> 0.0; every other value is unchanged
+    order = np.lexsort((key[:, 1], key[:, 0]))
+    ks = key[order]
+    starts = np.ones(len(ks), dtype=bool)
+    starts[1:] = np.any(ks[1:] != ks[:-1], axis=1)
+    # lexsort is stable, so each run of equal keys starts at its first occurrence.
+    first = order[starts]
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    ids = np.empty(len(allv), dtype=np.int64)
+    ids[order] = rank[np.cumsum(starts) - 1]
+
+    tris, segs, neck_flags, col_x = [], [], [], []
+    offset = 0
     for piece in pieces:
-        local = np.empty(len(piece.vertices), dtype=np.int64)
-        for i, (x, y) in enumerate(piece.vertices):
-            key = (float(x), float(y))
-            got = key2id.get(key)
-            if got is None:
-                got = len(verts)
-                key2id[key] = got
-                verts.append(key)
-            local[i] = got
+        local = ids[offset : offset + len(piece.vertices)]
+        offset += len(piece.vertices)
         tris.append(local[piece.triangles])
-        for a, b, tag in piece.segments:
-            segs.append((int(local[a]), int(local[b]), tag))
+        seg = np.asarray(piece.segments, dtype=np.int64).reshape(-1, 3)
+        segs.append(np.column_stack([local[seg[:, 0]], local[seg[:, 1]], seg[:, 2]]))
         count = len(piece.triangles)
         if piece.neck is None:
             neck_flags.append(np.zeros(count, dtype=bool))
@@ -683,9 +692,8 @@ def _merge_pieces(pieces: list[_Piece]) -> tuple[np.ndarray, np.ndarray, list[tu
         else:
             neck_flags.append(piece.neck)
             col_x.append(piece.column_x)
-    v = np.asarray(verts)
-    t = np.vstack(tris)
-    return v, t, segs, np.concatenate(neck_flags), np.concatenate(col_x)
+    verts = allv[np.sort(first)]
+    return verts, np.vstack(tris), np.vstack(segs), np.concatenate(neck_flags), np.concatenate(col_x)
 
 
 def _finalize(pair_stations: np.ndarray, layers: int, merged) -> Mesh:
@@ -700,40 +708,36 @@ def _finalize(pair_stations: np.ndarray, layers: int, merged) -> Mesh:
     tris = tris.copy()
     tris[flip] = tris[flip][:, ::-1]
 
-    edges = np.sort(
-        np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]], axis=0), axis=1
-    )
-    declared = {}
-    for a, b, tag in segs:
-        key = (min(a, b), max(a, b))
-        if key in declared and declared[key] != tag:
-            raise MeshError(f"conflicting tags on boundary edge {key}")
-        declared[key] = tag
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    boundary = uniq[counts == 1]
-    bset = {(int(a), int(b)) for a, b in boundary}
-    if bset != set(declared):
-        missing = set(declared) - bset
-        extra = bset - set(declared)
-        raise MeshError(
-            f"boundary mismatch: {len(missing)} declared edges interior, {len(extra)} untagged boundary edges"
-        )
-    b_edges = np.asarray(sorted(bset), dtype=np.int64)
-    b_tags = np.asarray([declared[(int(a), int(b))] for a, b in b_edges], dtype=np.int64)
+    n = len(verts)
+    seg_keys = np.minimum(segs[:, 0], segs[:, 1]) * n + np.maximum(segs[:, 0], segs[:, 1])
+    order = np.argsort(seg_keys, kind="stable")
+    sk, st = seg_keys[order], segs[order, 2]
+    clash = np.flatnonzero((sk[1:] == sk[:-1]) & (st[1:] != st[:-1])) + 1
+    if len(clash):
+        key = int(seg_keys[order[clash].min()])
+        raise MeshError(f"conflicting tags on boundary edge {(key // n, key % n)}")
+    declared, where = np.unique(sk, return_index=True)
+    keys, counts = np.unique(_edge_keys(tris, n), return_counts=True)
+    boundary = keys[counts == 1]
+    if not np.array_equal(declared, boundary):
+        missing = int(np.sum(~np.isin(declared, boundary)))
+        extra = int(np.sum(~np.isin(boundary, declared)))
+        raise MeshError(f"boundary mismatch: {missing} declared edges interior, {extra} untagged boundary edges")
+    b_edges = np.column_stack([boundary // n, boundary % n])
+    b_tags = st[where]
 
-    vtags = np.full(len(verts), INTERIOR, dtype=np.int64)
-    for (a, b), tag in zip(b_edges, b_tags):
-        for v in (int(a), int(b)):
-            if vtags[v] == INTERIOR:
-                vtags[v] = tag
-            elif vtags[v] != tag:
-                # The two inclusion tags meet mid-bridge on touching-limit
-                # meshes; the merged conductor makes the choice immaterial.
-                pair_tags = {vtags[v], tag}
-                if pair_tags == {INCLUSION1, INCLUSION2}:
-                    vtags[v] = INCLUSION1
-                else:
-                    raise MeshError("boundary vertex carries edges of incompatible tags")
+    # A vertex takes the tag of its boundary edges.  The two inclusion tags
+    # meet mid-bridge on touching-limit meshes, where the merged conductor
+    # makes the choice immaterial: INCLUSION1 (< INCLUSION2) wins.
+    ends = b_edges.ravel()
+    end_tags = np.repeat(b_tags, 2)
+    lo = np.full(n, INCLUSION2 + 1, dtype=np.int64)
+    hi = np.full(n, INTERIOR, dtype=np.int64)
+    np.minimum.at(lo, ends, end_tags)
+    np.maximum.at(hi, ends, end_tags)
+    if np.any((lo < hi) & ((lo != INCLUSION1) | (hi != INCLUSION2))):
+        raise MeshError("boundary vertex carries edges of incompatible tags")
+    vtags = np.where(hi > INTERIOR, lo, INTERIOR)
 
     return Mesh(
         vertices=verts,
@@ -811,18 +815,18 @@ def audit(mesh: Mesh) -> MeshAudit:
     areas = mesh.areas()
     if np.any(areas <= 0.0):
         failures.append(f"{int(np.sum(areas <= 0.0))} non-positively oriented triangles")
-    counts = mesh.edge_index()
-    n_edges = len(counts)
-    over = [e for e, c in counts.items() if c > 2]
+    edges, counts = mesh.edge_index()
+    n_edges = len(edges)
+    over = int(np.sum(counts > 2))
     if over:
-        failures.append(f"{len(over)} edges shared by more than two triangles")
-    boundary = {e for e, c in counts.items() if c == 1}
-    declared = {(int(min(a, b)), int(max(a, b))) for a, b in mesh.boundary_edges}
-    if boundary != declared:
+        failures.append(f"{over} edges shared by more than two triangles")
+    boundary = edges[counts == 1]
+    declared = np.unique(np.sort(mesh.boundary_edges.reshape(-1, 2), axis=1), axis=0)
+    if not np.array_equal(boundary, declared):
         failures.append("boundary edges do not match declared tagged edges")
 
     adjacency: dict[int, list[int]] = {}
-    for a, b in boundary:
+    for a, b in boundary.tolist():
         adjacency.setdefault(a, []).append(b)
         adjacency.setdefault(b, []).append(a)
     non_manifold = [v for v, nb in adjacency.items() if len(nb) != 2]
@@ -887,17 +891,15 @@ def refine_quadrisect(mesh: Mesh, pair: InclusionPair) -> Mesh:
     refinement converges to the true domain while successive meshes stay
     nested up to that projection.  This gives monotone self-convergence
     for mesh studies, independent of the unstructured generator.
+
+    Midpoints are numbered after the parent's vertices in order of first
+    occurrence, triangle by triangle.  Each neck station column splits in
+    two: the column centres join the stations, and a neck child takes the
+    centre of the half-column that holds its centroid.
     """
     cap1, cap2 = pair.caps()
     r0 = pair.neck_radius
-
-    btag: dict[tuple[int, int], int] = {}
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        btag[(int(min(a, b)), int(max(a, b)))] = int(tag)
-
-    verts = [tuple(v) for v in mesh.vertices]
-    vtags = list(mesh.vertex_tags)
-    midpoint: dict[tuple[int, int], int] = {}
+    n = mesh.vertex_count
 
     def _on_profile(i: int, upper: bool) -> bool:
         x, y = mesh.vertices[i]
@@ -923,50 +925,43 @@ def refine_quadrisect(mesh: Mesh, pair: InclusionPair) -> Mesh:
         d = mid - center
         return center + d * (cap.radius / math.hypot(d[0], d[1]))
 
-    def mid_id(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        got = midpoint.get(key)
-        if got is not None:
-            return got
-        mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        tag = btag.get(key, INTERIOR)
-        if tag != INTERIOR:
-            mid = _project(a, b, tag, mid)
-        got = len(verts)
-        verts.append((float(mid[0]), float(mid[1])))
-        vtags.append(tag)
-        midpoint[key] = got
-        return got
+    keys = _edge_keys(mesh.triangles, n)
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(uniq))
+    new_keys = keys[np.sort(first)]
+    verts = np.concatenate([mesh.vertices, 0.5 * (mesh.vertices[new_keys // n] + mesh.vertices[new_keys % n])])
+    vtags = np.concatenate([mesh.vertex_tags, np.full(len(uniq), INTERIOR, dtype=np.int64)])
 
-    tris = []
-    neck = []
-    col_x = []
-    for t, (v0, v1, v2) in enumerate(mesh.triangles):
-        m01 = mid_id(int(v0), int(v1))
-        m12 = mid_id(int(v1), int(v2))
-        m20 = mid_id(int(v2), int(v0))
-        tris.extend([(v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)])
-        neck.extend([mesh.neck[t]] * 4)
-        col_x.extend([mesh.neck_column_x[t]] * 4)
+    lo = mesh.boundary_edges.min(axis=1)
+    hi = mesh.boundary_edges.max(axis=1)
+    b_mid = n + rank[np.searchsorted(uniq, lo * n + hi)]
+    for a, b, tag, m in zip(lo.tolist(), hi.tolist(), mesh.boundary_tags.tolist(), b_mid.tolist()):
+        verts[m] = _project(a, b, tag, verts[m])
+        vtags[m] = tag
+    b_edges = np.column_stack([np.concatenate([lo, hi]), np.concatenate([b_mid, b_mid])])
+    order = np.lexsort((b_edges[:, 1], b_edges[:, 0]))
 
-    b_edges = []
-    b_tags = []
-    for (a, b), tag in btag.items():
-        m = midpoint[(a, b)]
-        for e in ((a, m), (m, b)):
-            b_edges.append((min(e), max(e)))
-            b_tags.append(tag)
-    order = np.lexsort((np.asarray(b_edges)[:, 1], np.asarray(b_edges)[:, 0]))
+    v0, v1, v2 = mesh.triangles.T
+    m01, m12, m20 = (n + rank[inverse]).reshape(-1, 3).T
+    tris = np.stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1).reshape(-1, 3)
+    neck = np.repeat(mesh.neck, 4)
+
+    stations = np.union1d(mesh.stations, mesh.neck_column_x[mesh.neck])
+    col_x = np.full(len(tris), np.nan)
+    cx = verts[tris[neck], 0].mean(axis=1)
+    k = np.searchsorted(stations, cx) - 1
+    col_x[neck] = 0.5 * (stations[k] + stations[k + 1])
 
     return Mesh(
-        vertices=np.asarray(verts),
-        triangles=np.asarray(tris, dtype=np.int64),
-        boundary_edges=np.asarray(b_edges, dtype=np.int64)[order],
-        boundary_tags=np.asarray(b_tags, dtype=np.int64)[order],
-        vertex_tags=np.asarray(vtags, dtype=np.int64),
-        neck=np.asarray(neck, dtype=bool),
-        neck_column_x=np.asarray(col_x),
-        stations=mesh.stations,
+        vertices=verts,
+        triangles=tris,
+        boundary_edges=b_edges[order],
+        boundary_tags=np.tile(mesh.boundary_tags, 2)[order],
+        vertex_tags=vtags,
+        neck=neck,
+        neck_column_x=col_x,
+        stations=stations,
         layers=2 * mesh.layers,
     )
 
@@ -996,8 +991,8 @@ def mesh_convex_polygon(corners: np.ndarray, h: float) -> Mesh:
 def write_mesh_text(mesh: Mesh) -> str:
     """Plain-text encoding: header 'V E T', vertices, triangles, tagged
     boundary edges, whitespace separated."""
-    counts = mesh.edge_index()
-    lines = [f"{mesh.vertex_count} {len(counts)} {mesh.triangle_count}"]
+    edges, _ = mesh.edge_index()
+    lines = [f"{mesh.vertex_count} {len(edges)} {mesh.triangle_count}"]
     for x, y in mesh.vertices:
         lines.append(f"{float(x)!r} {float(y)!r}")
     for i, j, k in mesh.triangles:

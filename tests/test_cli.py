@@ -85,6 +85,33 @@ class TestCommands:
         doc = json.loads(out.read_text())
         assert doc["printed_/_oracle"] == "0.5"
 
+    def test_dump_fields_reuse_the_record_solve(self, tmp_path, capsys, monkeypatch):
+        from neckfield import cli, conductivity, experiments
+        from neckfield.config import parse_config
+        from neckfield.mesh import generate
+
+        path = tmp_path / "fast.cfg"
+        path.write_text(FAST_CONFIG.format(outdir=tmp_path / "out"))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return conductivity.solve_bundle(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_bundle", counted)
+        assert not hasattr(cli, "solve_bundle")
+        assert main(["solve", "--config", str(path), "--epsilon", "1e-3", "--dump-fields"]) == 0
+        assert len(calls) == 1
+        # The files hold what a separate solve and remainder give.
+        cfg = parse_config(path.read_text())
+        pair = cfg.geometry.pair(1e-3)
+        bundle = conductivity.solve_bundle(generate(pair, cfg.mesh), cfg.boundary.data())
+        w = conductivity.neck_remainder(bundle, conductivity.neck_interpolant(pair, bundle.mesh))
+        outdir = tmp_path / "out"
+        for name, f in (("u", bundle.u), ("v1", bundle.v1), ("v2", bundle.v2), ("v0", bundle.v0), ("vb", bundle.vb), ("w", w)):
+            want = "".join(f"{i} {float(v)!r}\n" for i, v in enumerate(f.values))
+            assert (outdir / f"field_{name}.txt").read_text() == want, name
+
     def test_bad_config_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[geometry]\nprofile = cube\n")

@@ -5,6 +5,7 @@ import pytest
 
 from neckfield import closed_forms as cf
 from neckfield.geometry import GeometryError, InclusionPair, NeckProfile, ProfileKind
+from neckfield.mesh import MeshParams, generate
 from neckfield.quadrature import adaptive_integral
 
 
@@ -195,6 +196,30 @@ class TestNeckPotential:
             cf.neck_potential(pair, [0.0, 1.0])
         with pytest.raises(GeometryError):
             cf.neck_potential(pair, [1.5, 0.0])
+
+    @pytest.mark.parametrize("pair", [quad_pair(1e-3), power_pair(1e-3, 4.0, 4.0)], ids=["quadratic", "quartic"])
+    def test_array_matches_scalar_bits(self, pair):
+        mesh = generate(pair, MeshParams())
+        pts = mesh.vertices[np.unique(mesh.triangles[mesh.neck])]
+        got = cf.neck_potential(pair, pts)
+        # The per-point formula of the scalar loop, on the scalar profile.
+        want = []
+        for x in pts:
+            _, h2 = pair.profile.heights(x[:-1])
+            want.append((float(x[-1]) - h2) / (pair.eps + pair.profile.relative(x[:-1])))
+        assert got.shape == (len(pts),)
+        assert np.array_equal(got, np.array(want))
+        assert got.tobytes() == np.array(want).tobytes()
+        assert all(cf.neck_potential(pair, x) == v for x, v in zip(pts, got.tolist()))
+
+    def test_array_error_names_first_bad_point(self):
+        pair = quad_pair(1e-3)
+        with pytest.raises(GeometryError, match=r"^point \[0\. 1\.\] lies outside the gap strip$"):
+            cf.neck_potential(pair, [[0.0, 5e-4], [0.0, 1.0], [1.5, 0.0]])
+        with pytest.raises(GeometryError, match=r"^\|x'\| = 1\.5 outside the neck range 1\.0$"):
+            cf.neck_potential(pair, [[0.0, 5e-4], [1.5, 0.0], [0.0, 1.0]])
+        with pytest.raises(GeometryError, match=r"got shape \(2, 3\)"):
+            cf.neck_potential(pair, np.zeros((2, 3)))
 
 
 class TestTouchingPotential:

@@ -8,6 +8,7 @@ from neckfield.conductivity import (
     BoundaryData,
     estimate_blowup_factor,
     fit_blowup_limit,
+    neck_interpolant,
     neck_remainder,
     solve_bundle,
     solve_components,
@@ -123,7 +124,7 @@ class TestComposition:
         assert abs(bundle.c_diff_residual) <= 1e-8 * max(abs(bundle.c1 - bundle.c2), 1e-30)
 
     def test_neck_remainder_small_gradient(self, pair, bundle):
-        w = neck_remainder(pair, bundle)
+        w = neck_remainder(bundle, neck_interpolant(pair, bundle.mesh))
         mg, _ = fem.max_gradient(w, "neck")
         mg_v1, _ = fem.max_gradient(bundle.v1, "neck")
         assert mg < 0.01 * mg_v1
@@ -250,7 +251,7 @@ class TestBoundedPartDecay:
         from neckfield.mesh import generate as gen
 
         p = pair.with_gap(1e-4)
-        rec = sweep_record(p, gen(p, MeshParams()), BoundaryData(kind="linear_xn"))
+        rec, _, _ = sweep_record(p, gen(p, MeshParams()), BoundaryData(kind="linear_xn"))
         xs = np.array([q[0] for q in rec.vb_profile])
         gs = np.array([q[1] for q in rec.vb_profile])
         u = (p.eps + xs * xs) ** (-0.5)

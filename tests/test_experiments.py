@@ -13,10 +13,11 @@ from neckfield.experiments import (
     mesh_convergence,
     records_to_csv,
     run_sweep,
+    vb_station_profile,
     verify_leading_term,
 )
 from neckfield.geometry import InclusionPair, NeckProfile, ProfileKind
-from neckfield.mesh import MeshParams
+from neckfield.mesh import MeshParams, generate, refine_quadrisect
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +205,20 @@ class TestMeshConvergence:
             energies.append(solve_bundle(generate(pair, params), phi).a11)
         diffs = [abs(b - a) for a, b in zip(energies, energies[1:])]
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
+
+
+class TestStationProfile:
+    def test_refined_mesh_doubles_the_columns(self, pair, phi):
+        from neckfield.conductivity import solve_bundle
+
+        mesh = generate(pair, MeshParams())
+        columns = len(np.unique(mesh.neck_column_x[mesh.neck]))
+        assert len(vb_station_profile(solve_bundle(mesh, phi))) == columns
+        fine = refine_quadrisect(mesh, pair)
+        profile = vb_station_profile(solve_bundle(fine, phi))
+        assert len(profile) == 2 * columns
+        xs = [x for x, _ in profile]
+        assert xs == sorted(xs)
 
 
 class TestCsv:

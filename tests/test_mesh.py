@@ -150,6 +150,26 @@ class TestQuadrisect:
         fine = refine_quadrisect(mesh, pair)
         assert int(fine.neck.sum()) == 4 * int(mesh.neck.sum())
 
+    @pytest.mark.parametrize("touching", [False, True])
+    def test_station_columns_split_in_two(self, pair, mesh, touching):
+        if touching:
+            pair = pair.with_gap(0.0)
+            mesh = generate_touching(pair, 0.05, MeshParams())
+        columns = np.unique(mesh.neck_column_x[mesh.neck])
+        fine = refine_quadrisect(mesh, pair)
+        s = fine.stations
+        assert len(s) == len(mesh.stations) + len(columns)
+        assert np.all(np.diff(s) > 0.0)
+        assert len(np.unique(fine.neck_column_x[fine.neck])) == 2 * len(columns)
+        # Each neck child spans exactly the half-column whose centre it carries.
+        c = fine.neck_column_x[fine.neck]
+        k = np.searchsorted(s, c)
+        x = fine.vertices[fine.triangles[fine.neck], 0]
+        assert np.array_equal(x.min(axis=1), s[k - 1])
+        assert np.array_equal(x.max(axis=1), s[k])
+        assert np.array_equal(c, 0.5 * (s[k - 1] + s[k]))
+        assert np.all(np.isnan(fine.neck_column_x[~fine.neck]))
+
 
 class TestExport:
     def test_text_format_roundtrip_counts(self, mesh):
@@ -164,6 +184,111 @@ class TestExport:
         assert (x, y) == (mesh.vertices[0, 0], mesh.vertices[0, 1])
         tag = lines[-1].split()[2]
         assert tag in ("outer", "inclusion1", "inclusion2")
+
+
+def _edge_counts_loop(mesh):
+    counts = {}
+    for tri in mesh.triangles.tolist():
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+class TestEdgeIndex:
+    @pytest.mark.parametrize("touching", [False, True])
+    def test_matches_loop(self, pair, mesh, touching):
+        if touching:
+            mesh = generate_touching(pair.with_gap(0.0), 0.05, MeshParams())
+        ref = _edge_counts_loop(mesh)
+        edges, counts = mesh.edge_index()
+        assert [tuple(e) for e in edges.tolist()] == sorted(ref)
+        assert counts.tolist() == [ref[e] for e in sorted(ref)]
+        report = audit(mesh)
+        assert report.passed, report.failures
+        assert report.edge_count == len(ref)
+        assert report.euler_characteristic == mesh.vertex_count - len(ref) + mesh.triangle_count
+        assert report.boundary_loop_count == (2 if touching else 3)
+
+    def test_audit_counts_overshared_edges(self):
+        verts = np.array([[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.5, 2]], float)
+        tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+        fan = mesh_module.Mesh(
+            vertices=verts,
+            triangles=tris,
+            boundary_edges=np.array([[0, 2], [1, 2], [0, 3], [1, 3], [0, 4], [1, 4]]),
+            boundary_tags=np.full(6, OUTER),
+            vertex_tags=np.full(5, OUTER),
+            neck=np.zeros(3, bool),
+            neck_column_x=np.full(3, np.nan),
+            stations=np.array([]),
+            layers=4,
+        )
+        report = audit(fan)
+        assert report.edge_count == len(_edge_counts_loop(fan)) == 7
+        assert "1 edges shared by more than two triangles" in report.failures
+        assert "2 non-manifold boundary vertices" in report.failures
+
+
+_SQUARE_RIM = [(0, 1, OUTER), (1, 2, OUTER), (2, 3, OUTER), (3, 0, OUTER)]
+
+
+def _square(segments):
+    verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
+    return mesh_module._Piece(vertices=verts, triangles=np.array([[0, 1, 2], [0, 2, 3]]), segments=segments)
+
+
+def _glue(*pieces):
+    return mesh_module._finalize(np.asarray([]), 4, mesh_module._merge_pieces(list(pieces)))
+
+
+class TestMergeFinalize:
+    def test_degenerate_triangle(self):
+        piece = mesh_module._Piece(
+            vertices=np.array([[0, 0], [1, 0], [2, 0]], float),
+            triangles=np.array([[0, 1, 2]]),
+            segments=[(0, 1, OUTER), (1, 2, OUTER), (2, 0, OUTER)],
+        )
+        with pytest.raises(MeshError, match=r"^degenerate triangle produced during merge$"):
+            _glue(piece)
+
+    def test_conflicting_tags(self):
+        with pytest.raises(MeshError, match=r"^conflicting tags on boundary edge \(0, 1\)$"):
+            _glue(_square(_SQUARE_RIM + [(1, 0, INCLUSION1)]))
+
+    def test_boundary_mismatch(self):
+        segments = [(0, 1, OUTER), (1, 2, OUTER), (3, 0, OUTER), (0, 2, OUTER)]
+        with pytest.raises(
+            MeshError, match=r"^boundary mismatch: 1 declared edges interior, 1 untagged boundary edges$"
+        ):
+            _glue(_square(segments))
+
+    def test_incompatible_vertex_tags(self):
+        segments = [(0, 1, INCLUSION1)] + _SQUARE_RIM[1:]
+        with pytest.raises(MeshError, match=r"^boundary vertex carries edges of incompatible tags$"):
+            _glue(_square(segments))
+
+    def test_inclusion_tags_meet_as_inclusion1(self):
+        segments = [(0, 1, INCLUSION2), (1, 2, INCLUSION2), (2, 3, INCLUSION1), (3, 0, INCLUSION1)]
+        mesh = _glue(_square(segments))
+        assert mesh.vertex_tags.tolist() == [INCLUSION1, INCLUSION2, INCLUSION1, INCLUSION1]
+
+    def test_signed_zero_vertices_merge_keeping_first_coordinates(self):
+        left = mesh_module._Piece(
+            vertices=np.array([[-1.0, 0.0], [-0.0, 0.0], [-0.0, 1.0]]),
+            triangles=np.array([[0, 1, 2]]),
+            segments=[(0, 1, OUTER), (2, 0, OUTER)],
+        )
+        right = mesh_module._Piece(
+            vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            triangles=np.array([[0, 1, 2]]),
+            segments=[(0, 1, OUTER), (1, 2, OUTER)],
+        )
+        mesh = _glue(left, right)
+        assert mesh.vertex_count == 4
+        assert mesh.vertices.tolist() == [[-1.0, 0.0], [-0.0, 0.0], [-0.0, 1.0], [1.0, 0.0]]
+        assert np.signbit(mesh.vertices[1:3, 0]).all()
+        assert mesh.triangles.tolist() == [[0, 1, 2], [1, 3, 2]]
 
 
 class TestConvexHelper:
@@ -183,8 +308,8 @@ def _sha256(mesh):
 
 
 class TestPinnedBytes:
-    """Vertex and triangle bytes pinned to the meshes the per-candidate
-    loop version of the far-field refiner produced."""
+    """Vertex and triangle bytes pinned to the meshes the loop versions of
+    the far-field refiner, the merge and the quadrisection produced."""
 
     def test_generate(self, mesh):
         assert _sha256(mesh) == "53e5e7fdd0298951a9d149bc078adf6bb03c61d35e8491aed55a23e97d8b05d7"
@@ -196,6 +321,23 @@ class TestPinnedBytes:
     def test_convex_polygon(self):
         mesh = mesh_convex_polygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float), 0.2)
         assert _sha256(mesh) == "e8bd875e39ec2a94eebc6c6f7081ee7c23c81eb3889a86f9ac247dbbe058a4ca"
+
+    def test_quadrisect_two_levels(self, pair, mesh):
+        fine = refine_quadrisect(mesh, pair)
+        assert _sha256(fine) == "436f7918efb90f27689e602d742d0d0dc5d0dfb899286011a650d5f8c8bc16ae"
+        finer = refine_quadrisect(fine, pair)
+        assert _sha256(finer) == "0a57db54c9976148df599a979df6408cdacf61ffe61955dc39af992e78ff9d36"
+
+    def test_quadrisect_quartic(self):
+        prof = NeckProfile(kind=ProfileKind.POWER_LAW, order=4.0, coefficient=4.0)
+        quartic = InclusionPair(2, prof, 1e-3)
+        fine = refine_quadrisect(generate(quartic, MeshParams()), quartic)
+        assert _sha256(fine) == "2129efdab0e881d5c5a7338d8cded997adc9aa107d072d41c72e2d35bd3ac4e5"
+
+    def test_quadrisect_touching(self, pair):
+        touching = pair.with_gap(0.0)
+        fine = refine_quadrisect(generate_touching(touching, 0.05, MeshParams()), touching)
+        assert _sha256(fine) == "61a2501849f56c9c77fd4dc8dd389cf85889ae9e49c7532cc12a099b34959a82"
 
 
 class TestIterationBudget:
