@@ -938,7 +938,7 @@ def refine_quadrisect(mesh: Mesh, pair: InclusionPair) -> Mesh:
     b_mid = n + rank[np.searchsorted(uniq, lo * n + hi)]
     for a, b, tag, m in zip(lo.tolist(), hi.tolist(), mesh.boundary_tags.tolist(), b_mid.tolist()):
         verts[m] = _project(a, b, tag, verts[m])
-        vtags[m] = tag
+    vtags[b_mid] = mesh.boundary_tags
     b_edges = np.column_stack([np.concatenate([lo, hi]), np.concatenate([b_mid, b_mid])])
     order = np.lexsort((b_edges[:, 1], b_edges[:, 0]))
 
