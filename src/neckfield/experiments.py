@@ -111,11 +111,10 @@ def vb_station_profile(bundle: SolveBundle) -> list[tuple[float, float]]:
     norms = np.hypot(grads[:, 0], grads[:, 1])
     mesh = bundle.mesh
     cols = mesh.neck_column_x[mesh.neck]
-    vals = norms[mesh.neck]
-    out = []
-    for x in np.unique(cols):
-        out.append((float(x), float(vals[cols == x].max())))
-    return out
+    order = np.argsort(cols, kind="stable")
+    xs, starts = np.unique(cols[order], return_index=True)
+    peaks = np.maximum.reduceat(norms[mesh.neck][order], starts)
+    return list(zip(xs.tolist(), peaks.tolist()))
 
 
 def _centerline_residual(bundle: SolveBundle, ramp: np.ndarray) -> float:
@@ -130,14 +129,12 @@ def _centerline_residual(bundle: SolveBundle, ramp: np.ndarray) -> float:
     coeff = bundle.c1 - bundle.c2
     levels = ramp[mesh.triangles[neck_ids]].mean(axis=1)
     col_vals = mesh.neck_column_x[neck_ids]
-    worst = 0.0
-    for x in np.unique(col_vals):
-        sel = col_vals == x
-        ids = neck_ids[sel]
-        tri = ids[np.argmin(np.abs(levels[sel] - 0.5))]
-        resid = grads_u[tri] - coeff * grads_ramp[tri]
-        worst = max(worst, float(np.hypot(resid[0], resid[1])))
-    return worst
+    # Per column, the triangle with the level nearest 1/2; lexsort is
+    # stable, so ties go to the first triangle, as argmin's do.
+    order = np.lexsort((np.abs(levels - 0.5), col_vals))
+    tri = neck_ids[order[np.unique(col_vals[order], return_index=True)[1]]]
+    resid = grads_u[tri] - coeff * grads_ramp[tri]
+    return float(np.hypot(resid[:, 0], resid[:, 1]).max(initial=0.0))
 
 
 def sweep_record(

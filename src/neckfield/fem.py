@@ -22,6 +22,7 @@ __all__ = [
     "SolverError",
     "ScalarField",
     "StiffnessOperator",
+    "stiffness_matrix",
     "assemble",
     "element_gradients",
     "max_gradient",
@@ -125,9 +126,9 @@ class StiffnessOperator:
         return float((self.matrix @ f.values)[mask].sum())
 
 
-def assemble(mesh: Mesh) -> StiffnessOperator:
-    """Assemble the P1 stiffness matrix (exactly symmetrized)."""
-    p = mesh.vertices[mesh.triangles]
+def stiffness_matrix(vertices: np.ndarray, triangles: np.ndarray) -> sp.csr_matrix:
+    """P1 stiffness matrix of counterclockwise triangles (exactly symmetrized)."""
+    p = vertices[triangles]
     e = np.stack(
         [p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1
     )  # edge opposite each vertex
@@ -135,14 +136,19 @@ def assemble(mesh: Mesh) -> StiffnessOperator:
     if np.any(area2 <= 0.0):
         raise SolverError("mesh contains non-positive triangle areas")
     local = np.einsum("tid,tjd->tij", e, e) / (2.0 * area2)[:, None, None]
-    rows = np.repeat(mesh.triangles, 3, axis=1).reshape(-1)
-    cols = np.tile(mesh.triangles, (1, 3)).reshape(-1)
+    rows = np.repeat(triangles, 3, axis=1).reshape(-1)
+    cols = np.tile(triangles, (1, 3)).reshape(-1)
     k = sp.coo_matrix(
         (local.reshape(-1), (rows, cols)),
-        shape=(mesh.vertex_count, mesh.vertex_count),
+        shape=(len(vertices), len(vertices)),
     ).tocsr()
     k = (k + k.T) * 0.5
-    return StiffnessOperator(mesh, k.tocsr())
+    return k.tocsr()
+
+
+def assemble(mesh: Mesh) -> StiffnessOperator:
+    """Assemble the P1 stiffness matrix (exactly symmetrized)."""
+    return StiffnessOperator(mesh, stiffness_matrix(mesh.vertices, mesh.triangles))
 
 
 def element_gradients(f: ScalarField) -> np.ndarray:

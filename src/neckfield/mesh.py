@@ -7,18 +7,23 @@ refinement (repeated scipy Delaunay builds with circumcenter insertion and
 encroachment-driven boundary splits) on the half domain x >= 0 and then
 mirrored, so the final mesh is exactly symmetric under x -> -x.  The strip
 and the far field share the vertical fiber of vertices at x = R0, so the
-glued mesh is vertex-conforming.
+glued mesh is vertex-conforming.  The far field is refined once per
+geometry at gap 0, cached, and moved to each gap by a harmonic vertical
+displacement; a gap whose moved far field misses the minimum angle gets
+one refined at that gap.
 
 Boundary edge tags: OUTER, INCLUSION1 (upper), INCLUSION2 (lower).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .geometry import InclusionPair
@@ -137,10 +142,7 @@ class Mesh:
         return self.vertices[self.triangles].mean(axis=1)
 
     def areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return 0.5 * _signed_area2(self.vertices[self.triangles])
 
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Undirected edges as sorted (E, 2) rows, lower id first, and the
@@ -157,13 +159,26 @@ def _edge_keys(triangles: np.ndarray, n: int) -> np.ndarray:
     return (np.minimum(triangles, nxt) * n + np.maximum(triangles, nxt)).ravel()
 
 
+def _signed_area2(p: np.ndarray) -> np.ndarray:
+    """Twice the signed (counterclockwise positive) area per triangle, p of shape (T,3,2)."""
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+
+
 # ---------------------------------------------------------------------------
 # neck strip
 
 
-def _neck_stations(pair: InclusionPair, params: MeshParams, x_start: float) -> np.ndarray:
+def _neck_step(pair: InclusionPair, params: MeshParams, x: float, gap0: float) -> float:
+    """Station step at x for a strip that starts at gap width gap0."""
     factor, _ = params.scaled()
     g = params.grading_exponent
+    scale = pair.profile.curvature_scale(x, gap0)
+    return factor * (pair.gap_radial(x) / scale) ** g * pair.neck_radius ** (1.0 - 2.0 * g)
+
+
+def _neck_stations(pair: InclusionPair, params: MeshParams, x_start: float) -> np.ndarray:
     r0 = pair.neck_radius
     gap0 = pair.gap_radial(x_start)
     if gap0 <= 0.0:
@@ -171,9 +186,7 @@ def _neck_stations(pair: InclusionPair, params: MeshParams, x_start: float) -> n
     xs = [x_start]
     x = x_start
     while True:
-        delta = pair.gap_radial(x)
-        scale = pair.profile.curvature_scale(x, gap0)
-        step = factor * (delta / scale) ** g * r0 ** (1.0 - 2.0 * g)
+        step = _neck_step(pair, params, x, gap0)
         if step <= 1e-13 * max(1.0, r0):
             raise MeshError(f"neck step degenerated to {step:g}; geometry too thin for this grading")
         nxt = x + step
@@ -183,6 +196,15 @@ def _neck_stations(pair: InclusionPair, params: MeshParams, x_start: float) -> n
         xs.append(nxt)
         x = nxt
     return np.asarray(xs)
+
+
+def _fiber(pair: InclusionPair, x: float, layers: int) -> np.ndarray:
+    """Station fiber at x, bottom to top: ``layers + 1`` rows at fixed
+    fractions of the local gap, the top row exactly on the upper graph."""
+    h1, h2 = pair.profile.heights([x])
+    y = h2 + (np.arange(layers + 1) / layers) * (pair.eps + pair.profile.relative([x]))
+    y[-1] = pair.eps + h1
+    return np.column_stack([np.full(layers + 1, x), y])
 
 
 @dataclass
@@ -207,15 +229,7 @@ def _strip_piece(pair: InclusionPair, params: MeshParams, x_start: float, bridge
     xs = _neck_stations(pair, params, x_start)
     ns, nl = len(xs), params.layers
     rows = nl + 1
-    verts = np.empty((ns * rows, 2))
-    for s, x in enumerate(xs):
-        h1, h2 = pair.profile.heights([x])
-        top = pair.eps + h1
-        delta = pair.eps + pair.profile.relative([x])
-        base = s * rows
-        for j in range(rows):
-            y = top if j == nl else h2 + (j / nl) * delta
-            verts[base + j] = (x, y)
+    verts = np.concatenate([_fiber(pair, x, nl) for x in xs])
     tris = []
     col_x = []
     for s in range(ns - 1):
@@ -603,10 +617,9 @@ def _split_chain_segment(chain: _Chain, ids: list[int], k: int, coords, index) -
 # assembly of the full mesh
 
 
-def _far_half_piece(pair: InclusionPair, params: MeshParams, end_fiber: np.ndarray, last_dx: float) -> _Piece:
+def _refine_far_half(pair: InclusionPair, params: MeshParams, end_fiber: np.ndarray) -> _Piece:
     _, h_far = params.scaled()
     cap1, cap2 = pair.caps()
-    r0 = pair.neck_radius
     rd = pair.outer_radius
     c1 = np.array([0.0, cap1.center_height])
     c2 = np.array([0.0, cap2.center_height])
@@ -614,8 +627,10 @@ def _far_half_piece(pair: InclusionPair, params: MeshParams, end_fiber: np.ndarr
     bot2 = np.array([0.0, cap2.center_height - cap2.radius])
     jun1 = end_fiber[-1]
     jun2 = end_fiber[0]
+    # The junction size follows the fiber and the nominal station step at
+    # R0, not the strip's last station, which varies with the gap and the cut.
     fiber_dy = float(np.diff(end_fiber[:, 1]).max())
-    s_jun = min(h_far, max(fiber_dy, 0.6 * last_dx))
+    s_jun = min(h_far, max(fiber_dy, 0.6 * _neck_step(pair, params, pair.neck_radius, pair.eps)))
 
     theta1 = math.atan2(jun1[1] - c1[1], jun1[0] - c1[0])
     theta2 = math.atan2(jun2[1] - c2[1], jun2[0] - c2[0])
@@ -645,6 +660,77 @@ def _far_half_piece(pair: InclusionPair, params: MeshParams, end_fiber: np.ndarr
         return np.minimum(h_far, s_jun + 0.45 * d)
 
     return _refine_polygon(chains, size_fn, h_far)
+
+
+@dataclass(frozen=True)
+class _FarReference:
+    """Far-field half piece meshed at a reference gap, triangles
+    counterclockwise, with ``lift``: the vertical displacement per unit
+    change of the gap.  ``fiber`` holds the ids of the x = R0 fiber
+    vertices, bottom to top.  The arrays are read-only."""
+
+    vertices: np.ndarray
+    triangles: np.ndarray
+    segments: tuple[tuple[int, int, int], ...]
+    fiber: np.ndarray
+    lift: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _far_reference(pair: InclusionPair, params: MeshParams) -> _FarReference:
+    """The refined far-field half piece of ``pair`` and its lift.
+
+    The lift is the P1 harmonic extension of the boundary motion under a
+    unit gap change: 1 on the upper cap, which translates with the upper
+    inclusion, 0 on the lower cap and the outer circle, j/layers on fiber
+    row j, and natural on the x = 0 axis (Johnson and Tezduyar's mesh
+    update by a Laplace solve).
+    """
+    from .fem import stiffness_matrix  # fem imports this module
+
+    end_fiber = _fiber(pair, pair.neck_radius, params.layers)
+    piece = _refine_far_half(pair, params, end_fiber)
+    verts = piece.vertices
+    tris = piece.triangles
+    tris = np.where((_signed_area2(verts[tris]) < 0.0)[:, None], tris[:, ::-1], tris)
+    vid, row = np.nonzero(np.all(verts[:, None, :] == end_fiber[None, :, :], axis=2))
+    fiber = vid[np.argsort(row)]
+
+    value = np.full(len(verts), np.nan)
+    seg = np.asarray(piece.segments, dtype=np.int64)
+    value[seg[:, :2]] = (seg[:, 2] == INCLUSION1)[:, None]
+    value[fiber] = np.arange(params.layers + 1) / params.layers
+    fixed = np.flatnonzero(~np.isnan(value))
+    free = np.flatnonzero(np.isnan(value))
+    k = stiffness_matrix(verts, tris)
+    lift = value.copy()
+    lift[free] = spla.spsolve(k[free][:, free].tocsc(), -(k[free][:, fixed] @ value[fixed]))
+
+    for a in (verts, tris, fiber, lift):
+        a.setflags(write=False)
+    return _FarReference(verts, tris, tuple(piece.segments), fiber, lift)
+
+
+def _far_half_piece(pair: InclusionPair, params: MeshParams, end_fiber: np.ndarray) -> tuple[_Piece, float]:
+    """Far-field half piece for the gap of ``pair`` and the reference gap it
+    was moved from.
+
+    The piece meshed at gap 0 is moved to the gap by its lift and its fiber
+    takes the strip's ``end_fiber`` bytes, so the pieces glue by value.  If
+    the moved piece inverts a triangle or falls under the minimum angle, the
+    piece meshed at the actual gap is used instead.
+    """
+    for eps_ref in (0.0, pair.eps):
+        ref = _far_reference(pair.with_gap(eps_ref), params)
+        verts = ref.vertices.copy()
+        verts[:, 1] += (pair.eps - eps_ref) * ref.lift
+        verts[ref.fiber] = end_fiber
+        if eps_ref == pair.eps:
+            break
+        p = verts[ref.triangles]
+        if np.all(_signed_area2(p) > 0.0) and _tri_min_angles(p).min() >= math.radians(_MIN_ANGLE_DEG):
+            break
+    return _Piece(vertices=verts, triangles=ref.triangles, segments=list(ref.segments)), eps_ref
 
 
 def _mirror_piece(piece: _Piece) -> _Piece:
@@ -698,10 +784,7 @@ def _merge_pieces(pieces: list[_Piece]) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _finalize(pair_stations: np.ndarray, layers: int, merged) -> Mesh:
     verts, tris, segs, neck, col_x = merged
-    p = verts[tris]
-    area2 = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (p[:, 1, 1] - p[:, 0, 1]) * (
-        p[:, 2, 0] - p[:, 0, 0]
-    )
+    area2 = _signed_area2(verts[tris])
     if np.any(area2 == 0.0):
         raise MeshError("degenerate triangle produced during merge")
     flip = area2 < 0.0
@@ -752,39 +835,39 @@ def _finalize(pair_stations: np.ndarray, layers: int, merged) -> Mesh:
     )
 
 
-def generate(pair: InclusionPair, params: MeshParams) -> Mesh:
-    """Mesh the full domain for a positive gap."""
+def _glued_mesh(pair: InclusionPair, params: MeshParams, x_start: float) -> Mesh:
+    """Strip from x_start (a bridge fiber there when positive) glued to the
+    far field, then mirrored."""
     if pair.dimension != 2:
         raise MeshError("meshing is implemented for dimension 2 only")
+    strip_r, xs, end_fiber = _strip_piece(pair, params, x_start, bridge=x_start > 0.0)
+    far_r, _ = _far_half_piece(pair, params, end_fiber)
+    left = -xs[::-1] + 0.0
+    stations = np.concatenate([left if x_start > 0.0 else left[:-1], xs])
+    merged = _merge_pieces([strip_r, _mirror_piece(strip_r), far_r, _mirror_piece(far_r)])
+    return _finalize(stations, params.layers, merged)
+
+
+def generate(pair: InclusionPair, params: MeshParams) -> Mesh:
+    """Mesh the full domain for a positive gap.
+
+    Only the neck strip is built for each gap: the far field meshed at gap
+    0 for this geometry and ``params`` is moved to the gap, unless that
+    would spoil its minimum angle.
+    """
     if pair.eps <= 0.0:
         raise MeshError("generate needs a positive gap; use generate_touching for eps = 0")
-    strip_r, xs, end_fiber = _strip_piece(pair, params, 0.0, bridge=False)
-    last_dx = float(xs[-1] - xs[-2])
-    far_r = _far_half_piece(pair, params, end_fiber, last_dx)
-    strip_l = _mirror_piece(strip_r)
-    far_l = _mirror_piece(far_r)
-    stations = np.concatenate([(-xs[::-1])[:-1] + 0.0, xs])
-    merged = _merge_pieces([strip_r, strip_l, far_r, far_l])
-    return _finalize(stations, params.layers, merged)
+    return _glued_mesh(pair, params, 0.0)
 
 
 def generate_touching(pair: InclusionPair, r_cut: float, params: MeshParams) -> Mesh:
     """Mesh the touching-limit domain with |x| < r_cut excised and the
     excision fibers tagged as (merged) inclusion boundary."""
-    if pair.dimension != 2:
-        raise MeshError("meshing is implemented for dimension 2 only")
     if pair.eps != 0.0:
         raise MeshError("touching mesh needs eps = 0")
     if not (0.0 < r_cut < pair.neck_radius / 2.0):
         raise MeshError(f"cut radius must lie in (0, R0/2), got {r_cut}")
-    strip_r, xs, end_fiber = _strip_piece(pair, params, r_cut, bridge=True)
-    last_dx = float(xs[-1] - xs[-2])
-    far_r = _far_half_piece(pair, params, end_fiber, last_dx)
-    strip_l = _mirror_piece(strip_r)
-    far_l = _mirror_piece(far_r)
-    stations = np.concatenate([(-xs[::-1]) + 0.0, xs])
-    merged = _merge_pieces([strip_r, strip_l, far_r, far_l])
-    return _finalize(stations, params.layers, merged)
+    return _glued_mesh(pair, params, r_cut)
 
 
 # ---------------------------------------------------------------------------

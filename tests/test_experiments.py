@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from neckfield import experiments
-from neckfield.conductivity import BoundaryData, fit_blowup_limit
+from neckfield import experiments, fem
+from neckfield.conductivity import BoundaryData, fit_blowup_limit, neck_interpolant, solve_bundle
 from neckfield.experiments import (
     SWEEP_CSV_HEADER,
     SweepRecord,
@@ -207,10 +207,62 @@ class TestMeshConvergence:
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
 
 
-class TestStationProfile:
-    def test_refined_mesh_doubles_the_columns(self, pair, phi):
-        from neckfield.conductivity import solve_bundle
+def _station_profile_loop(bundle):
+    # Reference: one mask of the neck triangles per station column.
+    grads = fem.element_gradients(bundle.vb)
+    norms = np.hypot(grads[:, 0], grads[:, 1])
+    mesh = bundle.mesh
+    cols = mesh.neck_column_x[mesh.neck]
+    vals = norms[mesh.neck]
+    return [(float(x), float(vals[cols == x].max())) for x in np.unique(cols)]
 
+
+def _centerline_residual_loop(bundle, ramp):
+    # Reference: per column, argmin's first triangle with the level nearest 1/2.
+    mesh = bundle.mesh
+    neck_ids = np.flatnonzero(mesh.neck)
+    grads_u = fem.element_gradients(bundle.u)
+    grads_ramp = fem.element_gradients(fem.ScalarField(mesh, ramp))
+    coeff = bundle.c1 - bundle.c2
+    levels = ramp[mesh.triangles[neck_ids]].mean(axis=1)
+    col_vals = mesh.neck_column_x[neck_ids]
+    worst = 0.0
+    for x in np.unique(col_vals):
+        sel = col_vals == x
+        tri = neck_ids[sel][np.argmin(np.abs(levels[sel] - 0.5))]
+        resid = grads_u[tri] - coeff * grads_ramp[tri]
+        worst = max(worst, float(np.hypot(resid[0], resid[1])))
+    return worst
+
+
+class TestStationProfile:
+    @pytest.mark.parametrize("levels", [0, 2])
+    def test_grouped_columns_match_loop(self, pair, phi, levels):
+        mesh = generate(pair, MeshParams())
+        for _ in range(levels):
+            mesh = refine_quadrisect(mesh, pair)
+        bundle = solve_bundle(mesh, phi)
+        ramp = neck_interpolant(pair, mesh)
+        assert vb_station_profile(bundle) == _station_profile_loop(bundle)
+        assert experiments._centerline_residual(bundle, ramp) == _centerline_residual_loop(bundle, ramp)
+
+    def test_centerline_tie_goes_to_first_triangle(self, pair, phi, monkeypatch):
+        # A zero ramp ties every triangle of a column at distance 1/2 from
+        # level 1/2; only each column's first triangle carries a residual.
+        mesh = generate(pair, MeshParams())
+        bundle = solve_bundle(mesh, phi)
+        neck_ids = np.flatnonzero(mesh.neck)
+        ramp = np.zeros(mesh.vertex_count)
+        first = {}
+        for i in neck_ids.tolist():
+            first.setdefault(float(mesh.neck_column_x[i]), i)
+        grads = np.zeros((mesh.triangle_count, 2))
+        grads[list(first.values())] = 1.0
+        monkeypatch.setattr(fem, "element_gradients", lambda f: grads if f is bundle.u else 0.0 * grads)
+        assert experiments._centerline_residual(bundle, ramp) == math.sqrt(2.0)
+        assert _centerline_residual_loop(bundle, ramp) == math.sqrt(2.0)
+
+    def test_refined_mesh_doubles_the_columns(self, pair, phi):
         mesh = generate(pair, MeshParams())
         columns = len(np.unique(mesh.neck_column_x[mesh.neck]))
         assert len(vb_station_profile(solve_bundle(mesh, phi))) == columns

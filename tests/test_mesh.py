@@ -1,10 +1,15 @@
 import hashlib
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from neckfield import fem
 from neckfield import mesh as mesh_module
+from neckfield.conductivity import BoundaryData, solve_bundle
 from neckfield.geometry import InclusionPair, NeckProfile, ProfileKind
 from neckfield.mesh import (
     INCLUSION1,
@@ -31,6 +36,15 @@ def pair():
 @pytest.fixture(scope="module")
 def mesh(pair):
     return generate(pair, MeshParams(layers=4))
+
+
+@pytest.fixture
+def cold_far_field():
+    """Clears the far-field cache before and after the test, so the test
+    runs the refiner under its own settings and leaves no piece behind."""
+    mesh_module._far_reference.cache_clear()
+    yield
+    mesh_module._far_reference.cache_clear()
 
 
 class TestGenerate:
@@ -308,15 +322,16 @@ def _sha256(mesh):
 
 
 class TestPinnedBytes:
-    """Vertex and triangle bytes pinned to the meshes the loop versions of
-    the far-field refiner, the merge and the quadrisection produced."""
+    """Vertex and triangle bytes pinned: the convex polygon to the loop
+    version of the far-field refiner; the generated meshes and their
+    quadrisections to the far field meshed at gap 0 and moved to the gap."""
 
     def test_generate(self, mesh):
-        assert _sha256(mesh) == "53e5e7fdd0298951a9d149bc078adf6bb03c61d35e8491aed55a23e97d8b05d7"
+        assert _sha256(mesh) == "842bf9ed9b9830d970d746ed8ead19810f14106f02adc6c5b8caf3902b2710be"
 
     def test_generate_touching(self, pair):
         mesh = generate_touching(pair.with_gap(0.0), 0.05, MeshParams())
-        assert _sha256(mesh) == "a3016e7d3b4507519670c22de98b3bede795a35daff2195d331408f4809db61a"
+        assert _sha256(mesh) == "450a5a0e8772c63415fc57ecdbc95ee9f948ab15927600e98544da977212876e"
 
     def test_convex_polygon(self):
         mesh = mesh_convex_polygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float), 0.2)
@@ -324,24 +339,125 @@ class TestPinnedBytes:
 
     def test_quadrisect_two_levels(self, pair, mesh):
         fine = refine_quadrisect(mesh, pair)
-        assert _sha256(fine) == "436f7918efb90f27689e602d742d0d0dc5d0dfb899286011a650d5f8c8bc16ae"
+        assert _sha256(fine) == "20e777a7200d0f1ef686d8e5e07527c4d423f683a9b9e76715a864fcbf5cb4a1"
         finer = refine_quadrisect(fine, pair)
-        assert _sha256(finer) == "0a57db54c9976148df599a979df6408cdacf61ffe61955dc39af992e78ff9d36"
+        assert _sha256(finer) == "843b14fe0abaeb1ac05369acf5ee56f90575900e3db05dcc260d9bf5554dd6a2"
 
     def test_quadrisect_quartic(self):
         prof = NeckProfile(kind=ProfileKind.POWER_LAW, order=4.0, coefficient=4.0)
         quartic = InclusionPair(2, prof, 1e-3)
         fine = refine_quadrisect(generate(quartic, MeshParams()), quartic)
-        assert _sha256(fine) == "2129efdab0e881d5c5a7338d8cded997adc9aa107d072d41c72e2d35bd3ac4e5"
+        assert _sha256(fine) == "77d50a48cf8cfabc76f56cb11ef6bfe51d48d32681390e23b280771babc5cce6"
 
     def test_quadrisect_touching(self, pair):
         touching = pair.with_gap(0.0)
         fine = refine_quadrisect(generate_touching(touching, 0.05, MeshParams()), touching)
-        assert _sha256(fine) == "61a2501849f56c9c77fd4dc8dd389cf85889ae9e49c7532cc12a099b34959a82"
+        assert _sha256(fine) == "e9d8303cfebacf75d03e0acfa5f414cd509337277c2205990682dcd373146fbb"
+
+
+def _reference_gap(pair, params):
+    end_fiber = mesh_module._fiber(pair, pair.neck_radius, params.layers)
+    return mesh_module._far_half_piece(pair, params, end_fiber)[1]
+
+
+def _wide_pair(order, eps):
+    # Order 0 is the quadratic profile; every profile has gap 0.25 at R0.
+    # The outer radius leaves room for gaps up to 0.9.
+    if order == 0:
+        prof = NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=(2.0,))
+    else:
+        prof = NeckProfile(kind=ProfileKind.POWER_LAW, order=float(order), coefficient=0.25 * 2.0**order)
+    return InclusionPair(2, prof, eps, outer_radius=5.0)
+
+
+class TestMovedFarField:
+    def test_cache_miss_and_hit_give_the_same_bytes(self, pair, cold_far_field):
+        params = MeshParams()
+        miss = generate(pair, params)
+        assert mesh_module._far_reference.cache_info().misses == 1
+        hit = generate(pair, params)
+        assert mesh_module._far_reference.cache_info().hits == 1
+        for name in (
+            "vertices",
+            "triangles",
+            "boundary_edges",
+            "boundary_tags",
+            "vertex_tags",
+            "neck",
+            "neck_column_x",
+            "stations",
+        ):
+            a, b = getattr(miss, name), getattr(hit, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert write_mesh_text(miss) == write_mesh_text(hit)
+
+    def test_cached_arrays_are_read_only(self, pair):
+        ref = mesh_module._far_reference(pair.with_gap(0.0), MeshParams())
+        for a in (ref.vertices, ref.triangles, ref.fiber, ref.lift):
+            assert not a.flags.writeable
+        before = ref.vertices.tobytes()
+        generate(pair.with_gap(0.05), MeshParams())
+        assert ref.vertices.tobytes() == before
+
+    def test_lift_boundary_values(self, pair):
+        params = MeshParams()
+        ref = mesh_module._far_reference(pair.with_gap(0.0), params)
+        seg = np.asarray(ref.segments)
+        for tag, value in ((INCLUSION1, 1.0), (INCLUSION2, 0.0), (OUTER, 0.0)):
+            ends = np.setdiff1d(seg[seg[:, 2] == tag, :2], ref.fiber)
+            assert np.all(ref.lift[ends] == value)
+        assert np.array_equal(ref.lift[ref.fiber], np.arange(params.layers + 1) / params.layers)
+
+    def test_large_gap_falls_back_to_its_own_far_field(self):
+        params = MeshParams(h_far=0.4)
+        for eps, expected in ((0.05, 0.0), (0.9, 0.9)):
+            pair = _wide_pair(0, eps)
+            assert _reference_gap(pair, params) == expected
+            report = audit(generate(pair, params))
+            assert report.passed, report.failures
+            assert report.far_min_angle_deg >= 20.0
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @example(log_eps=math.log10(0.9), order=0, refinement=1)
+    @example(log_eps=math.log10(0.9), order=6, refinement=0)
+    @given(
+        log_eps=st.floats(math.log10(1e-8), math.log10(0.9)),
+        order=st.sampled_from([0, 2, 3, 4, 5, 6]),
+        refinement=st.integers(0, 1),
+    )
+    def test_moved_meshes_keep_the_invariants(self, log_eps, order, refinement):
+        pair = _wide_pair(order, 10.0**log_eps)
+        params = MeshParams(h_far=0.5, refinement=refinement)
+        mesh = generate(pair, params)
+        report = audit(mesh)
+        assert report.passed, report.failures
+        assert report.far_min_angle_deg >= 20.0
+        mirrored = np.column_stack([-mesh.vertices[:, 0] + 0.0, mesh.vertices[:, 1]])
+        assert set(map(tuple, mesh.vertices.tolist())) == set(map(tuple, mirrored.tolist()))
+        # The moved upper cap stays on the upper inclusion's circle.
+        cap1, _ = pair.caps()
+        on_cap = (mesh.vertex_tags == INCLUSION1) & (np.abs(mesh.vertices[:, 0]) > pair.neck_radius)
+        radii = np.hypot(mesh.vertices[on_cap, 0], mesh.vertices[on_cap, 1] - cap1.center_height)
+        assert np.abs(radii - cap1.radius).max() <= 1e-12
+
+        op = fem.assemble(mesh)
+        bundle = solve_bundle(mesh, BoundaryData(kind="linear_xn"), op=op)
+        assert abs(bundle.a12 - bundle.a21) / abs(bundle.a12) <= 1e-8
+        # C3's 1e-10 bound at its energy of about 100, per unit energy: the
+        # rounding in the flux sum grows with the energy, 1e-15 of it.
+        total = sum(op.flux(bundle.v1, tag) for tag in (OUTER, INCLUSION1, INCLUSION2))
+        assert abs(total) <= 1e-12 * bundle.a11
+        for f in (bundle.v1, bundle.v2):
+            assert f.values.min() >= -1e-10 and f.values.max() <= 1.0 + 1e-10
+
+        if _reference_gap(pair, params) == 0.0:
+            ref = mesh_module._far_reference(pair.with_gap(0.0), params)
+            on_axis = int(np.sum(ref.vertices[:, 0] == 0.0))
+            assert len(np.unique(mesh.triangles[~mesh.neck])) == 2 * len(ref.vertices) - on_axis
 
 
 class TestIterationBudget:
-    def test_small_batches_settle(self, pair, monkeypatch):
+    def test_small_batches_settle(self, pair, cold_far_field, monkeypatch):
         # Ten insertions a pass take about 120 passes at the default h_far,
         # twice the fixed budget of 60 the refiner once had.
         monkeypatch.setattr(mesh_module, "_BATCH_LIMIT", 10)
