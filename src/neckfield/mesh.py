@@ -684,7 +684,9 @@ def _far_reference(pair: InclusionPair, params: MeshParams) -> _FarReference:
     unit gap change: 1 on the upper cap, which translates with the upper
     inclusion, 0 on the lower cap and the outer circle, j/layers on fiber
     row j, and natural on the x = 0 axis (Johnson and Tezduyar's mesh
-    update by a Laplace solve).
+    update by a Laplace solve).  Only the gap-0 piece is ever moved; a
+    piece meshed at another gap is used at that gap alone, so its lift is
+    zero and no Laplace system is solved for it.
     """
     from .fem import stiffness_matrix  # fem imports this module
 
@@ -696,15 +698,17 @@ def _far_reference(pair: InclusionPair, params: MeshParams) -> _FarReference:
     vid, row = np.nonzero(np.all(verts[:, None, :] == end_fiber[None, :, :], axis=2))
     fiber = vid[np.argsort(row)]
 
-    value = np.full(len(verts), np.nan)
-    seg = np.asarray(piece.segments, dtype=np.int64)
-    value[seg[:, :2]] = (seg[:, 2] == INCLUSION1)[:, None]
-    value[fiber] = np.arange(params.layers + 1) / params.layers
-    fixed = np.flatnonzero(~np.isnan(value))
-    free = np.flatnonzero(np.isnan(value))
-    k = stiffness_matrix(verts, tris)
-    lift = value.copy()
-    lift[free] = spla.spsolve(k[free][:, free].tocsc(), -(k[free][:, fixed] @ value[fixed]))
+    lift = np.zeros(len(verts))
+    if pair.eps == 0.0:
+        value = np.full(len(verts), np.nan)
+        seg = np.asarray(piece.segments, dtype=np.int64)
+        value[seg[:, :2]] = (seg[:, 2] == INCLUSION1)[:, None]
+        value[fiber] = np.arange(params.layers + 1) / params.layers
+        fixed = np.flatnonzero(~np.isnan(value))
+        free = np.flatnonzero(np.isnan(value))
+        k = stiffness_matrix(verts, tris)
+        lift = value.copy()
+        lift[free] = spla.spsolve(k[free][:, free].tocsc(), -(k[free][:, fixed] @ value[fixed]))
 
     for a in (verts, tris, fiber, lift):
         a.setflags(write=False)

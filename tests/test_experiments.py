@@ -243,8 +243,15 @@ class TestStationProfile:
             mesh = refine_quadrisect(mesh, pair)
         bundle = solve_bundle(mesh, phi)
         ramp = neck_interpolant(pair, mesh)
-        assert vb_station_profile(bundle) == _station_profile_loop(bundle)
+        profile = vb_station_profile(bundle)
+        assert profile == _station_profile_loop(bundle)
+        assert max(v for _, v in profile) == fem.max_gradient(bundle.vb, "neck")[0]
         assert experiments._centerline_residual(bundle, ramp) == _centerline_residual_loop(bundle, ramp)
+        rows = np.concatenate([np.flatnonzero(mesh.neck), [mesh.triangle_count - 1, 0, 0]])
+        for f in (bundle.u, bundle.vb, fem.ScalarField(mesh, ramp)):
+            full = fem.element_gradients(f)
+            assert np.array_equal(fem.element_gradients(f, rows), full[rows])
+            assert np.array_equal(fem.element_gradients(f, np.arange(mesh.triangle_count)), full)
 
     def test_centerline_tie_goes_to_first_triangle(self, pair, phi, monkeypatch):
         # A zero ramp ties every triangle of a column at distance 1/2 from
@@ -258,7 +265,8 @@ class TestStationProfile:
             first.setdefault(float(mesh.neck_column_x[i]), i)
         grads = np.zeros((mesh.triangle_count, 2))
         grads[list(first.values())] = 1.0
-        monkeypatch.setattr(fem, "element_gradients", lambda f: grads if f is bundle.u else 0.0 * grads)
+        fake = lambda f, rows=slice(None): (grads if f is bundle.u else 0.0 * grads)[rows]  # noqa: E731
+        monkeypatch.setattr(fem, "element_gradients", fake)
         assert experiments._centerline_residual(bundle, ramp) == math.sqrt(2.0)
         assert _centerline_residual_loop(bundle, ramp) == math.sqrt(2.0)
 

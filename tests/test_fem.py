@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from neckfield import fem
+from neckfield.conductivity import BoundaryData
 from neckfield.geometry import InclusionPair, NeckProfile, ProfileKind
 from neckfield.mesh import (
     INCLUSION1,
@@ -106,10 +110,91 @@ class TestSolve:
     def test_cg_fallback_matches_direct(self, op):
         rng = np.random.default_rng(20260810)
         rhs = rng.standard_normal(len(op.interior))
-        direct = op._factorization().solve(rhs)
+        direct = op._solve(rhs)
         iterative = op._cg(rhs)
         scale = np.abs(direct).max()
         assert np.abs(direct - iterative).max() <= 1e-7 * scale
+
+
+def _reference_error(op, data):
+    # Relative max difference from an LU solve of the full K_ii.
+    f = op.solve_dirichlet(data)
+    rhs = -op._k_ib @ f.values[op.boundary]
+    ref = spla.splu(op._k_ii).solve(rhs)
+    return np.abs(f.values[op.interior] - ref).max() / np.abs(ref).max()
+
+
+def _nudged(op):
+    # One interior vertex off its mirror image.
+    verts = op.mesh.vertices.copy()
+    verts[op.interior[len(op.interior) // 2], 0] += 1e-9
+    return dataclasses.replace(op.mesh, vertices=verts)
+
+
+def _flipped(op):
+    # Mirror-paired vertices and tags, but one diagonal flipped at x > 0.
+    mesh = op.mesh
+    tris = mesh.triangles.copy()
+    owner = {}
+    for t, (a, b, c) in enumerate(tris.tolist()):
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            owner[(i, j)] = (t, k)
+    for (a, b), (t1, c) in owner.items():
+        if (b, a) not in owner or mesh.vertices[[a, b, c], 0].min() <= 0.0:
+            continue
+        t2, d = owner[(b, a)]
+        new = np.array([[a, d, c], [d, b, c]])
+        p = mesh.vertices[new]
+        e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        if mesh.vertices[d, 0] > 0.0 and np.all(area2 > 0.0):
+            tris[[t1, t2]] = new
+            return dataclasses.replace(mesh, triangles=tris)
+    raise AssertionError("no flippable pair")
+
+
+class TestMirrorSplit:
+    @pytest.mark.parametrize(
+        ("phi", "parts"),
+        [
+            (BoundaryData(kind="linear_xn"), ["even"]),
+            (BoundaryData(kind="linear_x1"), ["even", "odd"]),
+            (BoundaryData(kind="fourier", cos_coeffs=(1.0, 1.0), sin_coeffs=(1.0,)), ["even", "odd"]),
+        ],
+    )
+    def test_split_solve_matches_full_lu(self, op, phi, parts):
+        fresh = fem.assemble(op.mesh)
+        data = {INCLUSION1: 1.0, INCLUSION2: 0.0, OUTER: phi.evaluate}
+        assert _reference_error(fresh, data) <= 1e-12
+        assert sorted(fresh._factors) == parts
+
+    def test_default_mesh_reflects(self, op):
+        mesh = op.mesh
+        refl = fem._reflection(mesh)
+        assert np.any(refl != np.arange(mesh.vertex_count))
+        assert np.array_equal(refl[refl], np.arange(mesh.vertex_count))
+        assert np.array_equal(mesh.vertices[refl, 0], -mesh.vertices[:, 0])
+        assert np.array_equal(mesh.vertices[refl, 1], mesh.vertices[:, 1])
+        n = len(op.interior)
+        assert op._even.shape[1] + op._odd.shape[1] == n
+        assert op._even.shape[1] < 0.55 * n
+
+    @pytest.mark.parametrize("case", ["quadrilateral", "nudged", "flipped"])
+    def test_asymmetric_mesh_takes_identity(self, op, case):
+        if case == "quadrilateral":
+            corners = np.array([[0.0, 0.0], [2.0, 0.0], [2.3, 1.1], [-0.4, 1.0]])
+            mesh = mesh_convex_polygon(corners, 0.15)
+            data = {OUTER: lambda pts: np.cos(pts[:, 0]) * np.exp(pts[:, 1])}
+        else:
+            mesh = _nudged(op) if case == "nudged" else _flipped(op)
+            phi = BoundaryData(kind="fourier", cos_coeffs=(1.0,), sin_coeffs=(1.0,))
+            data = {INCLUSION1: 1.0, INCLUSION2: 0.0, OUTER: phi.evaluate}
+        assert np.array_equal(fem._reflection(mesh), np.arange(mesh.vertex_count))
+        fresh = fem.assemble(mesh)
+        n = len(fresh.interior)
+        assert fresh._even.shape == (n, n) and fresh._odd.shape == (n, 0)
+        assert _reference_error(fresh, data) <= 1e-12
+        assert sorted(fresh._factors) == ["even"]
 
 
 class TestFluxAndEnergy:

@@ -416,6 +416,9 @@ class TestMovedFarField:
             report = audit(generate(pair, params))
             assert report.passed, report.failures
             assert report.far_min_angle_deg >= 20.0
+        # Only the gap-0 piece moves, so only it has a lift solved.
+        assert mesh_module._far_reference(_wide_pair(0, 0.0), params).lift.any()
+        assert not mesh_module._far_reference(_wide_pair(0, 0.9), params).lift.any()
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @example(log_eps=math.log10(0.9), order=0, refinement=1)
