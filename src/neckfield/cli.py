@@ -25,10 +25,10 @@ import scipy
 from . import __version__, fem
 from .acceptance import run_all
 from .closed_forms import AsymptoticParams, constants_report, energy_error_scale_m
-from .conductivity import fit_blowup_limit
 from .config import ConfigError, ExperimentConfig, default_config_text, emit_config, parse_config
 from .experiments import (
     SWEEP_CSV_HEADER,
+    fit_blowup_limit,
     fit_energy_constants,
     fit_rate,
     records_to_csv,
@@ -223,11 +223,13 @@ def _cmd_sweep(args) -> int:
         summary["energy_remainder_scale"] = {
             repr(r.eps): energy_error_scale_m(r.eps, pair.dimension, m) for r in records
         }
-        eps_arr = np.array([r.eps for r in records])
-        b_arr = np.array([r.b_factor for r in records])
         try:
-            b0, coef, se = fit_blowup_limit(eps_arr, b_arr, pair.dimension, m)
-            summary["blowup_factor_limit"] = {"b0": b0, "rate_coefficient": coef, "stderr": se}
+            lim = fit_blowup_limit(records)
+            summary["blowup_factor_limit"] = {
+                "b0": lim.b0,
+                "rate_coefficient": lim.rate_coefficient,
+                "stderr": lim.stderr,
+            }
         except ValueError as exc:
             summary["blowup_factor_limit"] = {"error": str(exc)}
     summary_path = outdir / "summary.json"

@@ -25,7 +25,6 @@ __all__ = [
     "ConstantsReport",
     "ProfileConstant",
     "LeadingGradient",
-    "gap_rate",
     "gap_rate_m",
     "curvature_energy_constant",
     "sphere_surface_measure",
@@ -38,10 +37,7 @@ __all__ = [
     "printed_energy_constant",
     "neck_potential",
     "neck_potential_gradient",
-    "neck_potential_touching",
-    "neck_potential_touching_gradient",
     "leading_gradient",
-    "energy_error_scale",
     "energy_error_scale_m",
     "constants_report",
 ]
@@ -64,16 +60,6 @@ def _check_admissible(n: int, m: float) -> None:
 
 # ---------------------------------------------------------------------------
 # rates
-
-
-def gap_rate(eps: float, n: int) -> float:
-    """Classical strictly convex rate: sqrt(eps) in 2D, 1/|log eps| in 3D."""
-    _check_eps(eps)
-    if n == 2:
-        return math.sqrt(eps)
-    if n == 3:
-        return 1.0 / abs(math.log(eps))
-    raise ValueError(f"dimension must be 2 or 3, got {n}")
 
 
 def gap_rate_m(eps: float, n: int, m: float) -> float:
@@ -248,7 +234,7 @@ def printed_energy_constant(n: int, m: float, coefficient: float) -> float:
 # singular neck fields
 
 
-def _strip_rows(pair: InclusionPair, x, touching: bool) -> tuple[np.ndarray, np.ndarray]:
+def _strip_rows(pair: InclusionPair, x) -> tuple[np.ndarray, np.ndarray]:
     """One point (n,) or N points (N, n) as rows, with the relative profile
     at each; rejects, naming the first, a point outside the neck range or
     the gap strip."""
@@ -259,14 +245,14 @@ def _strip_rows(pair: InclusionPair, x, touching: bool) -> tuple[np.ndarray, np.
     pts = arr.reshape(-1, n)
     xp, xn = pts[:, :-1], pts[:, -1]
     rho = np.sqrt(np.sum(xp * xp, axis=1))
-    limit = pair.neck_radius if touching else 2.0 * pair.neck_radius
+    limit = 2.0 * pair.neck_radius
     far = rho > limit + 1e-12
     rel = np.full(len(pts), np.nan)
     rel[~far] = _relative_rows(pair.profile, xp[~far])
     s1, s2 = pair.profile.split
     h1, h2 = s1 * rel, -s2 * rel
     tol = 1e-12 * np.maximum(1.0, np.abs(xn))
-    top = (h1 if touching else pair.eps + h1) + tol
+    top = pair.eps + h1 + tol
     bad = np.flatnonzero(far | ~((h2 - tol <= xn) & (xn <= top)))
     if len(bad):
         i = bad[0]
@@ -285,11 +271,11 @@ def _relative_rows(prof, xp: np.ndarray) -> np.ndarray:
     return np.array([prof.coefficient * ri**prof.order for ri in r.tolist()], dtype=float)
 
 
-def _require_in_neck_formulas(pair: InclusionPair, x, touching: bool) -> tuple[np.ndarray, float]:
+def _require_in_neck_formulas(pair: InclusionPair, x) -> tuple[np.ndarray, float]:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (pair.dimension,):
         raise GeometryError(f"point must have {pair.dimension} components, got shape {arr.shape}")
-    _strip_rows(pair, arr, touching)
+    _strip_rows(pair, arr)
     return arr[:-1], float(arr[-1])
 
 
@@ -310,7 +296,7 @@ def neck_potential(pair: InclusionPair, x):
     ``x`` is one point, shape (n,), giving a float, or N points, shape
     (N, n), giving an array of N values.
     """
-    pts, rel = _strip_rows(pair, x, touching=False)
+    pts, rel = _strip_rows(pair, x)
     delta = pair.eps + rel
     if np.any(delta <= 0.0):
         raise GeometryError("degenerate gap at the evaluation point")
@@ -321,7 +307,7 @@ def neck_potential(pair: InclusionPair, x):
 
 def neck_potential_gradient(pair: InclusionPair, x) -> np.ndarray:
     """Exact gradient of the explicit neck potential."""
-    xp, xn = _require_in_neck_formulas(pair, x, touching=False)
+    xp, xn = _require_in_neck_formulas(pair, x)
     _, h2 = pair.profile.heights(xp)
     delta = pair.eps + pair.profile.relative(xp)
     if delta <= 0.0:
@@ -330,28 +316,6 @@ def neck_potential_gradient(pair: InclusionPair, x) -> np.ndarray:
     s2 = pair.profile.split[1]
     transverse = grad_rel * (s2 * delta - (xn - h2)) / (delta * delta)
     return np.concatenate([transverse, [1.0 / delta]])
-
-
-def neck_potential_touching(pair: InclusionPair, x) -> float:
-    """Touching-limit analogue (x_n - h2)/(h1 - h2); singular at x' = 0."""
-    xp, xn = _require_in_neck_formulas(pair, x, touching=True)
-    rel = pair.profile.relative(xp)
-    if rel <= 0.0:
-        raise GeometryError("touching potential is undefined on the contact axis")
-    _, h2 = pair.profile.heights(xp)
-    return (xn - h2) / rel
-
-
-def neck_potential_touching_gradient(pair: InclusionPair, x) -> np.ndarray:
-    xp, xn = _require_in_neck_formulas(pair, x, touching=True)
-    rel = pair.profile.relative(xp)
-    if rel <= 0.0:
-        raise GeometryError("touching potential is undefined on the contact axis")
-    _, h2 = pair.profile.heights(xp)
-    grad_rel = _relative_gradient(pair, xp)
-    s2 = pair.profile.split[1]
-    transverse = grad_rel * (s2 * rel - (xn - h2)) / (rel * rel)
-    return np.concatenate([transverse, [1.0 / rel]])
 
 
 @dataclass(frozen=True)
@@ -391,18 +355,6 @@ def leading_gradient(pair: InclusionPair, blowup_factor: float, x) -> LeadingGra
 
 # ---------------------------------------------------------------------------
 # error scales
-
-
-def energy_error_scale(eps: float, n: int, k: int) -> float:
-    """Remainder scale of the strictly convex energy asymptote (C^{k,1} pairs)."""
-    _check_eps(eps)
-    if k < 3:
-        raise ValueError(f"boundary smoothness index must be >= 3, got {k}")
-    if n == 2:
-        return eps ** (0.25 - 0.5 / k)
-    if n == 3:
-        return eps ** ((k - 1.0) / (2.0 * k)) * abs(math.log(eps))
-    raise ValueError(f"dimension must be 2 or 3, got {n}")
 
 
 def energy_error_scale_m(eps: float, n: int, m: float) -> float:
@@ -446,9 +398,6 @@ class AsymptoticParams:
                 raise ValueError("curvatures only make sense for order m = 2")
             if any(c <= 0.0 for c in self.curvatures):
                 raise ValueError("curvatures must be positive")
-
-    def rate(self) -> float:
-        return gap_rate_m(self.eps, self.n, self.m)
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,14 @@ up as the gap closes, and converges to the touching-limit factor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fem
-from .closed_forms import gap_rate_m, neck_potential
+from .closed_forms import neck_potential
 from .geometry import InclusionPair
-from .mesh import INCLUSION1, INCLUSION2, OUTER, Mesh, MeshParams, generate, generate_touching
+from .mesh import INCLUSION1, INCLUSION2, OUTER, Mesh, MeshParams, generate_touching
 
 __all__ = [
     "BoundaryData",
@@ -32,8 +31,6 @@ __all__ = [
     "solve_bundle",
     "neck_interpolant",
     "neck_remainder",
-    "fit_blowup_limit",
-    "estimate_blowup_factor",
     "solve_limit_direct",
 ]
 
@@ -207,85 +204,18 @@ def neck_remainder(bundle: SolveBundle, ramp: np.ndarray) -> fem.ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# blow-up factor: gap extrapolation and the truncated-cusp limit
+# blow-up factor: the truncated-cusp limit
 
 
 @dataclass
 class LimitBundle:
-    """Estimated touching-limit quantities with an uncertainty."""
+    """Touching-limit factor and level with an uncertainty, and the fields
+    of the finest cut."""
 
-    method: str
     b0: float
     b0_uncertainty: float
     c0: float
-    rate_coefficient: float | None
-    abscissae: np.ndarray
-    values: np.ndarray
-    fields: dict | None = None
-
-
-def fit_blowup_limit(
-    eps: np.ndarray, values: np.ndarray, n: int, m: float
-) -> tuple[float, float, float]:
-    """Least squares of values = b0 + c * rate(eps); returns (b0, c, se_b0)."""
-    eps = np.asarray(eps, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if len(eps) < 3:
-        raise ValueError("need at least three gap values to extrapolate")
-    rho = np.array([gap_rate_m(e, n, m) for e in eps])
-    x = np.column_stack([np.ones_like(rho), rho])
-    gram = x.T @ x
-    cond = np.linalg.cond(gram)
-    if cond > 1e12:
-        raise ValueError(f"extrapolation regressors nearly collinear (cond {cond:.2e})")
-    coef, *_ = np.linalg.lstsq(x, values, rcond=None)
-    resid = values - x @ coef
-    dof = max(len(eps) - 2, 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(gram)
-    return float(coef[0]), float(coef[1]), float(math.sqrt(max(cov[0, 0], 0.0)))
-
-
-def estimate_blowup_factor(
-    pair: InclusionPair,
-    phi: BoundaryData,
-    eps_list: list[float],
-    params: MeshParams,
-) -> LimitBundle:
-    """Extrapolate the bounded-field flux to the touching limit.
-
-    Solves one bundle per gap (lower inclusion fixed, upper translated)
-    and fits value = b0 + c * rate.  The reported uncertainty combines the
-    fit standard error with the residual spread.
-    """
-    if len(eps_list) < 3:
-        raise ValueError("need at least three gap values")
-    span = max(eps_list) / min(eps_list)
-    if span < 100.0:
-        raise ValueError("gap values should span at least two decades")
-    m, _ = pair.profile.power_equivalent()
-    eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
-    b_vals = []
-    c_means = []
-    for eps in eps_arr:
-        bundle = solve_bundle(generate(pair.with_gap(eps), params), phi)
-        b_vals.append(bundle.b_factor)
-        c_means.append(0.5 * (bundle.c1 + bundle.c2))
-    b_vals = np.asarray(b_vals)
-    b0, coef, se = fit_blowup_limit(eps_arr, b_vals, pair.dimension, m)
-    rho = np.array([gap_rate_m(e, pair.dimension, m) for e in eps_arr])
-    resid = b_vals - (b0 + coef * rho)
-    uncertainty = se + float(np.max(np.abs(resid)))
-    c0_fit, _, _ = fit_blowup_limit(eps_arr, np.asarray(c_means), pair.dimension, m)
-    return LimitBundle(
-        method="extrapolated",
-        b0=b0,
-        b0_uncertainty=uncertainty,
-        c0=c0_fit,
-        rate_coefficient=coef,
-        abscissae=eps_arr,
-        values=b_vals,
-    )
+    fields: dict
 
 
 def solve_limit_direct(
@@ -337,12 +267,8 @@ def solve_limit_direct(
         b_ext = b_arr[-1]
     uncertainty = abs(b_ext - b_arr[-1]) + 0.5 * abs(b_arr[-1] - b_arr[-2])
     return LimitBundle(
-        method="direct_truncated_cusp",
         b0=float(b_ext),
         b0_uncertainty=float(uncertainty),
         c0=float(c_vals[-1]),
-        rate_coefficient=None,
-        abscissae=np.asarray(cuts, dtype=float),
-        values=b_arr,
         fields=fields,
     )

@@ -66,9 +66,6 @@ class GeometryConfig:
             separation=self.separation,
         )
 
-    def power_form(self) -> tuple[float, float]:
-        return self.neck_profile().power_equivalent()
-
 
 @dataclass(frozen=True)
 class BoundaryConfig:
@@ -212,42 +209,17 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as exc:
             problems.append((ln, key, str(exc)))
 
-    def get(section: str, key: str, default):
-        return raw.get((section, key), default)
+    def given(section: str) -> dict[str, object]:
+        """The keys set in one section; every other key keeps its default."""
+        return {key: value for (sec, key), value in raw.items() if sec == section}
 
     def where(section: str, key: str) -> int:
         return lines_of.get((section, key), 0)
 
-    geometry = GeometryConfig(
-        dimension=get("geometry", "dimension", 2),
-        profile=get("geometry", "profile", "quadratic"),
-        curvatures=tuple(get("geometry", "curvatures", (2.0,))),
-        order=get("geometry", "order", 2.0),
-        coefficient=get("geometry", "coefficient", 1.0),
-        split=tuple(get("geometry", "split", (0.5, 0.5))),
-        neck_radius=get("geometry", "neck_radius", 0.5),
-        outer_radius=get("geometry", "outer_radius", 4.0),
-        separation=get("geometry", "separation", 1.0),
-    )
-    boundary = BoundaryConfig(
-        kind=get("boundary", "kind", "linear_xn"),
-        value=get("boundary", "value", 0.0),
-        cos=tuple(get("boundary", "cos", ())),
-        sin=tuple(get("boundary", "sin", ())),
-    )
-    sweep = SweepConfig(
-        epsilons=tuple(get("sweep", "epsilons", ())),
-        start=get("sweep", "start", 1e-2),
-        factor=get("sweep", "factor", 4.0),
-        count=get("sweep", "count", 6),
-    )
-    tolerances = ToleranceConfig(
-        rate_slope=get("tolerances", "rate_slope", 0.05),
-        cauchy_slope=get("tolerances", "cauchy_slope", 0.15),
-        energy_constant_rel=get("tolerances", "energy_constant_rel", 0.02),
-        offset_stability=get("tolerances", "offset_stability", 0.10),
-        leading_ratio=get("tolerances", "leading_ratio", 0.05),
-    )
+    geometry = GeometryConfig(**given("geometry"))
+    boundary = BoundaryConfig(**given("boundary"))
+    sweep = SweepConfig(**given("sweep"))
+    tolerances = ToleranceConfig(**given("tolerances"))
 
     # Semantic validation with located reports.
     if geometry.dimension not in (2, 3):
@@ -284,17 +256,10 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append((where("sweep", "epsilons"), "epsilons", f"gap {eps:g} outside (0, 1)"))
             break
 
-    mesh_kwargs = dict(
-        layers=get("mesh", "layers", 6),
-        h_far=get("mesh", "h_far", 0.2),
-        grading_exponent=get("mesh", "grading_exponent", 0.5),
-        neck_step_factor=get("mesh", "neck_step_factor", 0.25),
-        refinement=get("mesh", "refinement", 0),
-    )
     mesh = None
     if not problems:
         try:
-            mesh = MeshParams(**mesh_kwargs)
+            mesh = MeshParams(**given("mesh"))
         except Exception as exc:  # noqa: BLE001 - report, do not crash
             problems.append((where("mesh", "layers"), "mesh", str(exc)))
         else:
@@ -306,6 +271,13 @@ def parse_config(text: str) -> ExperimentConfig:
             geometry.neck_profile()
         except GeometryError as exc:
             problems.append((where("geometry", "profile"), "profile", str(exc)))
+        else:
+            # The inclusions reach farthest at the largest gap.
+            try:
+                geometry.pair(max(eps_candidates, default=0.0))
+            except GeometryError as exc:
+                names = "split, curvatures (or order and coefficient), neck_radius, separation and outer_radius"
+                problems.append((where("geometry", "split"), "split", f"{exc}; the inclusions follow from {names}"))
 
     if problems:
         raise ConfigError(sorted(problems))
@@ -315,7 +287,7 @@ def parse_config(text: str) -> ExperimentConfig:
         sweep=sweep,
         mesh=mesh,
         tolerances=tolerances,
-        output_dir=get("output", "directory", "out"),
+        output_dir=raw.get(("output", "directory"), "out"),
     )
 
 
@@ -328,56 +300,24 @@ def _fmt(value) -> str:
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse(emit(cfg)) == cfg."""
+    """Canonical text form; parse(emit(cfg)) == cfg.
+
+    Every key of the schema is written except empty optional lists, and
+    the sweep writes either its explicit gaps or its geometric sequence.
+    """
     g, b, s, m, t = cfg.geometry, cfg.boundary, cfg.sweep, cfg.mesh, cfg.tolerances
-    lines = [
-        "[geometry]",
-        f"dimension = {g.dimension}",
-        f"profile = {g.profile}",
-        f"curvatures = {_fmt(g.curvatures)}",
-        f"order = {_fmt(g.order)}",
-        f"coefficient = {_fmt(g.coefficient)}",
-        f"split = {_fmt(g.split)}",
-        f"neck_radius = {_fmt(g.neck_radius)}",
-        f"outer_radius = {_fmt(g.outer_radius)}",
-        f"separation = {_fmt(g.separation)}",
-        "",
-        "[boundary]",
-        f"kind = {b.kind}",
-        f"value = {_fmt(b.value)}",
-    ]
-    if b.cos:
-        lines.append(f"cos = {_fmt(b.cos)}")
-    if b.sin:
-        lines.append(f"sin = {_fmt(b.sin)}")
-    lines += [
-        "",
-        "[sweep]",
-    ]
-    if s.epsilons:
-        lines.append(f"epsilons = {_fmt(s.epsilons)}")
-    else:
-        lines += [f"start = {_fmt(s.start)}", f"factor = {_fmt(s.factor)}", f"count = {s.count}"]
-    lines += [
-        "",
-        "[mesh]",
-        f"layers = {m.layers}",
-        f"h_far = {_fmt(m.h_far)}",
-        f"grading_exponent = {_fmt(m.grading_exponent)}",
-        f"neck_step_factor = {_fmt(m.neck_step_factor)}",
-        f"refinement = {m.refinement}",
-        "",
-        "[tolerances]",
-        f"rate_slope = {_fmt(t.rate_slope)}",
-        f"cauchy_slope = {_fmt(t.cauchy_slope)}",
-        f"energy_constant_rel = {_fmt(t.energy_constant_rel)}",
-        f"offset_stability = {_fmt(t.offset_stability)}",
-        f"leading_ratio = {_fmt(t.leading_ratio)}",
-        "",
-        "[output]",
-        f"directory = {cfg.output_dir}",
-        "",
-    ]
+    lines = []
+    for name, values in (("geometry", g), ("boundary", b), ("sweep", s), ("mesh", m), ("tolerances", t)):
+        lines.append(f"[{name}]")
+        for key in _SCHEMA[name]:
+            value = getattr(values, key)
+            if key in ("cos", "sin", "epsilons") and not value:
+                continue
+            if name == "sweep" and s.epsilons and key != "epsilons":
+                continue
+            lines.append(f"{key} = {_fmt(value)}")
+        lines.append("")
+    lines += ["[output]", f"directory = {cfg.output_dir}", ""]
     return "\n".join(lines)
 
 

@@ -1,10 +1,12 @@
 """Sweeps, rate fits, constant adjudication and convergence studies.
 
 A sweep solves the conductor problem over a decreasing gap list and
-collects per-gap observables; ordinary least squares on log-log data
-turns them into blow-up rates, and the energy column is fitted against
-amplitude/rate + offset to extract the leading constant, which is then
-tabulated against the quadrature oracle and the printed value.
+collects per-gap observables.  One ordinary least-squares line fit
+serves every fit: log-log data give the blow-up rates, the energy column
+fitted against amplitude/rate + offset gives the leading constant (which
+is then tabulated against the quadrature oracle and the printed value),
+and the blow-up factor fitted against the rate extrapolates to its
+touching limit.
 """
 
 from __future__ import annotations
@@ -27,12 +29,15 @@ from .quadrature import QuadratureError
 __all__ = [
     "SweepRecord",
     "FitResult",
+    "BlowupLimit",
     "EnergyFit",
     "LeadingTermReport",
     "ConvergenceReport",
     "run_sweep",
     "sweep_record",
+    "fit_line",
     "fit_rate",
+    "fit_blowup_limit",
     "fit_energy_constants",
     "verify_leading_term",
     "mesh_convergence",
@@ -81,25 +86,37 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Least-squares line y = slope*x + intercept; ``stderr`` is the
+    standard error of the slope."""
+
     slope: float
     intercept: float
     stderr: float
+    intercept_stderr: float
     residual_norm: float
     model: str
 
 
-def _ols(x: np.ndarray, y: np.ndarray, model: str) -> FitResult:
+def fit_line(x: np.ndarray, y: np.ndarray, model: str = "", max_cond: float = math.inf) -> FitResult:
+    """Ordinary least squares of y on the columns [x, 1].
+
+    Raises ValueError when the normal matrix has a condition number above
+    ``max_cond``, i.e. when the regressors are nearly collinear.
+    """
     a = np.column_stack([x, np.ones_like(x)])
+    gram = a.T @ a
+    cond = np.linalg.cond(gram)
+    if cond > max_cond:
+        raise ValueError(f"regressors nearly collinear (cond {cond:.2e})")
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     resid = y - a @ coef
-    dof = max(len(x) - 2, 1)
-    sigma2 = float(resid @ resid) / dof
-    gram_inv = np.linalg.inv(a.T @ a)
-    stderr = math.sqrt(max(sigma2 * gram_inv[0, 0], 0.0))
+    sigma2 = float(resid @ resid) / max(len(x) - 2, 1)
+    cov = sigma2 * np.linalg.inv(gram)
     return FitResult(
         slope=float(coef[0]),
         intercept=float(coef[1]),
-        stderr=stderr,
+        stderr=math.sqrt(max(cov[0, 0], 0.0)),
+        intercept_stderr=math.sqrt(max(cov[1, 1], 0.0)),
         residual_norm=float(np.linalg.norm(resid)),
         model=model,
     )
@@ -242,7 +259,36 @@ def fit_rate(records: list[SweepRecord], quantity: str) -> FitResult:
     vals = np.array([getattr(r, quantity) for r in records], dtype=float)
     if np.any(vals <= 0.0):
         raise ValueError(f"quantity {quantity} must be positive for a log-log fit")
-    return _ols(np.log(eps), np.log(vals), model=f"log({quantity}) ~ slope*log(eps)+b")
+    return fit_line(np.log(eps), np.log(vals), model=f"log({quantity}) ~ slope*log(eps)+b")
+
+
+@dataclass(frozen=True)
+class BlowupLimit:
+    """Touching-limit blow-up factor extrapolated over a sweep."""
+
+    b0: float
+    rate_coefficient: float
+    stderr: float
+    uncertainty: float
+
+
+def fit_blowup_limit(records: list[SweepRecord]) -> BlowupLimit:
+    """Least squares of b_factor = b0 + coefficient * rate over the gaps.
+
+    The uncertainty of b0 is its standard error plus the largest residual.
+    """
+    if len(records) < 3:
+        raise ValueError("need at least three gap values to extrapolate")
+    rate = np.array([r.rate for r in records])
+    vals = np.array([r.b_factor for r in records])
+    fit = fit_line(rate, vals, model="b_factor ~ b0 + coefficient*rate", max_cond=1e12)
+    resid = vals - (fit.intercept + fit.slope * rate)
+    return BlowupLimit(
+        b0=fit.intercept,
+        rate_coefficient=fit.slope,
+        stderr=fit.intercept_stderr,
+        uncertainty=fit.intercept_stderr + float(np.max(np.abs(resid))),
+    )
 
 
 @dataclass(frozen=True)
@@ -276,9 +322,9 @@ def fit_energy_constants(records: list[SweepRecord], pair: InclusionPair) -> Ene
         raise ValueError("need at least four records to fit the energy asymptote")
     inv_rate = np.array([1.0 / r.rate for r in records])
     energy = np.array([r.energy_v1 for r in records])
-    fit = _ols(inv_rate, energy, model="energy ~ amplitude/rate + offset")
+    fit = fit_line(inv_rate, energy, model="energy ~ amplitude/rate + offset")
     half = len(records) // 2
-    fit_lo = _ols(inv_rate[half:], energy[half:], model="lower-half refit")
+    fit_lo = fit_line(inv_rate[half:], energy[half:], model="lower-half refit")
     m, lam = pair.profile.power_equivalent()
     oracle = energy_limit_constant(pair.dimension, m, lam)
     printed = printed_energy_constant(pair.dimension, m, lam)
@@ -339,9 +385,6 @@ class ConvergenceReport:
     min_shrink: float
     error_bar: float
     error_bar_rel: float
-
-    def diffs(self, values: tuple[float, ...]) -> np.ndarray:
-        return np.abs(np.diff(np.asarray(values)))
 
 
 def mesh_convergence(

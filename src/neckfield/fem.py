@@ -83,13 +83,16 @@ class StiffnessOperator:
     def _residual(self, sol: np.ndarray, rhs: np.ndarray) -> float:
         return np.linalg.norm(self._k_ii @ sol - rhs) / max(np.linalg.norm(rhs), 1e-30)
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+    def _solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """K_ii^-1 rhs by the even block, plus the odd block when the even
-        solution alone misses the residual bound."""
+        solution alone misses the residual bound; returns the solution and
+        its relative residual."""
         sol = self._even @ self._factor("even").solve(self._even.T @ rhs)
-        if self._odd.shape[1] and self._residual(sol, rhs) > _RESIDUAL_BOUND:
+        res = self._residual(sol, rhs)
+        if self._odd.shape[1] and res > _RESIDUAL_BOUND:
             sol += self._odd @ self._factor("odd").solve(self._odd.T @ (rhs - self._k_ii @ sol))
-        return sol
+            res = self._residual(sol, rhs)
+        return sol, res
 
     def solve_dirichlet(self, data: dict[int, object]) -> ScalarField:
         """Discrete harmonic extension of tagged boundary data.
@@ -115,26 +118,25 @@ class StiffnessOperator:
         rhs = -self._k_ib @ u[self.boundary]
         if len(self.interior):
             try:
-                sol = self._solve(rhs)
+                sol, res = self._solve(rhs)
             except (RuntimeError, MemoryError):
-                sol = self._cg(rhs)
-            res = self._residual(sol, rhs)
+                sol, res = self._cg(rhs)
             if res > _RESIDUAL_BOUND:
                 raise SolverError(f"relative residual {res:.3e} exceeds 1e-10")
             u[self.interior] = sol
         return ScalarField(mesh=mesh, values=u)
 
-    def _cg(self, rhs: np.ndarray) -> np.ndarray:
+    def _cg(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         diag = self._k_ii.diagonal()
         precond = spla.LinearOperator(
             self._k_ii.shape, matvec=lambda x: x / diag
         )
         cap = int(50 * math.sqrt(max(len(rhs), 1)))
         sol, info = spla.cg(self._k_ii, rhs, rtol=1e-12, maxiter=cap, M=precond)
+        res = self._residual(sol, rhs)
         if info != 0:
-            res = np.linalg.norm(self._k_ii @ sol - rhs) / max(np.linalg.norm(rhs), 1e-30)
             raise SolverError(f"conjugate gradient stopped after {cap} iterations, residual {res:.3e}")
-        return sol
+        return sol, res
 
     def energy(self, f: ScalarField) -> float:
         """Dirichlet energy f'Kf of a nodal field."""

@@ -1,4 +1,4 @@
-"""Two-inclusion geometry: neck profiles, gap function, region predicates.
+"""Two-inclusion geometry: neck profiles, gap function, neck predicate.
 
 The configuration is a pair of convex inclusions inside a disk (or ball),
 almost touching across a thin gap on the x_n axis.  Near the closest points
@@ -23,7 +23,6 @@ __all__ = [
     "NeckProfile",
     "CapArc",
     "InclusionPair",
-    "Region",
 ]
 
 
@@ -34,24 +33,6 @@ class GeometryError(ValueError):
 class ProfileKind(enum.Enum):
     QUADRATIC = "quadratic"
     POWER_LAW = "power"
-
-
-class Region(enum.Enum):
-    IN_D1 = "inclusion1"
-    IN_D2 = "inclusion2"
-    IN_NECK = "neck"
-    IN_FAR = "far"
-    OUTSIDE = "outside"
-
-
-def _as_transverse(xp, dim: int) -> np.ndarray:
-    """Coerce a transverse coordinate to a float vector of length dim-1."""
-    arr = np.atleast_1d(np.asarray(xp, dtype=float))
-    if arr.shape != (dim - 1,):
-        raise GeometryError(
-            f"transverse coordinate must have {dim - 1} component(s), got shape {arr.shape}"
-        )
-    return arr
 
 
 @dataclass(frozen=True)
@@ -142,13 +123,6 @@ class NeckProfile:
             return True
         return len(set(self.curvatures)) == 1
 
-    def curvature_floor(self) -> float:
-        """Largest constant bounding the relative Hessian from below
-        (quadratic profiles only)."""
-        if self.kind is not ProfileKind.QUADRATIC:
-            raise GeometryError("curvature floor applies to quadratic profiles")
-        return min(self.curvatures)
-
     # -- derived scales -----------------------------------------------------
 
     def power_equivalent(self) -> tuple[float, float]:
@@ -172,11 +146,6 @@ class NeckProfile:
         r_gap = (max(gap0, 1e-300) / lam) ** (1.0 / m)
         r_eff = max(abs(r), r_gap)
         return m * (m - 1.0) * lam * r_eff ** (m - 2.0)
-
-    def slope_bound(self) -> float:
-        """Constant C with |grad h_i| <= C |x'|^(m-1) on the neck."""
-        m, lam = self.power_equivalent()
-        return m * lam
 
 
 @dataclass(frozen=True)
@@ -275,56 +244,36 @@ class InclusionPair:
 
     # -- scalar fields over the neck ------------------------------------------
 
-    def heights(self, xp) -> tuple[float, float]:
-        """(h1, h2) at transverse coordinate x'; rejects |x'| > 2*R0."""
-        arr = _as_transverse(xp, self.dimension)
+    def _transverse(self, xp) -> np.ndarray:
+        """x' as a float vector of n-1 components, checked against 2*R0."""
+        arr = np.atleast_1d(np.asarray(xp, dtype=float))
+        if arr.shape != (self.dimension - 1,):
+            raise GeometryError(
+                f"transverse coordinate must have {self.dimension - 1} component(s), got shape {arr.shape}"
+            )
         r = float(np.sqrt(np.sum(arr * arr)))
         if r > 2.0 * self.neck_radius + 1e-12:
             raise GeometryError(f"|x'| = {r:.6g} outside the profile range 2*R0 = {2 * self.neck_radius}")
-        return self.profile.heights(arr)
+        return arr
+
+    def heights(self, xp) -> tuple[float, float]:
+        """(h1, h2) at transverse coordinate x'; rejects |x'| > 2*R0."""
+        return self.profile.heights(self._transverse(xp))
 
     def gap(self, xp) -> float:
         """Gap width eps + (h1 - h2)(x') across the neck."""
-        arr = _as_transverse(xp, self.dimension)
-        r = float(np.sqrt(np.sum(arr * arr)))
-        if r > 2.0 * self.neck_radius + 1e-12:
-            raise GeometryError(f"|x'| = {r:.6g} outside the profile range 2*R0 = {2 * self.neck_radius}")
-        return self.eps + self.profile.relative(arr)
+        return self.eps + self.profile.relative(self._transverse(xp))
 
     def gap_radial(self, r: float) -> float:
         return self.eps + self.profile.relative_radial(r)
 
-    # -- region predicates ------------------------------------------------------
+    # -- neck predicate ---------------------------------------------------------
 
     def _split_point(self, x) -> tuple[np.ndarray, float]:
         arr = np.asarray(x, dtype=float)
         if arr.shape != (self.dimension,):
             raise GeometryError(f"point must have {self.dimension} components, got shape {arr.shape}")
         return arr[:-1], float(arr[-1])
-
-    def in_inclusion1(self, x) -> bool:
-        # Inside the cap circle, or in the sliver between the profile graph
-        # and the circle bottom (the graph dips below the flatter circle).
-        xp, xn = self._split_point(x)
-        cap1, _ = self.caps()
-        rho2 = float(np.sum(xp * xp))
-        if rho2 + (xn - cap1.center_height) ** 2 <= cap1.radius**2:
-            return True
-        if rho2 <= self.neck_radius**2 and xn <= cap1.center_height:
-            h1, _ = self.profile.heights(xp)
-            return xn >= self.eps + h1
-        return False
-
-    def in_inclusion2(self, x) -> bool:
-        xp, xn = self._split_point(x)
-        _, cap2 = self.caps()
-        rho2 = float(np.sum(xp * xp))
-        if rho2 + (xn - cap2.center_height) ** 2 <= cap2.radius**2:
-            return True
-        if rho2 <= self.neck_radius**2 and xn >= cap2.center_height:
-            _, h2 = self.profile.heights(xp)
-            return xn <= h2
-        return False
 
     def in_neck(self, x, r: float | None = None) -> bool:
         xp, xn = self._split_point(x)
@@ -334,25 +283,3 @@ class InclusionPair:
             return False
         h1, h2 = self.profile.heights(xp)
         return h2 < xn < self.eps + h1
-
-    def classify(self, x, r: float | None = None) -> Region:
-        """Exact, mutually exclusive partition of space around the pair."""
-        arr = np.asarray(x, dtype=float)
-        if float(np.sum(arr * arr)) >= self.outer_radius**2:
-            return Region.OUTSIDE
-        if self.in_inclusion1(arr):
-            return Region.IN_D1
-        if self.in_inclusion2(arr):
-            return Region.IN_D2
-        if self.in_neck(arr, r):
-            return Region.IN_NECK
-        return Region.IN_FAR
-
-    # -- reference points ---------------------------------------------------------
-
-    def closest_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P1, P2): closest boundary points of the upper and lower inclusion."""
-        zero = np.zeros(self.dimension - 1)
-        p1 = np.concatenate([zero, [self.eps]])
-        p2 = np.concatenate([zero, [0.0]])
-        return p1, p2

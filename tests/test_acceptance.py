@@ -6,6 +6,8 @@ whole gate runs in well under its budgets.  Each test prints the
 criterion's pass/fail line and its detail rows.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from neckfield import acceptance, experiments
@@ -78,3 +80,17 @@ def test_dropped_gap_fails_the_sweep_criteria(monkeypatch):
         result = criterion(fresh)
         assert not result.passed
         assert "BAD m=2 sweep dropped eps=9.8e-06: MeshError: forced failure" in result.details
+
+
+@pytest.mark.parametrize("both_zero", [False, True], ids=["center-over-a-tenth", "both-zero"])
+def test_c8_fails_when_center_gradient_is_not_small(ctx, both_zero):
+    if both_zero:
+        records = [replace(r, vb_center=0.0, vb_offside=0.0) for r in ctx.records_m2()]
+    else:
+        records = [replace(r, vb_center=r.vb_offside / 9.0) for r in ctx.records_m2()]
+    bad = acceptance.AcceptanceContext()
+    bad._cache["sweep_m2"] = (records, {})
+    result = acceptance.criterion_8_boundedness_surrogates(bad)
+    assert not result.passed
+    center_lines = [d for d in result.details if "half-neck" in d]
+    assert len(center_lines) == 2 and all(d.startswith("BAD") for d in center_lines)

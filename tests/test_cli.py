@@ -67,6 +67,26 @@ class TestConfig:
         assert (line, key) == (2, "refinement")
         assert "241275 points" in msg and "budget of 200000" in msg
 
+    @pytest.mark.parametrize("split,margin", [("0.7 0.3", "0.518"), ("0.75 0.25", "-0.124")])
+    def test_inadmissible_split_located(self, split, margin):
+        # the caps of a lopsided split reach the outer boundary
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[geometry]\nsplit = {split}\n")
+        (line, key, msg), = err.value.problems
+        assert (line, key) == (2, "split")
+        assert f"within {margin} of the outer boundary" in msg
+        assert all(name in msg for name in ("split", "curvatures", "outer_radius"))
+
+    def test_inadmissible_pair_rejected_at_parse(self):
+        # any geometry the pair constructor refuses fails before meshing
+        for text, cause in (
+            ("neck_radius = 1.5", "neck radius must lie in (0, 1)"),
+            ("dimension = 3\ncurvatures = 1.0 2.0", "dimension 3 needs an isotropic profile"),
+        ):
+            with pytest.raises(ConfigError, match=r"\[split\]") as err:
+                parse_config(f"[geometry]\n{text}\n")
+            assert cause in str(err.value)
+
 
 class TestCommands:
     def test_init_config_prints(self, capsys):
@@ -116,6 +136,14 @@ class TestCommands:
         path = tmp_path / "bad.cfg"
         path.write_text("[geometry]\nprofile = cube\n")
         assert main(["mesh", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("split", ["0.7 0.3", "0.75 0.25"])
+    def test_inadmissible_split_exit_two(self, tmp_path, capsys, split):
+        path = tmp_path / "split.cfg"
+        path.write_text(f"[geometry]\nsplit = {split}\n[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "[split]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_mesh_solve_sweep_report(self, tmp_path, capsys):
         path = tmp_path / "fast.cfg"

@@ -21,9 +21,10 @@ def power_pair(eps, m, lam, dim=2):
 
 class TestRates:
     def test_strict_rate_values(self):
-        assert cf.gap_rate(1e-2, 2) == pytest.approx(0.1, rel=0)
-        assert cf.gap_rate(math.exp(-10), 3) == pytest.approx(0.1, rel=1e-14)
-        assert cf.gap_rate(0.25, 2) == 0.5
+        # strict convexity (m = 2): sqrt(eps) in 2D, 1/|log eps| in 3D
+        assert cf.gap_rate_m(1e-2, 2, 2.0) == pytest.approx(0.1, rel=0)
+        assert cf.gap_rate_m(math.exp(-10), 3, 2.0) == pytest.approx(0.1, rel=1e-14)
+        assert cf.gap_rate_m(0.25, 2, 2.0) == 0.5
 
     def test_order_rate_values(self):
         assert cf.gap_rate_m(1e-4, 2, 2) == pytest.approx(1e-2, rel=1e-14)
@@ -32,7 +33,7 @@ class TestRates:
 
     def test_rate_rejects_gap_of_one_or_more(self):
         with pytest.raises(ValueError):
-            cf.gap_rate(1.0, 2)
+            cf.gap_rate_m(1.0, 2, 2.0)
         with pytest.raises(ValueError):
             cf.gap_rate_m(2.0, 2, 2)
 
@@ -222,31 +223,6 @@ class TestNeckPotential:
             cf.neck_potential(pair, np.zeros((2, 3)))
 
 
-class TestTouchingPotential:
-    def test_midline_value(self):
-        pair = quad_pair(0.0)
-        x = 0.1
-        h1, h2 = pair.profile.heights([x])
-        mid = 0.5 * (h1 + h2)
-        assert cf.neck_potential_touching(pair, [x, mid]) == pytest.approx(0.5, rel=1e-13)
-
-    def test_vertical_derivative(self):
-        prof = NeckProfile(kind=ProfileKind.POWER_LAW, order=2.0, coefficient=1.0)
-        pair = InclusionPair(2, prof, 0.0)
-        g = cf.neck_potential_touching_gradient(pair, [0.1, 0.0])
-        assert g[-1] == pytest.approx(100.0, rel=1e-13)
-
-    def test_upper_surface_value(self):
-        pair = quad_pair(0.0)
-        h1, _ = pair.profile.heights([0.2])
-        assert cf.neck_potential_touching(pair, [0.2, h1]) == pytest.approx(1.0, rel=1e-14)
-
-    def test_contact_axis_rejected(self):
-        pair = quad_pair(0.0)
-        with pytest.raises(GeometryError):
-            cf.neck_potential_touching(pair, [0.0, 0.0])
-
-
 class TestLeadingGradient:
     def test_vertical_component_at_center(self):
         pair = quad_pair(1e-4)  # curvature 2 -> curvature constant pi
@@ -272,23 +248,12 @@ class TestLeadingGradient:
 
 
 class TestErrorScales:
-    def test_strict_scale_examples(self):
-        # in dimension 2 with smoothness index 3 the exponent is 1/4 - 1/6 = 1/12
-        assert cf.energy_error_scale(2.0**-12, 2, 3) == pytest.approx(0.5, rel=1e-12)
-        assert cf.energy_error_scale(1e-4, 2, 3) == pytest.approx(1e-4 ** (1 / 12), rel=1e-12)
-        val = cf.energy_error_scale(1e-4, 3, 4)
-        assert val == pytest.approx(1e-4 ** (3 / 8) * abs(math.log(1e-4)), rel=1e-12)
-
     def test_order_scale_examples(self):
         assert cf.energy_error_scale_m(2.0**-12, 2, 3) == pytest.approx(0.5, rel=1e-12)
         assert cf.energy_error_scale_m(1e-4, 3, 4) == pytest.approx(1e-4 ** 0.125, rel=1e-12)
         # logarithmic branch takes the slower of its two terms
         val = cf.energy_error_scale_m(1e-8, 3, 2)
         assert val == pytest.approx(max(1e-4, 1e-2 * abs(math.log(1e-8))), rel=1e-12)
-
-    def test_smoothness_index_required(self):
-        with pytest.raises(ValueError):
-            cf.energy_error_scale(1e-3, 2, 2)
 
 
 class TestConstantsReport:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,6 @@ import pytest
 from neckfield import fem
 from neckfield.conductivity import (
     BoundaryData,
-    estimate_blowup_factor,
-    fit_blowup_limit,
     neck_interpolant,
     neck_remainder,
     solve_bundle,
@@ -15,6 +14,7 @@ from neckfield.conductivity import (
     solve_constants,
     solve_limit_direct,
 )
+from neckfield.experiments import fit_blowup_limit, run_sweep
 from neckfield.geometry import InclusionPair, NeckProfile, ProfileKind
 from neckfield.mesh import INCLUSION1, INCLUSION2, OUTER, MeshParams, generate
 
@@ -38,6 +38,22 @@ def op(mesh):
 @pytest.fixture(scope="module")
 def bundle(mesh, op):
     return solve_bundle(mesh, BoundaryData(kind="linear_xn"), op=op)
+
+
+def sweep(pair, phi):
+    records, failures = run_sweep(pair, phi, [1e-2, 1e-3, 1e-4, 1e-5], MeshParams())
+    assert not failures
+    return records
+
+
+@pytest.fixture(scope="module")
+def records_xn(pair):
+    return sweep(pair, BoundaryData(kind="linear_xn"))
+
+
+def with_factors(template, eps, factors):
+    """Copies of one record at the given gaps (quadratic rate) and factors."""
+    return [replace(template, eps=e, rate=math.sqrt(e), b_factor=b) for e, b in zip(eps, factors)]
 
 
 class TestBoundaryData:
@@ -131,44 +147,28 @@ class TestComposition:
 
 
 class TestBlowupFit:
-    def test_exact_model_recovery(self):
+    def test_exact_model_recovery(self, records_xn):
         eps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
-        vals = 3.0 + 0.7 * np.sqrt(eps)
-        b0, coef, se = fit_blowup_limit(eps, vals, 2, 2.0)
-        assert b0 == pytest.approx(3.0, abs=1e-10)
-        assert coef == pytest.approx(0.7, abs=1e-8)
-        assert se <= 1e-10
+        lim = fit_blowup_limit(with_factors(records_xn[0], eps, 3.0 + 0.7 * np.sqrt(eps)))
+        assert lim.b0 == pytest.approx(3.0, abs=1e-10)
+        assert lim.rate_coefficient == pytest.approx(0.7, abs=1e-8)
+        assert lim.stderr <= 1e-10
+        assert lim.uncertainty <= 1e-10
 
-    def test_collinear_rejected(self):
-        eps = np.array([1e-3, 1e-3, 1e-3])
-        with pytest.raises(ValueError):
-            fit_blowup_limit(eps, np.ones(3), 2, 2.0)
+    def test_collinear_rejected(self, records_xn):
+        with pytest.raises(ValueError, match="collinear"):
+            fit_blowup_limit(with_factors(records_xn[0], [1e-3] * 3, np.ones(3)))
 
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            fit_blowup_limit(np.array([1e-2, 1e-3]), np.zeros(2), 2, 2.0)
+    def test_too_few_points(self, records_xn):
+        with pytest.raises(ValueError, match="three"):
+            fit_blowup_limit(records_xn[:2])
 
     def test_constant_data_extrapolates_to_zero(self, pair):
-        lim = estimate_blowup_factor(
-            pair,
-            BoundaryData(kind="constant", value=1.5),
-            [1e-2, 1e-3, 1e-4],
-            MeshParams(),
-        )
+        lim = fit_blowup_limit(sweep(pair, BoundaryData(kind="constant", value=1.5)))
         assert abs(lim.b0) <= 1e-9
-        assert lim.method == "extrapolated"
 
-    def test_nondegenerate_data_gives_nonzero_factor(self, pair):
-        lim = estimate_blowup_factor(
-            pair, BoundaryData(kind="linear_xn"), [1e-2, 1e-3, 1e-4], MeshParams()
-        )
-        assert abs(lim.b0) > 1.0
-
-    def test_narrow_span_rejected(self, pair):
-        with pytest.raises(ValueError):
-            estimate_blowup_factor(
-                pair, BoundaryData(kind="linear_xn"), [1e-2, 5e-3, 2e-3], MeshParams()
-            )
+    def test_nondegenerate_data_gives_nonzero_factor(self, records_xn):
+        assert abs(fit_blowup_limit(records_xn).b0) > 1.0
 
 
 @pytest.fixture(scope="module")
@@ -193,11 +193,10 @@ class TestTouchingLimit:
         assert lim.c0 == pytest.approx(2.0, abs=1e-10)
         assert abs(lim.b0) <= 1e-10
 
-    def test_agrees_with_extrapolation(self, pair, pair0):
-        phi = BoundaryData(kind="linear_xn")
-        ext = estimate_blowup_factor(pair, phi, [1e-2, 1e-3, 1e-4, 1e-5], MeshParams())
-        direct = solve_limit_direct(pair0, phi, [0.08, 0.04, 0.02], MeshParams())
-        combined = ext.b0_uncertainty + direct.b0_uncertainty + 5e-3
+    def test_agrees_with_extrapolation(self, records_xn, pair0):
+        ext = fit_blowup_limit(records_xn)
+        direct = solve_limit_direct(pair0, BoundaryData(kind="linear_xn"), [0.08, 0.04, 0.02], MeshParams())
+        combined = ext.uncertainty + direct.b0_uncertainty + 5e-3
         assert abs(ext.b0 - direct.b0) <= combined
 
     def test_needs_touching_pair_cut_range(self, pair0):
@@ -215,8 +214,6 @@ class TestTouchingLimit:
 @pytest.fixture(scope="module")
 def asym():
     """Asymmetric split makes the mean-level convergence rate-tight."""
-    from neckfield.experiments import run_sweep
-
     prof = NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=(2.0,), split=(0.35, 0.65))
     pair = InclusionPair(2, prof, 1e-3, outer_radius=4.5)
     phi = BoundaryData(kind="linear_xn")

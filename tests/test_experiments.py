@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from neckfield import experiments, fem
-from neckfield.conductivity import BoundaryData, fit_blowup_limit, neck_interpolant, solve_bundle
+from neckfield.conductivity import BoundaryData, neck_interpolant, solve_bundle
 from neckfield.experiments import (
     SWEEP_CSV_HEADER,
     SweepRecord,
+    fit_blowup_limit,
     fit_energy_constants,
+    fit_line,
     fit_rate,
     mesh_convergence,
     records_to_csv,
@@ -121,6 +123,36 @@ class TestRunSweep:
             assert seq.b_factor == par.b_factor
 
 
+class TestFitLine:
+    def test_exact_line_recovery(self):
+        x = np.array([-1.0, 0.5, 2.0, 4.0])
+        fit = fit_line(x, 1.5 - 0.25 * x, model="line")
+        assert fit.slope == pytest.approx(-0.25, abs=1e-14)
+        assert fit.intercept == pytest.approx(1.5, abs=1e-14)
+        assert fit.stderr <= 1e-14 and fit.intercept_stderr <= 1e-14
+        assert fit.residual_norm <= 1e-14
+        assert fit.model == "line"
+
+    def test_standard_errors_match_textbook_formulas(self):
+        rng = np.random.default_rng(5)
+        x = np.linspace(0.0, 3.0, 9)
+        y = 2.0 * x + 1.0 + 0.1 * rng.standard_normal(len(x))
+        fit = fit_line(x, y)
+        sxx = float(np.sum((x - x.mean()) ** 2))
+        resid = y - (fit.intercept + fit.slope * x)
+        s2 = float(resid @ resid) / (len(x) - 2)
+        assert fit.stderr == pytest.approx(math.sqrt(s2 / sxx), rel=1e-10)
+        want = math.sqrt(s2 * (1.0 / len(x) + x.mean() ** 2 / sxx))
+        assert fit.intercept_stderr == pytest.approx(want, rel=1e-10)
+        assert fit.residual_norm == pytest.approx(math.sqrt(float(resid @ resid)), rel=1e-10)
+
+    def test_condition_bound(self):
+        x = np.array([1.0, 1.0 + 1e-9, 1.0 + 2e-9])
+        with pytest.raises(ValueError, match="collinear"):
+            fit_line(x, x, max_cond=1e12)
+        fit_line(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]), max_cond=1e12)
+
+
 class TestFitRate:
     def test_exact_power_law_recovery(self):
         eps_list = [1e-2, 1e-3, 1e-4, 1e-5]
@@ -163,9 +195,7 @@ class TestEnergyFit:
 
 class TestLeadingTerm:
     def test_residual_bounded_and_ratio_converges(self, records, pair):
-        eps = np.array([r.eps for r in records])
-        vals = np.array([r.b_factor for r in records])
-        b0, _, _ = fit_blowup_limit(eps, vals, 2, 2.0)
+        b0 = fit_blowup_limit(records).b0
         efit = fit_energy_constants(records, pair)
         rep = verify_leading_term(records, b0, efit.amplitude)
         assert rep.residual_growth <= 3.0
@@ -189,6 +219,12 @@ class TestMeshConvergence:
         assert report.min_shrink >= 1.5
         assert report.error_bar_rel < 0.01
         assert len(report.energies) == 3
+
+    def test_ladder_in_former_failure_band(self, pair, phi):
+        # Gaps from 6.02e-4 to 6.95e-4 once broke the shrink check.
+        report = mesh_convergence(pair.with_gap(6.954e-4), phi, MeshParams(), levels=3)
+        assert report.shrink_ok
+        assert report.min_shrink >= 1.5
 
     def test_needs_three_levels(self, pair, phi):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from neckfield.geometry import (
     InclusionPair,
     NeckProfile,
     ProfileKind,
-    Region,
 )
 
 
@@ -62,31 +61,19 @@ class TestGap:
                 assert pair.gap([x]) > pair.eps
 
 
-class TestClassify:
+class TestInNeck:
     @pytest.fixture
     def pair(self):
         return InclusionPair(2, quad_profile(), 1e-3)
 
     def test_gap_midpoint(self, pair):
-        assert pair.classify([0.0, pair.eps / 2]) is Region.IN_NECK
-
-    def test_outside(self, pair):
-        assert pair.classify([0.0, -pair.outer_radius - 1.0]) is Region.OUTSIDE
-
-    def test_just_inside_lower(self, pair):
-        assert pair.classify([0.0, -1e-12]) is Region.IN_D2
-
-    def test_just_inside_upper(self, pair):
-        assert pair.classify([0.0, pair.eps + 1e-12]) is Region.IN_D1
-
-    def test_far_field_point(self, pair):
-        assert pair.classify([2.0, 0.0]) is Region.IN_FAR
+        assert pair.in_neck([0.0, pair.eps / 2])
 
     def test_neck_radius_parameter(self, pair):
         # a point past the default neck radius still counts inside a wider one
         x = [0.7, 0.0]
-        assert pair.classify(x) is Region.IN_FAR
-        assert pair.classify(x, r=0.9) is Region.IN_NECK
+        assert not pair.in_neck(x)
+        assert pair.in_neck(x, r=0.9)
 
     def test_neck_consistency_with_heights(self, pair):
         rng = np.random.default_rng(7)
@@ -96,15 +83,6 @@ class TestClassify:
             h1, h2 = pair.profile.heights([x])
             expect = abs(x) < pair.neck_radius and h2 < y < pair.eps + h1
             assert pair.in_neck([x, y]) == expect
-
-    def test_classify_partition_unique(self, pair):
-        # every sampled point lands in exactly one region by construction;
-        # spot-check the predicates never overlap
-        rng = np.random.default_rng(11)
-        pts = rng.uniform(-4.5, 4.5, size=(400, 2))
-        for p in pts:
-            flags = [pair.in_inclusion1(p), pair.in_inclusion2(p), pair.in_neck(p)]
-            assert sum(flags) <= 1
 
 
 class TestCaps:
@@ -163,7 +141,7 @@ class TestValidation:
     def test_dimension3_radial_ok(self):
         prof = NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=(2.0, 2.0))
         pair = InclusionPair(3, prof, 1e-3)
-        assert pair.classify([0.0, 0.0, pair.eps / 2]) is Region.IN_NECK
+        assert pair.in_neck([0.0, 0.0, pair.eps / 2])
 
 
 class TestDerivedScales:
@@ -171,26 +149,11 @@ class TestDerivedScales:
         m, lam = quad_profile(lam=2.0).power_equivalent()
         assert (m, lam) == (2.0, 1.0)
 
-    def test_curvature_floor(self):
-        prof = NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=(3.0, 2.0))
-        assert prof.curvature_floor() == 2.0
-        with pytest.raises(GeometryError):
-            power_profile(4.0, 1.0).curvature_floor()
-
-    def test_slope_bound_by_sampling(self):
-        prof = power_profile(4.0, 1.0)
-        bound = prof.slope_bound()
-        rng = np.random.default_rng(3)
-        for x in rng.uniform(1e-3, 0.5, size=100):
-            h = 1e-8
-            d1 = (prof.heights([x + h])[0] - prof.heights([x - h])[0]) / (2 * h)
-            d2 = (prof.heights([x + h])[1] - prof.heights([x - h])[1]) / (2 * h)
-            limit = bound * x**3 * (1 + 1e-6) + 1e-9
-            assert abs(d1) <= limit and abs(d2) <= limit
-
     def test_translation_family(self):
         pair = InclusionPair(2, quad_profile(), 1e-3)
         moved = pair.with_gap(1e-5)
-        p1, p2 = moved.closest_points()
-        assert p2[1] == 0.0 and p1[1] == 1e-5
-        assert moved.profile is pair.profile
+        # the lower inclusion stays put; the upper one moves by the gap change
+        assert moved.caps()[1] == pair.caps()[1]
+        shift = moved.caps()[0].center_height - pair.caps()[0].center_height
+        assert shift == pytest.approx(1e-5 - 1e-3, rel=1e-9)
+        assert moved.eps == 1e-5 and moved.profile is pair.profile
