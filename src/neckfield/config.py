@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conductivity import BoundaryData
+from .experiments import sweep_gaps
 from .geometry import GeometryError, InclusionPair, NeckProfile, ProfileKind
 from .mesh import MeshError, MeshParams
 
@@ -178,6 +179,7 @@ def parse_config(text: str) -> ExperimentConfig:
     problems: list[tuple[int, str, str]] = []
     raw: dict[tuple[str, str], object] = {}
     lines_of: dict[tuple[str, str], int] = {}
+    section_lines: dict[str, int] = {}
     section = None
     for ln, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -188,6 +190,8 @@ def parse_config(text: str) -> ExperimentConfig:
             if section not in _SCHEMA:
                 problems.append((ln, section, f"unknown section [{section}]"))
                 section = None
+            else:
+                section_lines.setdefault(section, ln)
             continue
         if "=" not in body:
             problems.append((ln, body, "expected key = value"))
@@ -255,6 +259,11 @@ def parse_config(text: str) -> ExperimentConfig:
         if not (0.0 < eps < 1.0):
             problems.append((where("sweep", "epsilons"), "epsilons", f"gap {eps:g} outside (0, 1)"))
             break
+    if not problems:
+        try:
+            sweep_gaps(eps_candidates)
+        except ValueError as exc:
+            problems.append((section_lines.get("sweep", 0), "sweep", str(exc)))
 
     mesh = None
     if not problems:

@@ -34,6 +34,7 @@ __all__ = [
     "LeadingTermReport",
     "ConvergenceReport",
     "run_sweep",
+    "sweep_gaps",
     "sweep_record",
     "fit_line",
     "fit_rate",
@@ -100,23 +101,26 @@ class FitResult:
 def fit_line(x: np.ndarray, y: np.ndarray, model: str = "", max_cond: float = math.inf) -> FitResult:
     """Ordinary least squares of y on the columns [x, 1].
 
-    Raises ValueError when the normal matrix has a condition number above
-    ``max_cond``, i.e. when the regressors are nearly collinear.
+    Raises ValueError when the normal matrix A'A of the design A has a
+    condition number above ``max_cond``, i.e. when the regressors are
+    nearly collinear.  That condition number and the standard errors are
+    computed from A itself, from its singular values and from its QR
+    factor R with (A'A)^-1 = R^-1 R^-T, so that forming A'A does not
+    square the rounding error.
     """
     a = np.column_stack([x, np.ones_like(x)])
-    gram = a.T @ a
-    cond = np.linalg.cond(gram)
+    coef, _, _, sv = np.linalg.lstsq(a, y, rcond=None)
+    cond = (sv[0] / sv[-1]) ** 2 if sv[-1] > 0.0 else math.inf
     if cond > max_cond:
         raise ValueError(f"regressors nearly collinear (cond {cond:.2e})")
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     resid = y - a @ coef
-    sigma2 = float(resid @ resid) / max(len(x) - 2, 1)
-    cov = sigma2 * np.linalg.inv(gram)
+    sigma = math.sqrt(float(resid @ resid) / max(len(x) - 2, 1))
+    stderr = sigma * np.linalg.norm(np.linalg.inv(np.linalg.qr(a, mode="r")), axis=1)
     return FitResult(
         slope=float(coef[0]),
         intercept=float(coef[1]),
-        stderr=math.sqrt(max(cov[0, 0], 0.0)),
-        intercept_stderr=math.sqrt(max(cov[1, 1], 0.0)),
+        stderr=float(stderr[0]),
+        intercept_stderr=float(stderr[1]),
         residual_norm=float(np.linalg.norm(resid)),
         model=model,
     )
@@ -214,6 +218,17 @@ def _sweep_entry(args) -> tuple[float, SweepRecord | None, str | None]:
         return eps, None, f"{type(exc).__name__}: {exc}"
 
 
+def sweep_gaps(eps_list: list[float]) -> list[float]:
+    """The distinct gaps of a sweep, largest first; raises ValueError
+    unless there are at least four of them spanning two decades."""
+    eps_sorted = sorted(set(eps_list), reverse=True)
+    if len(eps_sorted) < 4:
+        raise ValueError("a sweep needs at least four distinct gap values")
+    if eps_sorted[0] / eps_sorted[-1] < 100.0:
+        raise ValueError("a sweep should span at least two decades")
+    return eps_sorted
+
+
 def run_sweep(
     pair: InclusionPair,
     phi: BoundaryData,
@@ -226,12 +241,7 @@ def run_sweep(
     Gap values are independent, so with ``workers`` they solve in a
     process pool; results are assembled in gap order either way.
     """
-    eps_sorted = sorted(set(eps_list), reverse=True)
-    if len(eps_sorted) < 4:
-        raise ValueError("a sweep needs at least four distinct gap values")
-    if eps_sorted[0] / eps_sorted[-1] < 100.0:
-        raise ValueError("a sweep should span at least two decades")
-    jobs = [(pair, eps, phi, params) for eps in eps_sorted]
+    jobs = [(pair, eps, phi, params) for eps in sweep_gaps(eps_list)]
     if workers is not None and workers > 1:
         import concurrent.futures
 

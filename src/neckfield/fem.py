@@ -15,6 +15,17 @@ odd block is factored and solved only when the residual against K_ii is
 still above the 1e-10 bound, i.e. for data with an odd part.  A mesh
 that is not exactly mirror symmetric takes the identity reflection:
 P = I, no odd block, and the even solve is the full solve.
+
+A block of at least ``_DISSECTION_MIN`` unknowns is factored in a
+geometric nested-dissection order (George, SIAM J. Numer. Anal. 10,
+1973), which gives O(N log N) fill on a planar mesh: a k-d tree splits
+the unknowns at the median of each cell's wider axis, the unknowns of a
+cell's low half that couple to its high half form its separator, and
+each separator is numbered after both halves.  SuperLU then factors
+without reordering or pivoting, which the symmetric positive definite
+blocks allow.  Smaller blocks keep SuperLU's COLAMD ordering: the two
+break even at a few thousand unknowns, and the ordering wins from about
+15,000 on (BENCH_7.json has the figures per ladder level).
 """
 
 from __future__ import annotations
@@ -40,6 +51,10 @@ __all__ = [
 
 
 _RESIDUAL_BOUND = 1e-10
+# Blocks from this many unknowns up are ordered by nested dissection,
+# and the dissection stops at cells of at most _DISSECTION_LEAF unknowns.
+_DISSECTION_MIN = 10_000
+_DISSECTION_LEAF = 32
 
 
 class SolverError(RuntimeError):
@@ -70,14 +85,31 @@ class StiffnessOperator:
         self.interior = np.flatnonzero(mesh.vertex_tags == INTERIOR)
         self._k_ii = matrix[self.interior][:, self.interior].tocsc()
         self._k_ib = matrix[self.interior][:, self.boundary].tocsr()
-        self._even, self._odd = _symmetry_bases(mesh, self.interior)
-        self._factors: dict[str, object] = {}
+        self._even, self._odd, self._columns = _symmetry_bases(mesh, self.interior)
+        self._factors: dict[str, tuple[sp.csc_matrix, object]] = {}
 
     def _factor(self, part: str):
-        """LU of the even or odd block of K_ii, factored on first use."""
+        """Basis and LU of the even or odd block of K_ii, factored on first use.
+
+        A block of at least ``_DISSECTION_MIN`` unknowns is factored in
+        nested-dissection order, and the basis returned has its columns in
+        that order, so that the solves need no permutation of their own.
+        """
         if part not in self._factors:
             basis = self._even if part == "even" else self._odd
-            self._factors[part] = spla.splu((basis.T @ self._k_ii @ basis).tocsc())
+            block = (basis.T @ self._k_ii @ basis).tocsc()
+            if block.shape[0] < _DISSECTION_MIN:
+                self._factors[part] = basis, spla.splu(block)
+            else:
+                points = self.mesh.vertices[self.interior[self._columns[part]]]
+                perm = _dissection(block, points)
+                lu = spla.splu(
+                    block[perm][:, perm].tocsc(),
+                    permc_spec="NATURAL",
+                    diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
+                self._factors[part] = basis[:, perm], lu
         return self._factors[part]
 
     def _residual(self, sol: np.ndarray, rhs: np.ndarray) -> float:
@@ -87,10 +119,12 @@ class StiffnessOperator:
         """K_ii^-1 rhs by the even block, plus the odd block when the even
         solution alone misses the residual bound; returns the solution and
         its relative residual."""
-        sol = self._even @ self._factor("even").solve(self._even.T @ rhs)
+        even, lu = self._factor("even")
+        sol = even @ lu.solve(even.T @ rhs)
         res = self._residual(sol, rhs)
         if self._odd.shape[1] and res > _RESIDUAL_BOUND:
-            sol += self._odd @ self._factor("odd").solve(self._odd.T @ (rhs - self._k_ii @ sol))
+            odd, lu = self._factor("odd")
+            sol += odd @ lu.solve(odd.T @ (rhs - self._k_ii @ sol))
             res = self._residual(sol, rhs)
         return sol, res
 
@@ -185,8 +219,11 @@ def _reflection(mesh: Mesh) -> np.ndarray:
     return refl
 
 
-def _symmetry_bases(mesh: Mesh, interior: np.ndarray) -> tuple[sp.csc_matrix, sp.csc_matrix]:
-    """Even basis P and odd basis Q over the interior unknowns.
+def _symmetry_bases(
+    mesh: Mesh, interior: np.ndarray
+) -> tuple[sp.csc_matrix, sp.csc_matrix, dict[str, np.ndarray]]:
+    """Even basis P and odd basis Q over the interior unknowns, and the
+    interior position of the vertex each of their columns belongs to.
 
     P has a column per interior vertex with x >= 0 (every vertex under the
     identity reflection), with a 1 on the vertex and on its mirror; Q has a
@@ -209,31 +246,111 @@ def _symmetry_bases(mesh: Mesh, interior: np.ndarray) -> tuple[sp.csc_matrix, sp
         vals = np.concatenate([np.ones(len(cols)), np.full(int(pair.sum()), sign)])
         return sp.csc_matrix((vals, (rows, at)), shape=(len(interior), len(cols)))
 
-    return basis(even, 1.0), basis(odd, -1.0)
+    return basis(even, 1.0), basis(odd, -1.0), {"even": even, "odd": odd}
+
+
+def _bit_length(a: np.ndarray) -> np.ndarray:
+    """Bit length of each entry of a non-negative integer array below 2**53."""
+    return np.frexp(a)[1].astype(np.int64)
+
+
+def _dissection(block: sp.csc_matrix, points: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of a structurally symmetric block whose
+    unknowns sit at ``points``: ``perm[k]`` is the unknown numbered k.
+
+    A k-d tree splits every cell above ``_DISSECTION_LEAF`` unknowns at the
+    median of its wider axis, one level of cells at a time.  Each coupling
+    between two leaves is cut by their lowest common ancestor; the cutting
+    node takes the coupled unknown of its low half into its separator,
+    unless either unknown already sits in a coarser separator.  A node's
+    range of numbers holds its low subtree, its high subtree, then its
+    separator.
+    """
+    n = block.shape[0]
+    coords = [np.ascontiguousarray(points[:, axis]) for axis in (0, 1)]
+    rank = np.empty(2 * n, dtype=np.int64)  # rank along x, then along y
+    for axis in (0, 1):
+        rank[axis * n + np.argsort(coords[axis], kind="stable")] = np.arange(n)
+    node = np.ones(n, dtype=np.int64)  # heap index of the leaf: root 1, children 2h, 2h + 1
+    live = np.arange(n)  # unknowns of cells still to split, grouped by cell
+    cell = np.zeros(n, dtype=np.int64)
+    sizes = np.array([n])
+    while len(live):
+        first = np.cumsum(sizes) - sizes
+        here = [c[live] for c in coords]
+        x, y = (np.maximum.reduceat(h, first) - np.minimum.reduceat(h, first) for h in here)
+        axis = (y > x).astype(np.int64)
+        live = live[np.argsort(cell * n + rank[(axis * n)[cell] + live])]
+        high = np.arange(len(live)) >= (first + sizes // 2)[cell]
+        node[live] = 2 * node[live] + high
+        child = 2 * cell + high
+        sizes = np.column_stack([sizes // 2, sizes - sizes // 2]).ravel()
+        split = sizes > _DISSECTION_LEAF
+        go = split[child]
+        live, cell, sizes = live[go], (np.cumsum(split) - 1)[child[go]], sizes[split]
+
+    # The lowest common ancestor of the two leaves of each coupling, by
+    # bringing both heap indices to the same depth and dropping the bits
+    # in which they differ.
+    cols = np.repeat(np.arange(n, dtype=block.indices.dtype), np.diff(block.indptr))
+    upper = block.indices < cols
+    ei, ej = block.indices[upper], cols[upper]
+    a, b = node[ei], node[ej]
+    da, db = _bit_length(a), _bit_length(b)
+    a, b = a >> np.maximum(da - db, 0), b >> np.maximum(db - da, 0)
+    below = _bit_length(a ^ b)  # levels between the ancestor and a
+    cut = np.flatnonzero(below)
+    ei, ej, a, below = ei[cut], ej[cut], a[cut], below[cut]
+    depth = _bit_length(a) - 1 - below
+    i_low = ((a >> (below - 1)) & 1) == 0
+    low_end, high_end = np.where(i_low, ei, ej), np.where(i_low, ej, ei)
+    order = np.argsort(depth, kind="stable")
+    low_end, high_end, depth = low_end[order], high_end[order], depth[order]
+    sep = np.full(n, np.iinfo(np.int64).max)  # depth of the separator holding each unknown
+    starts = np.flatnonzero(np.diff(depth, prepend=-1))
+    for lo, hi in zip(starts, np.append(starts[1:], len(depth))):
+        d, u, v = depth[lo], low_end[lo:hi], high_end[lo:hi]
+        sep[u[(sep[u] > d) & (sep[v] > d)]] = d
+
+    # Sort key: the leaf's path, left-aligned to the deepest leaf, so that
+    # every subtree takes a contiguous range; a separator sorts just before
+    # the end of its node's range, deeper separators first.
+    leaf_depth = _bit_length(node) - 1
+    deepest = int(leaf_depth.max())
+    key = ((node - (1 << leaf_depth)) << (deepest - leaf_depth)) * 64
+    s = np.flatnonzero(sep <= deepest)
+    d = sep[s]
+    end = (node[s] >> (leaf_depth[s] - d)) - (1 << d) + 1
+    key[s] = (end << (deepest - d)) * 64 - 1 - d
+    return np.argsort(key, kind="stable")
 
 
 def stiffness_matrix(vertices: np.ndarray, triangles: np.ndarray) -> sp.csr_matrix:
-    """P1 stiffness matrix of counterclockwise triangles (exactly symmetrized)."""
-    p = vertices[triangles]
-    e = np.stack(
-        [p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1
-    )  # edge opposite each vertex
-    area2 = e[:, 2, 0] * (-e[:, 1, 1]) - e[:, 2, 1] * (-e[:, 1, 0])
+    """P1 stiffness matrix of counterclockwise triangles, exactly symmetric."""
+    tri = triangles.astype(np.int32)  # vertex counts stay far below 2**31
+    x, y = vertices[:, 0][tri], vertices[:, 1][tri]
+    # edge opposite each vertex i, from vertex i+1 to vertex i+2
+    ex = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    ey = y[:, [2, 0, 1]] - y[:, [1, 2, 0]]
+    area2 = ex[:, 2] * (-ey[:, 1]) - ey[:, 2] * (-ex[:, 1])
     if np.any(area2 <= 0.0):
         raise SolverError("mesh contains non-positive triangle areas")
-    local = np.einsum("tid,tjd->tij", e, e) / (2.0 * area2)[:, None, None]
-    rows = np.repeat(triangles, 3, axis=1).reshape(-1)
-    cols = np.tile(triangles, (1, 3)).reshape(-1)
+    local = (ex[:, :, None] * ex[:, None, :] + ey[:, :, None] * ey[:, None, :]) / (2.0 * area2)[:, None, None]
+    rows = np.repeat(tri, 3, axis=1).reshape(-1)
+    cols = np.tile(tri, (1, 3)).reshape(-1)
     k = sp.coo_matrix(
         (local.reshape(-1), (rows, cols)),
         shape=(len(vertices), len(vertices)),
     ).tocsr()
-    k = (k + k.T) * 0.5
-    return k.tocsr()
+    # Already exactly symmetric: each local matrix is, and an off-diagonal
+    # entry sums at most two contributions, in either order.  What is left
+    # to drop are the zeros of right angles and of cancelling pairs.
+    k.eliminate_zeros()
+    return k
 
 
 def assemble(mesh: Mesh) -> StiffnessOperator:
-    """Assemble the P1 stiffness matrix (exactly symmetrized)."""
+    """Assemble the P1 stiffness matrix, exactly symmetric."""
     return StiffnessOperator(mesh, stiffness_matrix(mesh.vertices, mesh.triangles))
 
 

@@ -77,6 +77,22 @@ class TestConfig:
         assert f"within {margin} of the outer boundary" in msg
         assert all(name in msg for name in ("split", "curvatures", "outer_radius"))
 
+    @pytest.mark.parametrize(
+        "sweep,msg",
+        [
+            ("count = 3", "at least four distinct gap values"),
+            ("epsilons = 1e-2 1e-3 1e-3 1e-4", "at least four distinct gap values"),
+            ("start = 1e-2\nfactor = 2.0", "span at least two decades"),
+        ],
+    )
+    def test_short_sweep_located(self, sweep, msg):
+        # run_sweep would refuse these gaps after start-up
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[geometry]\ndimension = 2\n\n[sweep]\n{sweep}\n")
+        (line, key, text), = err.value.problems
+        assert (line, key) == (4, "sweep")
+        assert msg in text
+
     def test_inadmissible_pair_rejected_at_parse(self):
         # any geometry the pair constructor refuses fails before meshing
         for text, cause in (
@@ -143,6 +159,13 @@ class TestCommands:
         path.write_text(f"[geometry]\nsplit = {split}\n[output]\ndirectory = {tmp_path / 'out'}\n")
         assert main(["sweep", "--config", str(path)]) == 2
         assert "[split]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_short_sweep_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "short.cfg"
+        path.write_text(f"[sweep]\ncount = 3\n[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "line 1: [sweep] a sweep needs at least four distinct gap values" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_mesh_solve_sweep_report(self, tmp_path, capsys):

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from neckfield import experiments, fem
+from neckfield.closed_forms import gap_rate_m
 from neckfield.conductivity import BoundaryData, neck_interpolant, solve_bundle
 from neckfield.experiments import (
     SWEEP_CSV_HEADER,
@@ -151,6 +153,31 @@ class TestFitLine:
         with pytest.raises(ValueError, match="collinear"):
             fit_line(x, x, max_cond=1e12)
         fit_line(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]), max_cond=1e12)
+
+    @pytest.mark.parametrize("design", ["order-6 energy", "nearly collinear"])
+    def test_standard_errors_keep_their_digits(self, design):
+        # Against A'A and its inverse in exact rational arithmetic.  The
+        # energy fit's 1/rate over twelve gaps has cond(A'A) = 2.6e13 from
+        # the scale of its columns; x = 1 + k*1e-6 has cond(A'A) = 1.4e12
+        # from near collinearity, where inverting the rounded A'A loses
+        # 7.6e-6 of the standard errors.
+        if design == "order-6 energy":
+            x = np.array([1.0 / gap_rate_m(1e-2 / 4.0**k, 2, 6.0) for k in range(12)])
+        else:
+            x = 1.0 + 1e-6 * np.arange(6.0)
+        y = math.pi * x + 3.2 + 1e-3 * np.cos(np.arange(len(x)))
+        fit = fit_line(x, y)
+        sxx, sx, n = sum(Fraction(v) ** 2 for v in x), sum(Fraction(v) for v in x), len(x)
+        det = n * sxx - sx * sx
+        trace = float(sxx + n)
+        largest = 0.5 * (trace + math.sqrt(trace**2 - 4.0 * float(det)))
+        cond = largest**2 / float(det)
+        sigma = fit.residual_norm / math.sqrt(n - 2)
+        assert fit.stderr == pytest.approx(sigma * math.sqrt(n / det), rel=1e-9)
+        assert fit.intercept_stderr == pytest.approx(sigma * math.sqrt(sxx / det), rel=1e-9)
+        with pytest.raises(ValueError, match="collinear"):
+            fit_line(x, y, max_cond=cond / 1.01)
+        fit_line(x, y, max_cond=cond * 1.01)
 
 
 class TestFitRate:

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from neckfield import fem
@@ -14,7 +15,9 @@ from neckfield.mesh import (
     Mesh,
     MeshParams,
     generate,
+    generate_touching,
     mesh_convex_polygon,
+    refine_quadrisect,
 )
 
 
@@ -78,6 +81,40 @@ class TestAssembly:
         for _ in range(5):
             x = rng.standard_normal(op.matrix.shape[0])
             assert x @ (op.matrix @ x) >= -1e-9
+
+
+def _symmetrized_stiffness(vertices, triangles):
+    # The former assembly, which symmetrized K as (K + K') / 2.
+    p = vertices[triangles]
+    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
+    area2 = e[:, 2, 0] * (-e[:, 1, 1]) - e[:, 2, 1] * (-e[:, 1, 0])
+    local = np.einsum("tid,tjd->tij", e, e) / (2.0 * area2)[:, None, None]
+    rows = np.repeat(triangles, 3, axis=1).reshape(-1)
+    cols = np.tile(triangles, (1, 3)).reshape(-1)
+    k = sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(len(vertices), len(vertices))).tocsr()
+    return ((k + k.T) * 0.5).tocsr(), int(np.count_nonzero(k.data == 0.0))
+
+
+class TestAssemblyBits:
+    @pytest.mark.parametrize("case", ["default", "quadrisected", "touching", "quartic"])
+    def test_equals_symmetrized_formula(self, pair, op, case):
+        if case == "default":
+            mesh = op.mesh
+        elif case == "quadrisected":
+            mesh = refine_quadrisect(op.mesh, pair)
+        elif case == "touching":
+            mesh = generate_touching(pair.with_gap(0.0), 0.05, MeshParams())
+        else:
+            quartic = InclusionPair(2, NeckProfile(kind=ProfileKind.POWER_LAW, order=4.0, coefficient=4.0), 1e-3)
+            mesh = generate(quartic, MeshParams())
+        want, zeros = _symmetrized_stiffness(mesh.vertices, mesh.triangles)
+        got = fem.stiffness_matrix(mesh.vertices, mesh.triangles)
+        if case == "quadrisected":
+            assert zeros > 0  # the explicit zeros that eliminate_zeros drops
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestSolve:
@@ -269,3 +306,62 @@ class TestAcrossGaps:
     def test_unknown_region_rejected(self, v1):
         with pytest.raises(ValueError):
             fem.max_gradient(v1, "nowhere")
+
+
+class _SpluLog:
+    """Stands in for ``scipy.sparse.linalg`` inside ``fem``, recording the
+    size and keyword arguments of every splu call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def splu(self, matrix, **kwargs):
+        self.calls.append((matrix.shape[0], kwargs))
+        return spla.splu(matrix, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+
+@pytest.fixture(scope="module")
+def ladder_op(pair):
+    mesh = generate(pair, MeshParams())
+    for _ in range(2):
+        mesh = refine_quadrisect(mesh, pair)
+    return fem.assemble(mesh)
+
+
+def _even_block(op):
+    block = (op._even.T @ op._k_ii @ op._even).tocsc()
+    return block, op.mesh.vertices[op.interior[op._columns["even"]]]
+
+
+class TestDissection:
+    def test_order_is_a_permutation(self, op, ladder_op):
+        for case in (op, ladder_op):
+            block, points = _even_block(case)
+            perm = fem._dissection(block, points)
+            assert np.array_equal(np.sort(perm), np.arange(block.shape[0]))
+
+    def test_ordered_factor_solves_and_fills_less(self, ladder_op, monkeypatch):
+        block, _ = _even_block(ladder_op)
+        assert block.shape[0] >= fem._DISSECTION_MIN
+        log = _SpluLog()
+        monkeypatch.setattr(fem, "spla", log)
+        fresh = fem.StiffnessOperator(ladder_op.mesh, ladder_op.matrix)
+        rhs = np.random.default_rng(20261018).standard_normal(len(fresh.interior))
+        _, res = fresh._solve(rhs)
+        assert res <= 1e-12
+        assert sorted(fresh._factors) == ["even", "odd"]
+        assert [kwargs["permc_spec"] for _, kwargs in log.calls] == ["NATURAL", "NATURAL"]
+        _, lu = fresh._factor("even")
+        colamd = spla.splu(block)
+        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+    def test_small_block_keeps_colamd(self, op, monkeypatch):
+        log = _SpluLog()
+        monkeypatch.setattr(fem, "spla", log)
+        fresh = fem.StiffnessOperator(op.mesh, op.matrix)
+        fresh.solve_dirichlet({INCLUSION1: 1.0, INCLUSION2: 0.0, OUTER: 0.0})
+        assert log.calls == [(fresh._even.shape[1], {})]
+        assert fresh._even.shape[1] < fem._DISSECTION_MIN
