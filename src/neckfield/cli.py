@@ -20,7 +20,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, fem
 from .acceptance import run_all
@@ -52,6 +51,8 @@ def _load_config(path: str | None) -> tuple[ExperimentConfig, str]:
 
 
 def _write_manifest(outdir: Path, cfg: ExperimentConfig, timings: dict[str, float], outputs: list[str]) -> None:
+    import scipy
+
     canonical = emit_config(cfg)
     manifest = {
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),

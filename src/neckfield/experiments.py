@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -239,13 +240,22 @@ def run_sweep(
     """One record per gap, largest gap first; per-gap failures collected.
 
     Gap values are independent, so with ``workers`` they solve in a
-    process pool; results are assembled in gap order either way.
+    process pool of at most one process per gap and per CPU; results are
+    assembled in gap order either way.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     jobs = [(pair, eps, phi, params) for eps in sweep_gaps(eps_list)]
-    if workers is not None and workers > 1:
+    pool_size = min(workers or 1, len(jobs), os.cpu_count() or 1)
+    if pool_size > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # Imported once here, so the forked workers inherit scipy instead
+        # of each importing it at its first mesh.
+        import scipy.sparse.linalg  # noqa: F401
+        import scipy.spatial  # noqa: F401
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
             outcomes = list(pool.map(_sweep_entry, jobs))
     else:
         outcomes = [_sweep_entry(job) for job in jobs]

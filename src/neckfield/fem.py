@@ -26,6 +26,10 @@ without reordering or pivoting, which the symmetric positive definite
 blocks allow.  Smaller blocks keep SuperLU's COLAMD ordering: the two
 break even at a few thousand unknowns, and the ordering wins from about
 15,000 on (BENCH_7.json has the figures per ladder level).
+
+``sp`` and ``spla`` are deferred stand-ins for ``scipy.sparse`` and
+``scipy.sparse.linalg`` (``mesh._Deferred``): the first assembly or
+solve imports them, so commands that never solve load no scipy.
 """
 
 from __future__ import annotations
@@ -34,10 +38,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .mesh import INTERIOR, Mesh
+from .mesh import INTERIOR, Mesh, _Deferred
+
+sp = _Deferred("scipy.sparse")
+spla = _Deferred("scipy.sparse.linalg")
 
 __all__ = [
     "SolverError",

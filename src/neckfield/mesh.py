@@ -13,20 +13,37 @@ displacement; a gap whose moved far field misses the minimum angle gets
 one refined at that gap.
 
 Boundary edge tags: OUTER, INCLUSION1 (upper), INCLUSION2 (lower).
+
+``spatial`` and ``spla`` are deferred stand-ins for ``scipy.spatial`` and
+``scipy.sparse.linalg``, each imported at its first use (the first
+far-field mesh), so importing the package loads no scipy.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .geometry import InclusionPair
+
+
+class _Deferred:
+    """Stands in for a module and imports it at the first attribute access."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+spla = _Deferred("scipy.sparse.linalg")
+spatial = _Deferred("scipy.spatial")
 
 __all__ = [
     "MeshError",
@@ -440,8 +457,8 @@ def _refine_polygon(chains: list[_Chain], size_fn, h: float) -> _Piece:
         if len(pts) > _MAX_POINTS:
             raise MeshError(f"refinement exceeded {_MAX_POINTS} points")
         try:
-            tri = Delaunay(pts)
-        except QhullError as exc:  # pragma: no cover - defensive
+            tri = spatial.Delaunay(pts)
+        except spatial.QhullError as exc:
             raise MeshError(f"Delaunay triangulation failed: {exc}") from exc
         seg_a, seg_b, seg_prot, seg_ci, seg_k = _segment_arrays(chains, chain_ids)
         poly = boundary[seg_a]
@@ -504,7 +521,7 @@ def _refine_polygon(chains: list[_Chain], size_fn, h: float) -> _Piece:
         raise MeshError(f"far-field refinement did not settle within the iteration budget of {max_iter}")
 
     pts = np.concatenate([np.asarray(coords), *free])
-    tri = Delaunay(pts)
+    tri = spatial.Delaunay(pts)
     poly = _polygon_points(chains)
     cells = tri.simplices
     keep = _points_inside(poly, pts[cells].mean(axis=1))
@@ -531,7 +548,7 @@ def _screen_candidates(cands, inside, pts, mid, rad2, seg_prot, size_fn) -> tupl
     split = []
     out = np.flatnonzero(~inside)
     if len(out):
-        q, s = _ball_pairs(mid, cands[out], cKDTree(mid).query(cands[out])[0])
+        q, s = _ball_pairs(mid, cands[out], spatial.cKDTree(mid).query(cands[out])[0])
         d2 = np.sum((mid[s] - cands[out][q]) ** 2, axis=1)
         first = np.lexsort((s, d2, q))
         owner = s[first][np.unique(q[first], return_index=True)[1]]
@@ -550,7 +567,7 @@ def _screen_candidates(cands, inside, pts, mid, rad2, seg_prot, size_fn) -> tupl
     fresh = cands[ins[~enc]]
     radius = 0.45 * size_fn(fresh)
     if len(fresh):
-        near = cKDTree(pts).query(fresh)[0] < radius
+        near = spatial.cKDTree(pts).query(fresh)[0] < radius
         fresh, radius = fresh[~near], radius[~near]
     j, i = _ball_pairs(fresh, fresh, radius)
     earlier = i < j
@@ -570,7 +587,7 @@ def _ball_pairs(points: np.ndarray, queries: np.ndarray, radii: np.ndarray) -> t
     query's radius: a kd-tree superset for an exact test by the caller."""
     if len(points) == 0 or len(queries) == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    hits = cKDTree(points).query_ball_point(queries, radii * (1.0 + 1e-9))
+    hits = spatial.cKDTree(points).query_ball_point(queries, radii * (1.0 + 1e-9))
     counts = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
     q = np.repeat(np.arange(len(hits)), counts)
     p = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=int(counts.sum()))

@@ -124,6 +124,36 @@ class TestRunSweep:
             assert seq.energy_v1 == par.energy_v1
             assert seq.b_factor == par.b_factor
 
+    @pytest.mark.parametrize(
+        "workers,cpus,pool",
+        [(64, 8, 4), (3, 2, 2), (2, 8, 2), (2, 1, None), (2, None, None), (1, 8, None), (None, 8, None)],
+    )
+    def test_worker_pool_is_capped(self, pair, phi, monkeypatch, workers, cpus, pool):
+        # The executor only records its size: no process is started.
+        import concurrent.futures
+
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(experiments, "_sweep_entry", lambda job: (job[1], job[1], None))
+        records, failures = run_sweep(pair, phi, [1e-2, 1e-3, 1e-4, 1e-5], MeshParams(), workers=workers)
+        assert sizes == ([] if pool is None else [pool])
+        assert records == [1e-2, 1e-3, 1e-4, 1e-5] and not failures
+
 
 class TestFitLine:
     def test_exact_line_recovery(self):

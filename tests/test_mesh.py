@@ -468,6 +468,17 @@ class TestIterationBudget:
         assert report.passed, report.failures
         assert report.far_min_angle_deg >= 20.0
 
+    def test_qhull_failure_is_a_mesh_error(self, pair, cold_far_field, monkeypatch):
+        import scipy.spatial
+
+        def degenerate(points):
+            raise scipy.spatial.QhullError("QH6154 initial simplex is flat")
+
+        monkeypatch.setattr(scipy.spatial, "Delaunay", degenerate)
+        with pytest.raises(MeshError, match="Delaunay triangulation failed: QH6154") as err:
+            generate(pair, MeshParams())
+        assert isinstance(err.value.__cause__, scipy.spatial.QhullError)
+
     def test_over_budget_refinement_fails_at_once(self, pair):
         params = MeshParams(refinement=8)
         with pytest.raises(MeshError, match=r"needs about 241275 points, above the budget of 200000"):
