@@ -5,10 +5,21 @@ are solved once) returning a CriterionResult; run_all executes every
 criterion and reports one pass/fail line each.  Geometry and boundary
 data are pinned per criterion; mesh resolution and fit tolerances come
 from the configuration.
+
+The heavy artifacts share no data, so with two usable CPUs run_all builds
+them on two processes before the criteria ask for them
+(``AcceptanceContext.prefetch``): this process solves the finest level of
+the quadrisection ladder, the largest working set, while one forked worker
+solves both gap sweeps, the coarser ladder levels and the truncated-cusp
+factor.  The criteria then run in order on those results with the same
+code, so every number is what the sequential run gives, and an artifact's
+error is raised when the first criterion that needs it asks for it.  With
+one usable CPU every artifact is built when first asked for.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, replace
@@ -16,21 +27,27 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import closed_forms as cf
-from . import fem
+from . import experiments, fem
 from .conductivity import BoundaryData, solve_bundle, solve_limit_direct
 from .config import ExperimentConfig
 from .experiments import (
+    convergence_report,
     fit_blowup_limit,
     fit_energy_constants,
     fit_line,
     fit_rate,
+    ladder_solves,
     mesh_convergence,
     run_sweep,
 )
 from .geometry import InclusionPair, NeckProfile, ProfileKind
-from .mesh import INCLUSION1, INCLUSION2, OUTER, generate
+from .mesh import INCLUSION1, INCLUSION2, OUTER, MeshParams, generate
 
 __all__ = ["CriterionResult", "AcceptanceContext", "run_all", "CRITERIA"]
+
+# What ``AcceptanceContext.prefetch`` builds in its worker, in the order
+# the criteria ask for it.
+WORKER_ARTIFACTS = ("sweep_m2", "sweep_m4", "ladder_coarse", "b0_dir")
 
 
 @dataclass
@@ -46,7 +63,13 @@ class CriterionResult:
 
 
 class AcceptanceContext:
-    """Shared solves for the acceptance criteria."""
+    """Shared solves for the acceptance criteria.
+
+    ``_builders`` gives one function per heavy artifact.  ``_get`` returns
+    an artifact from the cache, else takes it from what ``prefetch`` built,
+    else builds it inline.  ``build_seconds`` holds the build time of each
+    artifact taken from ``prefetch``, which no criterion's clock saw.
+    """
 
     def __init__(self, cfg: ExperimentConfig | None = None):
         self.cfg = cfg or ExperimentConfig()
@@ -55,6 +78,26 @@ class AcceptanceContext:
         self.phi = BoundaryData(kind="linear_xn")
         self.eps_list = [1e-2 * 4.0 ** (-k) for k in range(6)]
         self._cache: dict[str, object] = {}
+        self._ready: dict[str, object] = {}  # key -> Future of (artifact, seconds)
+        self.build_seconds: dict[str, float] = {}
+
+    def _builders(self) -> dict:
+        """One function per heavy artifact.  Made afresh at each build, so
+        that no closure keeps the context alive after its run."""
+        quad = self.quad_pair(1e-3)
+        ladder = (quad, self.phi, self.params)
+        return {
+            "sweep_m2": lambda: run_sweep(quad, self.phi, self.eps_list, self.params),
+            "sweep_m4": lambda: run_sweep(self.pow4_pair(1e-3), self.phi, self.eps_list, self.params),
+            # Stiffness operator, with its mesh and LU factorization, of the
+            # quadratic pair at gap 1e-3 on the configured mesh.
+            "op_m2": lambda: fem.assemble(generate(quad, self.params)),
+            "convergence": lambda: mesh_convergence(*ladder, levels=4),
+            "ladder_coarse": lambda: ladder_solves(*ladder, range(3)),
+            "ladder_finest": lambda: ladder_solves(*ladder, range(3, 4)),
+            "b0_ext": lambda: fit_blowup_limit(self.records_m2()),
+            "b0_dir": lambda: _truncated_cusp_factor(self.quad_pair(0.0), self.phi, self.params),
+        }
 
     # pinned geometries ----------------------------------------------------
 
@@ -68,15 +111,54 @@ class AcceptanceContext:
 
     # cached heavy artifacts ------------------------------------------------
 
-    def _get(self, key: str, build):
+    def _build(self, key: str) -> tuple[object, float]:
+        """Build an artifact; returns it and the seconds it took."""
+        t0 = time.perf_counter()
+        value = self._builders()[key]()
+        return value, time.perf_counter() - t0
+
+    def _get(self, key: str):
         if key not in self._cache:
-            self._cache[key] = build()
+            if key in self._ready:
+                value, self.build_seconds[key] = self._ready.pop(key).result()
+            else:
+                value, _ = self._build(key)
+            self._cache[key] = value
         return self._cache[key]
+
+    @contextlib.contextmanager
+    def prefetch(self):
+        """Build the heavy artifacts on two processes for the length of the
+        block: WORKER_ARTIFACTS in one forked worker and, meanwhile, the
+        finest ladder level here.
+
+        Each result, or the error that building it raised, waits until
+        ``_get`` asks for it.  With one usable CPU nothing is prefetched.
+        On leaving the block the worker is stopped: queued builds are
+        cancelled and a running one is waited for.
+        """
+        if experiments._usable_cpus() < 2:
+            yield
+            return
+        from concurrent.futures import Future
+
+        warm = [(self.quad_pair(1e-3), self.params)]  # the far field both processes need
+        pool = experiments._fork_pool(1, warm, initializer=_adopt, initargs=(self,))
+        try:
+            for key in WORKER_ARTIFACTS:
+                self._ready[key] = pool.submit(_build_adopted, key)
+            self._ready["ladder_finest"] = finest = Future()
+            try:
+                finest.set_result(self._build("ladder_finest"))
+            except Exception as exc:  # raised again by _get, as the worker's errors are
+                finest.set_exception(exc)
+            yield
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     def sweep(self, order: int):
         """Records and per-gap failures of the quadratic (2) or quartic (4) sweep."""
-        pair = self.quad_pair(1e-3) if order == 2 else self.pow4_pair(1e-3)
-        return self._get(f"sweep_m{order}", lambda: run_sweep(pair, self.phi, self.eps_list, self.params))
+        return self._get(f"sweep_m{order}")
 
     def records_m2(self):
         return self.sweep(2)[0]
@@ -93,33 +175,45 @@ class AcceptanceContext:
         ]
 
     def default_operator(self) -> fem.StiffnessOperator:
-        """Stiffness operator, with its mesh and LU factorization, of the
-        quadratic pair at gap 1e-3 on the configured mesh; C3 and C6 share it."""
-        return self._get("op_m2", lambda: fem.assemble(generate(self.quad_pair(1e-3), self.params)))
+        """The operator of the quadratic pair at gap 1e-3; C3 and C6 share it."""
+        return self._get("op_m2")
 
     def convergence(self):
-        return self._get(
-            "convergence",
-            lambda: mesh_convergence(self.quad_pair(1e-3), self.phi, self.params, levels=4),
-        )
+        if "convergence" not in self._cache and "ladder_finest" in self._ready:
+            # Prefetched in two parts; the coarse levels first, so that an
+            # error surfaces in level order, as in one mesh_convergence.
+            solves = self._get("ladder_coarse") + self._get("ladder_finest")
+            self._cache["convergence"] = convergence_report(solves)
+        return self._get("convergence")
 
     def blowup_extrapolated(self):
         """The m = 2 sweep's blow-up factor extrapolated to the touching limit."""
-        return self._get("b0_ext", lambda: fit_blowup_limit(self.records_m2()))
+        return self._get("b0_ext")
 
     def blowup_direct(self) -> tuple[float, float]:
-        """Truncated-cusp factor and its uncertainty, which includes the
-        change under two more levels of far-field refinement."""
+        """Truncated-cusp factor and its uncertainty."""
+        return self._get("b0_dir")
 
-        def build():
-            pair0 = self.quad_pair(0.0)
-            cuts = [0.08, 0.04, 0.02]
-            base = solve_limit_direct(pair0, self.phi, cuts, self.params)
-            finer_params = replace(self.params, refinement=self.params.refinement + 2)
-            finer = solve_limit_direct(pair0, self.phi, cuts, finer_params)
-            return base.b0, base.b0_uncertainty + abs(base.b0 - finer.b0)
 
-        return self._get("b0_dir", build)
+def _truncated_cusp_factor(pair0: InclusionPair, phi: BoundaryData, params: MeshParams) -> tuple[float, float]:
+    """Truncated-cusp factor and its uncertainty, which includes the change
+    under two more levels of far-field refinement."""
+    cuts = [0.08, 0.04, 0.02]
+    base = solve_limit_direct(pair0, phi, cuts, params)
+    finer = solve_limit_direct(pair0, phi, cuts, replace(params, refinement=params.refinement + 2))
+    return base.b0, base.b0_uncertainty + abs(base.b0 - finer.b0)
+
+
+_adopted: AcceptanceContext | None = None  # in a prefetch worker, the context it builds for
+
+
+def _adopt(ctx: AcceptanceContext) -> None:
+    global _adopted
+    _adopted = ctx
+
+
+def _build_adopted(key: str) -> tuple[object, float]:
+    return _adopted._build(key)
 
 
 def _result(name: str, t0: float, checks: list[tuple[str, bool]]) -> CriterionResult:
@@ -226,6 +320,8 @@ def criterion_4_blowup_rates(ctx: AcceptanceContext) -> CriterionResult:
     tol = ctx.tol.rate_slope
     rec2 = ctx.records_m2()
     rec4 = ctx.records_m4()
+    # Sweeps built by prefetch ran off this clock; the budget counts them.
+    t0 -= sum(ctx.build_seconds.get(key, 0.0) for key in ("sweep_m2", "sweep_m4"))
     checks = ctx.dropped_gaps(2, 4)
     s_u2 = fit_rate(rec2, "max_grad_u_neck").slope
     checks.append((f"m=2 slope of max|grad u| = {s_u2:.4f} in -0.5 +- {tol}", abs(s_u2 + 0.5) <= tol))
@@ -391,13 +487,15 @@ CRITERIA = (
 
 
 def run_all(cfg: ExperimentConfig | None = None, echo=print) -> list[CriterionResult]:
-    """Run every criterion, one pass/fail line each."""
+    """Run every criterion, one pass/fail line each, on the artifacts that
+    ``AcceptanceContext.prefetch`` builds."""
     ctx = AcceptanceContext(cfg)
     results = []
-    for criterion in CRITERIA:
-        result = criterion(ctx)
-        results.append(result)
-        echo(result.line())
-        for detail in result.details:
-            echo(f"    {detail}")
+    with ctx.prefetch():
+        for criterion in CRITERIA:
+            result = criterion(ctx)
+            results.append(result)
+            echo(result.line())
+            for detail in result.details:
+                echo(f"    {detail}")
     return results

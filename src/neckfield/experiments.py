@@ -11,6 +11,7 @@ touching limit.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -24,7 +25,7 @@ from . import fem
 from .closed_forms import energy_limit_constant, gap_rate_m, printed_energy_constant
 from .conductivity import BoundaryData, SolveBundle, neck_interpolant, neck_remainder, solve_bundle
 from .geometry import GeometryError, InclusionPair
-from .mesh import Mesh, MeshError, MeshParams, generate, refine_quadrisect
+from .mesh import Mesh, MeshError, MeshParams, _far_reference, generate, refine_quadrisect
 from .quadrature import QuadratureError
 
 __all__ = [
@@ -43,6 +44,8 @@ __all__ = [
     "fit_energy_constants",
     "verify_leading_term",
     "mesh_convergence",
+    "ladder_solves",
+    "convergence_report",
     "vb_station_profile",
     "records_to_csv",
     "SWEEP_CSV_HEADER",
@@ -230,6 +233,36 @@ def sweep_gaps(eps_list: list[float]) -> list[float]:
     return eps_sorted
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, so a run pinned to one CPU stays in one process."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_pool(workers: int, warm: list[tuple[InclusionPair, MeshParams]], **kwargs):
+    """Process pool of ``workers`` forked processes; ``kwargs`` go to the
+    executor.
+
+    scipy and the gap-0 far field of each (pair, params) in ``warm`` are
+    loaded first, so the workers inherit them instead of each importing
+    scipy and refining the far field again.  A far field that fails here
+    fails again, and is reported, where a mesh needs it.
+    """
+    import concurrent.futures
+    import multiprocessing
+
+    import scipy.sparse.linalg  # noqa: F401
+    import scipy.spatial  # noqa: F401
+
+    for pair, params in warm:
+        with contextlib.suppress(MeshError):
+            _far_reference(pair.with_gap(0.0), params)
+    context = multiprocessing.get_context("fork")
+    return concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=context, **kwargs)
+
+
 def run_sweep(
     pair: InclusionPair,
     phi: BoundaryData,
@@ -240,22 +273,15 @@ def run_sweep(
     """One record per gap, largest gap first; per-gap failures collected.
 
     Gap values are independent, so with ``workers`` they solve in a
-    process pool of at most one process per gap and per CPU; results are
-    assembled in gap order either way.
+    process pool of at most one process per gap and per usable CPU;
+    results are assembled in gap order either way.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     jobs = [(pair, eps, phi, params) for eps in sweep_gaps(eps_list)]
-    pool_size = min(workers or 1, len(jobs), os.cpu_count() or 1)
+    pool_size = min(workers or 1, len(jobs), _usable_cpus())
     if pool_size > 1:
-        import concurrent.futures
-
-        # Imported once here, so the forked workers inherit scipy instead
-        # of each importing it at its first mesh.
-        import scipy.sparse.linalg  # noqa: F401
-        import scipy.spatial  # noqa: F401
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
+        with _fork_pool(pool_size, [(pair, params)]) as pool:
             outcomes = list(pool.map(_sweep_entry, jobs))
     else:
         outcomes = [_sweep_entry(job) for job in jobs]
@@ -407,6 +433,53 @@ class ConvergenceReport:
     error_bar_rel: float
 
 
+def ladder_solves(
+    pair: InclusionPair, phi: BoundaryData, params: MeshParams, levels: range
+) -> list[tuple[float, float, float]]:
+    """Energy, level gap c1 - c2 and blow-up factor at each of ``levels``
+    of the quadrisection ladder over ``generate(pair, params)``.
+
+    The meshes below ``levels`` are built but not solved, so one ladder
+    can be solved in parts, each part on its own process.
+    """
+    mesh = generate(pair, params)
+    solves = []
+    for level in range(levels.stop):
+        if level:
+            mesh = refine_quadrisect(mesh, pair)
+        if level in levels:
+            bundle = solve_bundle(mesh, phi)
+            solves.append((bundle.a11, bundle.c1 - bundle.c2, bundle.b_factor))
+    return solves
+
+
+def convergence_report(solves: list[tuple[float, float, float]], shrink_factor: float = 1.5) -> ConvergenceReport:
+    """Difference decay over the ``ladder_solves`` of levels 0, 1, 2, ..."""
+    energies, c_diffs, b_factors = (list(series) for series in zip(*solves))
+    min_shrink = math.inf
+    shrink_ok = True
+    for series in (energies, c_diffs, b_factors):
+        d = np.abs(np.diff(np.asarray(series)))
+        if np.any(d == 0.0):
+            continue  # converged below rounding; cannot shrink further
+        ratios = d[:-1] / d[1:]
+        if len(ratios):
+            min_shrink = min(min_shrink, float(ratios.min()))
+            if np.any(ratios < shrink_factor):
+                shrink_ok = False
+    error_bar = abs(energies[-1] - energies[-2])
+    return ConvergenceReport(
+        levels=len(solves),
+        energies=tuple(energies),
+        c_diffs=tuple(c_diffs),
+        b_factors=tuple(b_factors),
+        shrink_ok=shrink_ok,
+        min_shrink=min_shrink,
+        error_bar=error_bar,
+        error_bar_rel=error_bar / abs(energies[-1]),
+    )
+
+
 def mesh_convergence(
     pair: InclusionPair,
     phi: BoundaryData,
@@ -421,37 +494,7 @@ def mesh_convergence(
     """
     if levels < 3:
         raise ValueError("need at least three ladder levels")
-    mesh = generate(pair, params)
-    energies, c_diffs, b_factors = [], [], []
-    for level in range(levels):
-        if level:
-            mesh = refine_quadrisect(mesh, pair)
-        bundle = solve_bundle(mesh, phi)
-        energies.append(bundle.a11)
-        c_diffs.append(bundle.c1 - bundle.c2)
-        b_factors.append(bundle.b_factor)
-    min_shrink = math.inf
-    shrink_ok = True
-    for series in (energies, c_diffs, b_factors):
-        d = np.abs(np.diff(np.asarray(series)))
-        if np.any(d == 0.0):
-            continue  # converged below rounding; cannot shrink further
-        ratios = d[:-1] / d[1:]
-        if len(ratios):
-            min_shrink = min(min_shrink, float(ratios.min()))
-            if np.any(ratios < shrink_factor):
-                shrink_ok = False
-    error_bar = abs(energies[-1] - energies[-2])
-    return ConvergenceReport(
-        levels=levels,
-        energies=tuple(energies),
-        c_diffs=tuple(c_diffs),
-        b_factors=tuple(b_factors),
-        shrink_ok=shrink_ok,
-        min_shrink=min_shrink,
-        error_bar=error_bar,
-        error_bar_rel=error_bar / abs(energies[-1]),
-    )
+    return convergence_report(ladder_solves(pair, phi, params, range(levels)), shrink_factor)
 
 
 # ---------------------------------------------------------------------------

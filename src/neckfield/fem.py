@@ -201,7 +201,7 @@ def _reflection(mesh: Mesh) -> np.ndarray:
     identity = np.arange(count)
     # Sorted by |x| then y, the vertices on the axis come first and every
     # other vertex sits next to its mirror image.
-    order = np.argsort(np.abs(x) + 1j * y)
+    order = np.argsort(_dense_rank(np.abs(x)) * count + _dense_rank(y))
     off_axis = order[np.count_nonzero(x == 0.0):]
     if len(off_axis) % 2:
         return identity
@@ -213,15 +213,26 @@ def _reflection(mesh: Mesh) -> np.ndarray:
     if not np.array_equal(mesh.vertex_tags[refl], mesh.vertex_tags):
         return identity
 
-    def keys(tris: np.ndarray) -> np.ndarray:
-        t0, t1, t2 = tris.astype(np.int64).T
+    def keys(corners: np.ndarray) -> np.ndarray:
+        t0, t1, t2 = corners
         lo = np.minimum(np.minimum(t0, t1), t2)
         hi = np.maximum(np.maximum(t0, t1), t2)
-        return np.sort((lo * count + (t0 + t1 + t2 - lo - hi)) * count + hi)
+        return np.sort((lo.astype(np.int64) * count + (t0 + t1 + t2 - lo - hi)) * count + hi)
 
-    if not np.array_equal(keys(refl[mesh.triangles]), keys(mesh.triangles)):
+    # One contiguous int32 row of vertex ids per triangle corner.
+    corners = np.ascontiguousarray(mesh.triangles.T, dtype=np.int32)
+    if not np.array_equal(keys(refl.astype(np.int32)[corners]), keys(corners)):
         return identity
     return refl
+
+
+def _dense_rank(values: np.ndarray) -> np.ndarray:
+    """Rank of each entry among the distinct values; equal values share one."""
+    order = np.argsort(values)
+    ordered = values[order]
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
+    return rank
 
 
 def _symmetry_bases(

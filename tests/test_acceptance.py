@@ -3,9 +3,14 @@
 Heavy solves (the two gap sweeps, the refinement ladder, the two
 touching-limit estimates) are shared through a session context, so the
 whole gate runs in well under its budgets.  Each test prints the
-criterion's pass/fail line and its detail rows.
+criterion's pass/fail line and its detail rows.  The tests of ``run_all``
+set the usable CPU count, which decides whether a worker is forked.
 """
 
+import gc
+import multiprocessing
+import re
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -94,3 +99,77 @@ def test_c8_fails_when_center_gradient_is_not_small(ctx, both_zero):
     assert not result.passed
     center_lines = [d for d in result.details if "half-neck" in d]
     assert len(center_lines) == 2 and all(d.startswith("BAD") for d in center_lines)
+
+
+def _run_all(monkeypatch, cpus):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    return acceptance.run_all(echo=lambda line: None)
+
+
+def _lines(results):
+    """Every result and detail line, runtimes aside."""
+    lines = []
+    for result in results:
+        lines.append(re.sub(r"\([\d.]+s\)$", "", result.line()))
+        lines += [re.sub(r"runtime [\d.]+s", "runtime", detail) for detail in result.details]
+    return lines
+
+
+def test_worker_gate_equals_inline_gate(monkeypatch):
+    inline = _lines(_run_all(monkeypatch, 1))
+    forked = _lines(_run_all(monkeypatch, 2))
+    assert forked == inline
+    assert sum(line.endswith(": PASS ") for line in forked) == 9
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_programming_error_crashes(monkeypatch):
+    def broken(*args):
+        raise TypeError("not a gate failure")
+
+    monkeypatch.setattr(acceptance, "solve_limit_direct", broken)  # built in the worker only
+    with pytest.raises(TypeError, match="not a gate failure"):
+        _run_all(monkeypatch, 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_dropped_gap_fails_the_sweep_criteria(monkeypatch):
+    real = experiments.generate
+
+    def flaky(pair, params):
+        if pair.eps < 1e-5:
+            raise MeshError("forced failure")
+        return real(pair, params)
+
+    monkeypatch.setattr(experiments, "generate", flaky)
+    results = {r.name.split()[0]: r for r in _run_all(monkeypatch, 2)}
+    line = "BAD m=2 sweep dropped eps=9.8e-06: MeshError: forced failure"
+    for name in ("C4", "C5", "C7", "C8"):
+        assert not results[name].passed and line in results[name].details
+    assert "BAD m=4 sweep dropped eps=9.8e-06: MeshError: forced failure" in results["C4"].details
+
+
+def test_c4_runtime_counts_prefetched_sweeps(monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    fresh = acceptance.AcceptanceContext()
+    with fresh.prefetch():
+        result = acceptance.criterion_4_blowup_rates(fresh)
+        fresh.convergence(), fresh.blowup_direct()  # take the rest, so no build is cancelled
+    spent = fresh.build_seconds["sweep_m2"] + fresh.build_seconds["sweep_m4"]
+    assert spent > 0.0 and result.runtime >= spent
+    (budget,) = [d for d in result.details if "runtime" in d]
+    assert float(re.search(r"runtime ([\d.]+)s", budget).group(1)) >= float(f"{spent:.1f}")
+
+
+def test_context_needs_no_cycle_collector():
+    # A context that only reference counting frees does not pile up across
+    # the runs of one process.
+    gc.disable()
+    try:
+        ctx = acceptance.AcceptanceContext()
+        ctx._builders()
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from neckfield import experiments, fem
+from neckfield import mesh as mesh_module
 from neckfield.closed_forms import gap_rate_m
 from neckfield.conductivity import BoundaryData, neck_interpolant, solve_bundle
 from neckfield.experiments import (
@@ -21,7 +22,7 @@ from neckfield.experiments import (
     verify_leading_term,
 )
 from neckfield.geometry import InclusionPair, NeckProfile, ProfileKind
-from neckfield.mesh import MeshParams, generate, refine_quadrisect
+from neckfield.mesh import MeshError, MeshParams, generate, refine_quadrisect
 
 
 @pytest.fixture(scope="module")
@@ -129,30 +130,74 @@ class TestRunSweep:
         [(64, 8, 4), (3, 2, 2), (2, 8, 2), (2, 1, None), (2, None, None), (1, 8, None), (None, 8, None)],
     )
     def test_worker_pool_is_capped(self, pair, phi, monkeypatch, workers, cpus, pool):
-        # The executor only records its size: no process is started.
+        # ``cpus`` is the size of the affinity mask; None stands for a
+        # platform without one whose CPU count is unknown.
         import concurrent.futures
 
-        sizes = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        made = []
+        stub = _executor_stub(lambda size, context: made.append((size, context.get_start_method())))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", stub)
+        if cpus is None:
+            monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)  # the mask wins
         monkeypatch.setattr(experiments, "_sweep_entry", lambda job: (job[1], job[1], None))
         records, failures = run_sweep(pair, phi, [1e-2, 1e-3, 1e-4, 1e-5], MeshParams(), workers=workers)
-        assert sizes == ([] if pool is None else [pool])
+        assert made == ([] if pool is None else [(pool, "fork")])
         assert records == [1e-2, 1e-3, 1e-4, 1e-5] and not failures
+
+    def test_worker_pool_records_a_failing_far_field(self, pair, phi, monkeypatch):
+        # The far field is warmed before the fork; its failure is each
+        # gap's, as in a sequential sweep, not the sweep's.
+        def failing(*args):
+            raise MeshError("forced far-field failure")
+
+        monkeypatch.setattr(experiments, "_far_reference", failing)
+        monkeypatch.setattr(mesh_module, "_far_reference", failing)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="every gap value failed.*forced far-field failure"):
+            run_sweep(pair, phi, [1e-2, 1e-3, 1e-4, 1e-5], MeshParams(), workers=2)
+
+    def test_worker_pool_inherits_the_far_field(self, pair, phi, monkeypatch):
+        # When the pool is made, the gap-0 far field of the pair is cached.
+        import concurrent.futures
+
+        reference = experiments._far_reference
+        cached = []
+
+        def made(size, context):
+            misses = reference.cache_info().misses
+            reference(pair.with_gap(0.0), MeshParams())
+            cached.append(reference.cache_info().misses == misses)
+
+        reference.cache_clear()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _executor_stub(made))
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "_sweep_entry", lambda job: (job[1], job[1], None))
+        run_sweep(pair, phi, [1e-2, 1e-3, 1e-4, 1e-5], MeshParams(), workers=2)
+        assert cached == [True]
+
+
+def _executor_stub(made):
+    """Stands in for ProcessPoolExecutor: calls ``made(max_workers,
+    mp_context)`` and maps in this process, so no process is started."""
+
+    class Stub:
+        def __init__(self, max_workers, mp_context):
+            made(max_workers, mp_context)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    return Stub
 
 
 class TestFitLine:

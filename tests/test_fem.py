@@ -190,6 +190,61 @@ def _flipped(op):
     raise AssertionError("no flippable pair")
 
 
+def _sorted_reflection(mesh):
+    # The former reflection: a complex-key argsort of the vertices and two
+    # sorted int64 triangle-key arrays.
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    count = len(x)
+    identity = np.arange(count)
+    order = np.argsort(np.abs(x) + 1j * y)
+    off_axis = order[np.count_nonzero(x == 0.0):]
+    if len(off_axis) % 2:
+        return identity
+    a, b = off_axis[0::2], off_axis[1::2]
+    if not (np.array_equal(x[a], -x[b] + 0.0) and np.array_equal(y[a], y[b])):
+        return identity
+    refl = identity.copy()
+    refl[a], refl[b] = b, a
+    if not np.array_equal(mesh.vertex_tags[refl], mesh.vertex_tags):
+        return identity
+
+    def keys(tris):
+        t0, t1, t2 = tris.astype(np.int64).T
+        lo = np.minimum(np.minimum(t0, t1), t2)
+        hi = np.maximum(np.maximum(t0, t1), t2)
+        return np.sort((lo * count + (t0 + t1 + t2 - lo - hi)) * count + hi)
+
+    if not np.array_equal(keys(refl[mesh.triangles]), keys(mesh.triangles)):
+        return identity
+    return refl
+
+
+class TestReflection:
+    @pytest.mark.parametrize(
+        "case", ["default", "level1", "level2", "level3", "touching", "quartic", "quadrilateral", "nudged", "flipped"]
+    )
+    def test_equals_sorted_original(self, pair, op, case):
+        if case == "default":
+            mesh = op.mesh
+        elif case.startswith("level"):
+            mesh = op.mesh
+            for _ in range(int(case[-1])):
+                mesh = refine_quadrisect(mesh, pair)
+        elif case == "touching":
+            mesh = generate_touching(pair.with_gap(0.0), 0.05, MeshParams())
+        elif case == "quartic":
+            quartic = InclusionPair(2, NeckProfile(kind=ProfileKind.POWER_LAW, order=4.0, coefficient=4.0), 1e-3)
+            mesh = generate(quartic, MeshParams())
+        elif case == "quadrilateral":
+            mesh = mesh_convex_polygon(np.array([[0.0, 0.0], [2.0, 0.0], [2.3, 1.1], [-0.4, 1.0]]), 0.15)
+        else:
+            mesh = _nudged(op) if case == "nudged" else _flipped(op)
+        got = fem._reflection(mesh)
+        assert np.array_equal(got, _sorted_reflection(mesh))
+        symmetric = case not in ("quadrilateral", "nudged", "flipped")
+        assert np.array_equal(got, np.arange(mesh.vertex_count)) != symmetric
+
+
 class TestMirrorSplit:
     @pytest.mark.parametrize(
         ("phi", "parts"),

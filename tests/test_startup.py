@@ -79,7 +79,7 @@ def test_pool_workers_inherit_scipy(tmp_path):
         "from neckfield.config import default_config_text, parse_config\n"
         "seen = []\n"
         "class Recorder:\n"
-        "    def __init__(self, max_workers):\n"
+        "    def __init__(self, max_workers, mp_context):\n"
         "        seen.append([m for m in ('scipy.sparse.linalg', 'scipy.spatial') if m in sys.modules])\n"
         "    def __enter__(self):\n"
         "        return self\n"
@@ -88,7 +88,7 @@ def test_pool_workers_inherit_scipy(tmp_path):
         "    def map(self, fn, jobs):\n"
         "        return map(fn, jobs)\n"
         "concurrent.futures.ProcessPoolExecutor = Recorder\n"
-        "experiments.os.cpu_count = lambda: 2\n"
+        "experiments._usable_cpus = lambda: 2\n"
         "experiments._sweep_entry = lambda job: (job[1], job[1], None)\n"
         "cfg = parse_config(default_config_text())\n"
         "eps = cfg.sweep.eps_list()\n"
@@ -96,6 +96,14 @@ def test_pool_workers_inherit_scipy(tmp_path):
         "assert seen == [['scipy.sparse.linalg', 'scipy.spatial']], seen"
     )
     assert "scipy.spatial" in _loaded_after(body, tmp_path)
+
+
+def test_no_process_pool_at_import(tmp_path):
+    # Only a pool of workers needs multiprocessing, so it is imported there.
+    pool_modules = ("multiprocessing", "concurrent.futures.process")
+    done = _fresh(f"import sys\nimport neckfield.cli\nprint([m for m in {pool_modules!r} if m in sys.modules])", tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_solve_manifest_records_scipy(tmp_path):
