@@ -235,7 +235,10 @@ def sweep_gaps(eps_list: list[float]) -> list[float]:
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
-    has one, so a run pinned to one CPU stays in one process."""
+    has one, so a run pinned to one CPU stays in one process.  Pools are
+    forked, so where the platform cannot fork this is 1."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -148,6 +148,16 @@ class TestRunSweep:
         assert made == ([] if pool is None else [(pool, "fork")])
         assert records == [1e-2, 1e-3, 1e-4, 1e-5] and not failures
 
+    def test_no_pool_without_fork(self, pair, phi, monkeypatch):
+        import concurrent.futures
+
+        made = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _executor_stub(lambda *args: made.append(args)))
+        monkeypatch.delattr(experiments.os, "fork")
+        monkeypatch.setattr(experiments, "_sweep_entry", lambda job: (job[1], job[1], None))
+        records, _ = run_sweep(pair, phi, [1e-2, 1e-3, 1e-4, 1e-5], MeshParams(), workers=2)
+        assert made == [] and records == [1e-2, 1e-3, 1e-4, 1e-5]
+
     def test_worker_pool_records_a_failing_far_field(self, pair, phi, monkeypatch):
         # The far field is warmed before the fork; its failure is each
         # gap's, as in a sequential sweep, not the sweep's.
