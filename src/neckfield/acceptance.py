@@ -119,10 +119,11 @@ class AcceptanceContext:
 
     def _get(self, key: str):
         if key not in self._cache:
-            if key in self._ready:
-                value, self.build_seconds[key] = self._ready.pop(key).result()
-            else:
+            ready = self._ready.pop(key, None)
+            if ready is None or ready.cancelled():  # cancelled on leaving prefetch
                 value, _ = self._build(key)
+            else:
+                value, self.build_seconds[key] = ready.result()
             self._cache[key] = value
         return self._cache[key]
 
@@ -134,8 +135,9 @@ class AcceptanceContext:
 
         Each result, or the error that building it raised, waits until
         ``_get`` asks for it.  With one usable CPU nothing is prefetched.
-        On leaving the block the worker is stopped: queued builds are
-        cancelled and a running one is waited for.
+        On leaving the block the worker is stopped: a running build is
+        waited for, and queued ones are cancelled and later built inline
+        if asked for.
         """
         if experiments._usable_cpus() < 2:
             yield
