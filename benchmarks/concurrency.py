@@ -21,7 +21,8 @@ in order, and rewrites OUT after each part:
 - ``fingerprints``: ``perfbench/run.py --workload gate --seed 0`` for one
   pass under ``taskset -c 0`` in each checkout, and without it in the
   change: the fingerprint line perfbench prints.  perfbench sees the
-  meshes of its own process only.
+  meshes of its own process only, so the three agree only if the gate
+  builds every mesh there.
 - ``pairs``: for each workload, PAIRS alternating perfbench pairs, as in
   ``benchmarks/symmetry.py``.
 """

@@ -8,18 +8,21 @@ from the configuration.
 
 The heavy artifacts share no data, so with two usable CPUs run_all builds
 them on two processes before the criteria ask for them
-(``AcceptanceContext.prefetch``): this process solves the finest level of
-the quadrisection ladder, the largest working set, while one forked worker
-solves both gap sweeps, the coarser ladder levels and the truncated-cusp
-factor.  The criteria then run in order on those results with the same
-code, so every number is what the sequential run gives, and an artifact's
-error is raised when the first criterion that needs it asks for it.  With
-one usable CPU every artifact is built when first asked for.
+(``AcceptanceContext.prefetch``).  This process first builds every mesh the
+gate uses, in the order the criteria ask for them, so the meshes and their
+order are those of the sequential run.  Then one forked worker solves both
+gap sweeps, the coarser levels of the quadrisection ladder and the
+truncated-cusp factor, while this process solves the finest ladder level,
+the largest working set.  The criteria then run in order on those results
+with the same code, so every number is what the sequential run gives, and
+an artifact's error is raised when the first criterion that needs it asks
+for it.  With one usable CPU every artifact is built when first asked for.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import closed_forms as cf
 from . import experiments, fem
-from .conductivity import BoundaryData, solve_bundle, solve_limit_direct
+from .conductivity import BoundaryData, solve_bundle, solve_touching, touching_meshes
 from .config import ExperimentConfig
 from .experiments import (
     convergence_report,
@@ -36,18 +39,23 @@ from .experiments import (
     fit_energy_constants,
     fit_line,
     fit_rate,
+    ladder_meshes,
     ladder_solves,
-    mesh_convergence,
-    run_sweep,
+    solve_sweep,
+    sweep_meshes,
 )
 from .geometry import InclusionPair, NeckProfile, ProfileKind
-from .mesh import INCLUSION1, INCLUSION2, OUTER, MeshParams, generate
+from .mesh import INCLUSION1, INCLUSION2, OUTER, generate
 
 __all__ = ["CriterionResult", "AcceptanceContext", "run_all", "CRITERIA"]
 
 # What ``AcceptanceContext.prefetch`` builds in its worker, in the order
 # the criteria ask for it.
 WORKER_ARTIFACTS = ("sweep_m2", "sweep_m4", "ladder_coarse", "b0_dir")
+LADDER_LEVELS = 4
+COARSE_LEVELS = 3  # the ladder levels solved in the worker
+CONSTANT_DATA_GAPS = (1e-2, 1e-4, 1e-5)  # C6
+CUSP_CUTS = (0.08, 0.04, 0.02)  # truncated-cusp radii, at two far-field refinements
 
 
 @dataclass
@@ -65,10 +73,12 @@ class CriterionResult:
 class AcceptanceContext:
     """Shared solves for the acceptance criteria.
 
-    ``_builders`` gives one function per heavy artifact.  ``_get`` returns
-    an artifact from the cache, else takes it from what ``prefetch`` built,
-    else builds it inline.  ``build_seconds`` holds the build time of each
-    artifact taken from ``prefetch``, which no criterion's clock saw.
+    ``_mesh_plans`` gives the meshes of each heavy artifact and
+    ``_builders`` one function per artifact that solves on them.  ``_get``
+    returns an artifact from the cache, else takes it from what
+    ``prefetch`` built, else builds it inline.  ``build_seconds`` holds the
+    seconds ``prefetch`` spent on each mesh plan and each artifact, which
+    no criterion's clock saw; a sweep's plan and artifact share one key.
     """
 
     def __init__(self, cfg: ExperimentConfig | None = None):
@@ -78,25 +88,51 @@ class AcceptanceContext:
         self.phi = BoundaryData(kind="linear_xn")
         self.eps_list = [1e-2 * 4.0 ** (-k) for k in range(6)]
         self._cache: dict[str, object] = {}
+        self._meshes: dict[str, list] = {}  # plan -> what prefetch built of it
         self._ready: dict[str, object] = {}  # key -> Future of (artifact, seconds)
         self.build_seconds: dict[str, float] = {}
+
+    def _mesh_plans(self) -> dict:
+        """The meshes of each artifact, built as they are taken, in the order
+        the criteria first ask for them.  Made afresh at each call, so that
+        no closure keeps the context alive after its run."""
+        quad, params = self.quad_pair(1e-3), self.params
+        finer = replace(params, refinement=params.refinement + 2)
+        return {
+            "op_m2": lambda: [generate(quad, params)],
+            "sweep_m2": lambda: sweep_meshes(quad, self.eps_list, params),
+            "sweep_m4": lambda: sweep_meshes(self.pow4_pair(1e-3), self.eps_list, params),
+            "constant_data": lambda: (generate(self.quad_pair(eps), params) for eps in CONSTANT_DATA_GAPS),
+            "ladder": lambda: ladder_meshes(quad, params, LADDER_LEVELS),
+            "cusp": lambda: itertools.chain(
+                touching_meshes(self.quad_pair(0.0), CUSP_CUTS, params),
+                touching_meshes(self.quad_pair(0.0), CUSP_CUTS, finer),
+            ),
+        }
+
+    def meshes(self, plan: str):
+        """Iterator over the meshes of ``plan``: those ``prefetch`` built,
+        where an error that building raised is raised again in its place,
+        else each built as it is taken."""
+        if plan not in self._meshes:
+            return iter(self._mesh_plans()[plan]())
+        return _raising(self._meshes[plan])
 
     def _builders(self) -> dict:
         """One function per heavy artifact.  Made afresh at each build, so
         that no closure keeps the context alive after its run."""
-        quad = self.quad_pair(1e-3)
-        ladder = (quad, self.phi, self.params)
+        meshes, phi = self.meshes, self.phi
         return {
-            "sweep_m2": lambda: run_sweep(quad, self.phi, self.eps_list, self.params),
-            "sweep_m4": lambda: run_sweep(self.pow4_pair(1e-3), self.phi, self.eps_list, self.params),
+            "sweep_m2": lambda: solve_sweep(meshes("sweep_m2"), phi),
+            "sweep_m4": lambda: solve_sweep(meshes("sweep_m4"), phi),
             # Stiffness operator, with its mesh and LU factorization, of the
             # quadratic pair at gap 1e-3 on the configured mesh.
-            "op_m2": lambda: fem.assemble(generate(quad, self.params)),
-            "convergence": lambda: mesh_convergence(*ladder, levels=4),
-            "ladder_coarse": lambda: ladder_solves(*ladder, range(3)),
-            "ladder_finest": lambda: ladder_solves(*ladder, range(3, 4)),
+            "op_m2": lambda: fem.assemble(next(meshes("op_m2"))),
+            "convergence": lambda: convergence_report(ladder_solves(meshes("ladder"), phi)),
+            "ladder_coarse": lambda: ladder_solves(itertools.islice(meshes("ladder"), COARSE_LEVELS), phi),
+            "ladder_finest": lambda: ladder_solves(itertools.islice(meshes("ladder"), COARSE_LEVELS, None), phi),
             "b0_ext": lambda: fit_blowup_limit(self.records_m2()),
-            "b0_dir": lambda: _truncated_cusp_factor(self.quad_pair(0.0), self.phi, self.params),
+            "b0_dir": lambda: _truncated_cusp_factor(meshes("cusp"), phi),
         }
 
     # pinned geometries ----------------------------------------------------
@@ -117,35 +153,46 @@ class AcceptanceContext:
         value = self._builders()[key]()
         return value, time.perf_counter() - t0
 
+    def off_clock(self, *keys: str) -> float:
+        """Seconds ``prefetch`` spent on these artifacts and their mesh
+        plans; a runtime budget adds them, since no criterion's clock saw
+        them."""
+        return sum(self.build_seconds.get(key, 0.0) for key in keys)
+
     def _get(self, key: str):
         if key not in self._cache:
             ready = self._ready.pop(key, None)
             if ready is None or ready.cancelled():  # cancelled on leaving prefetch
                 value, _ = self._build(key)
             else:
-                value, self.build_seconds[key] = ready.result()
+                value, seconds = ready.result()
+                self.build_seconds[key] = self.build_seconds.get(key, 0.0) + seconds
             self._cache[key] = value
         return self._cache[key]
 
     @contextlib.contextmanager
     def prefetch(self):
         """Build the heavy artifacts on two processes for the length of the
-        block: WORKER_ARTIFACTS in one forked worker and, meanwhile, the
-        finest ladder level here.
+        block.
 
-        Each result, or the error that building it raised, waits until
-        ``_get`` asks for it.  With one usable CPU nothing is prefetched.
-        On leaving the block the worker is stopped: a running build is
-        waited for, and queued ones are cancelled and later built inline
-        if asked for.
+        This process builds every mesh plan, in order, then forks one
+        worker that solves WORKER_ARTIFACTS on the meshes it inherits, and
+        meanwhile solves the finest ladder level.  Each result, or the
+        error that building it raised, waits until ``_get`` asks for it.
+        With one usable CPU nothing is prefetched.  On leaving the block
+        the worker is stopped: a running build is waited for, and queued
+        ones are cancelled and later built inline if asked for.
         """
         if experiments._usable_cpus() < 2:
             yield
             return
         from concurrent.futures import Future
 
-        warm = [(self.quad_pair(1e-3), self.params)]  # the far field both processes need
-        pool = experiments._fork_pool(1, warm, initializer=_adopt, initargs=(self,))
+        for plan, build in self._mesh_plans().items():
+            t0 = time.perf_counter()
+            self._meshes[plan] = _built(build)
+            self.build_seconds[plan] = time.perf_counter() - t0
+        pool = experiments._fork_pool(1, initializer=_adopt, initargs=(self,))
         try:
             for key in WORKER_ARTIFACTS:
                 self._ready[key] = pool.submit(_build_adopted, key)
@@ -183,7 +230,7 @@ class AcceptanceContext:
     def convergence(self):
         if "convergence" not in self._cache and "ladder_finest" in self._ready:
             # Prefetched in two parts; the coarse levels first, so that an
-            # error surfaces in level order, as in one mesh_convergence.
+            # error surfaces in level order, as in one ladder.
             solves = self._get("ladder_coarse") + self._get("ladder_finest")
             self._cache["convergence"] = convergence_report(solves)
         return self._get("convergence")
@@ -197,12 +244,32 @@ class AcceptanceContext:
         return self._get("b0_dir")
 
 
-def _truncated_cusp_factor(pair0: InclusionPair, phi: BoundaryData, params: MeshParams) -> tuple[float, float]:
+def _built(build) -> list:
+    """Every item of the plan ``build()``; an error that building raised
+    takes the place of the items it stopped."""
+    items = []
+    try:
+        for item in build():
+            items.append(item)
+    except Exception as exc:  # raised again where the plan is taken
+        items.append(exc)
+    return items
+
+
+def _raising(items: list):
+    """The items of a built plan; a kept error is raised where it stands."""
+    for item in items:
+        if isinstance(item, Exception):
+            raise item
+        yield item
+
+
+def _truncated_cusp_factor(meshes, phi: BoundaryData) -> tuple[float, float]:
     """Truncated-cusp factor and its uncertainty, which includes the change
-    under two more levels of far-field refinement."""
-    cuts = [0.08, 0.04, 0.02]
-    base = solve_limit_direct(pair0, phi, cuts, params)
-    finer = solve_limit_direct(pair0, phi, cuts, replace(params, refinement=params.refinement + 2))
+    under two more levels of far-field refinement (the second half of the
+    ``cusp`` plan)."""
+    meshes = iter(meshes)
+    base, finer = (solve_touching(itertools.islice(meshes, len(CUSP_CUTS)), phi) for _ in range(2))
     return base.b0, base.b0_uncertainty + abs(base.b0 - finer.b0)
 
 
@@ -293,6 +360,7 @@ def criterion_3_structural_identities(ctx: AcceptanceContext) -> CriterionResult
     """Exact discrete identities on the default mesh at gap 1e-3."""
     t0 = time.perf_counter()
     op = ctx.default_operator()
+    t0 -= ctx.off_clock("op_m2")
     bundle = solve_bundle(op.mesh, ctx.phi, op=op)
     checks = []
     rec = abs(bundle.a12 - bundle.a21) / abs(bundle.a12)
@@ -322,8 +390,7 @@ def criterion_4_blowup_rates(ctx: AcceptanceContext) -> CriterionResult:
     tol = ctx.tol.rate_slope
     rec2 = ctx.records_m2()
     rec4 = ctx.records_m4()
-    # Sweeps built by prefetch ran off this clock; the budget counts them.
-    t0 -= sum(ctx.build_seconds.get(key, 0.0) for key in ("sweep_m2", "sweep_m4"))
+    t0 -= ctx.off_clock("sweep_m2", "sweep_m4")
     checks = ctx.dropped_gaps(2, 4)
     s_u2 = fit_rate(rec2, "max_grad_u_neck").slope
     checks.append((f"m=2 slope of max|grad u| = {s_u2:.4f} in -0.5 +- {tol}", abs(s_u2 + 0.5) <= tol))
@@ -377,9 +444,8 @@ def criterion_6_degeneracy_and_symmetry(ctx: AcceptanceContext) -> CriterionResu
     const = BoundaryData(kind="constant", value=2.0)
     checks = []
     max_grads = []
-    for eps in (1e-2, 1e-4, 1e-5):
-        pair = ctx.quad_pair(eps)
-        bundle = solve_bundle(generate(pair, ctx.params), const)
+    for eps, mesh in zip(CONSTANT_DATA_GAPS, ctx.meshes("constant_data")):
+        bundle = solve_bundle(mesh, const)
         checks.append(
             (f"eps={eps:.0e} constant data: |B| = {abs(bundle.b_factor):.2e} <= 1e-10",
              abs(bundle.b_factor) <= 1e-10)

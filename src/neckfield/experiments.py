@@ -11,7 +11,6 @@ touching limit.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import math
@@ -25,7 +24,7 @@ from . import fem
 from .closed_forms import energy_limit_constant, gap_rate_m, printed_energy_constant
 from .conductivity import BoundaryData, SolveBundle, neck_interpolant, neck_remainder, solve_bundle
 from .geometry import GeometryError, InclusionPair
-from .mesh import Mesh, MeshError, MeshParams, _far_reference, generate, refine_quadrisect
+from .mesh import Mesh, MeshError, MeshParams, generate, refine_quadrisect
 from .quadrature import QuadratureError
 
 __all__ = [
@@ -36,6 +35,8 @@ __all__ = [
     "LeadingTermReport",
     "ConvergenceReport",
     "run_sweep",
+    "sweep_meshes",
+    "solve_sweep",
     "sweep_gaps",
     "sweep_record",
     "fit_line",
@@ -44,6 +45,7 @@ __all__ = [
     "fit_energy_constants",
     "verify_leading_term",
     "mesh_convergence",
+    "ladder_meshes",
     "ladder_solves",
     "convergence_report",
     "vb_station_profile",
@@ -213,13 +215,32 @@ def sweep_record(
     return record, bundle, w
 
 
-def _sweep_entry(args) -> tuple[float, SweepRecord | None, str | None]:
-    pair, eps, phi, params = args
+# What drops one gap from a sweep instead of failing the sweep.
+_GAP_ERRORS = (MeshError, fem.SolverError, GeometryError, QuadratureError)
+
+
+def _gap_mesh(pair: InclusionPair, eps: float, params: MeshParams) -> tuple[float, InclusionPair | None, Mesh | str]:
+    """(eps, pair at eps, its mesh), or (eps, None, error text)."""
     try:
         p = pair.with_gap(eps)
-        return eps, sweep_record(p, generate(p, params), phi)[0], None
-    except (MeshError, fem.SolverError, GeometryError, QuadratureError) as exc:
+        return eps, p, generate(p, params)
+    except _GAP_ERRORS as exc:
         return eps, None, f"{type(exc).__name__}: {exc}"
+
+
+def _gap_record(meshed, phi: BoundaryData) -> tuple[float, SweepRecord | None, str | None]:
+    eps, p, mesh = meshed
+    if p is None:
+        return eps, None, mesh
+    try:
+        return eps, sweep_record(p, mesh, phi)[0], None
+    except _GAP_ERRORS as exc:
+        return eps, None, f"{type(exc).__name__}: {exc}"
+
+
+def _sweep_entry(args) -> tuple[float, SweepRecord | None, str | None]:
+    pair, eps, phi, params = args
+    return _gap_record(_gap_mesh(pair, eps, params), phi)
 
 
 def sweep_gaps(eps_list: list[float]) -> list[float]:
@@ -244,24 +265,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_pool(workers: int, warm: list[tuple[InclusionPair, MeshParams]], **kwargs):
+def _fork_pool(workers: int, **kwargs):
     """Process pool of ``workers`` forked processes; ``kwargs`` go to the
-    executor.
-
-    scipy and the gap-0 far field of each (pair, params) in ``warm`` are
-    loaded first, so the workers inherit them instead of each importing
-    scipy and refining the far field again.  A far field that fails here
-    fails again, and is reported, where a mesh needs it.
-    """
+    executor.  scipy is imported first, so the workers inherit it instead
+    of each importing it at its first mesh."""
     import concurrent.futures
     import multiprocessing
 
     import scipy.sparse.linalg  # noqa: F401
     import scipy.spatial  # noqa: F401
 
-    for pair, params in warm:
-        with contextlib.suppress(MeshError):
-            _far_reference(pair.with_gap(0.0), params)
     context = multiprocessing.get_context("fork")
     return concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=context, **kwargs)
 
@@ -284,10 +297,26 @@ def run_sweep(
     jobs = [(pair, eps, phi, params) for eps in sweep_gaps(eps_list)]
     pool_size = min(workers or 1, len(jobs), _usable_cpus())
     if pool_size > 1:
-        with _fork_pool(pool_size, [(pair, params)]) as pool:
+        with _fork_pool(pool_size) as pool:
             outcomes = list(pool.map(_sweep_entry, jobs))
     else:
         outcomes = [_sweep_entry(job) for job in jobs]
+    return _sweep_outcomes(outcomes)
+
+
+def sweep_meshes(pair: InclusionPair, eps_list: list[float], params: MeshParams):
+    """The meshes of a sweep, largest gap first, each built as it is taken:
+    (eps, pair at eps, mesh) or, where building failed, (eps, None, error
+    text).  ``solve_sweep`` of these is ``run_sweep``."""
+    return (_gap_mesh(pair, eps, params) for eps in sweep_gaps(eps_list))
+
+
+def solve_sweep(meshes, phi: BoundaryData) -> tuple[list[SweepRecord], dict[float, str]]:
+    """``run_sweep``'s records and failures, from ``sweep_meshes``."""
+    return _sweep_outcomes([_gap_record(meshed, phi) for meshed in meshes])
+
+
+def _sweep_outcomes(outcomes) -> tuple[list[SweepRecord], dict[float, str]]:
     records: list[SweepRecord] = []
     failures: dict[float, str] = {}
     for eps, record, error in outcomes:
@@ -436,28 +465,31 @@ class ConvergenceReport:
     error_bar_rel: float
 
 
-def ladder_solves(
-    pair: InclusionPair, phi: BoundaryData, params: MeshParams, levels: range
-) -> list[tuple[float, float, float]]:
-    """Energy, level gap c1 - c2 and blow-up factor at each of ``levels``
-    of the quadrisection ladder over ``generate(pair, params)``.
-
-    The meshes below ``levels`` are built but not solved, so one ladder
-    can be solved in parts, each part on its own process.
-    """
+def ladder_meshes(pair: InclusionPair, params: MeshParams, levels: int):
+    """``generate(pair, params)`` and its quadrisections, ``levels`` meshes
+    in all, each built as it is taken."""
     mesh = generate(pair, params)
+    yield mesh
+    for _ in range(1, levels):
+        mesh = refine_quadrisect(mesh, pair)
+        yield mesh
+
+
+def ladder_solves(meshes, phi: BoundaryData) -> list[tuple[float, float, float]]:
+    """Energy, level gap c1 - c2 and blow-up factor on each of ``meshes``.
+
+    A ladder can be solved in parts, each on its own process, and the parts
+    joined for ``convergence_report``.
+    """
     solves = []
-    for level in range(levels.stop):
-        if level:
-            mesh = refine_quadrisect(mesh, pair)
-        if level in levels:
-            bundle = solve_bundle(mesh, phi)
-            solves.append((bundle.a11, bundle.c1 - bundle.c2, bundle.b_factor))
+    for mesh in meshes:
+        bundle = solve_bundle(mesh, phi)
+        solves.append((bundle.a11, bundle.c1 - bundle.c2, bundle.b_factor))
     return solves
 
 
 def convergence_report(solves: list[tuple[float, float, float]], shrink_factor: float = 1.5) -> ConvergenceReport:
-    """Difference decay over the ``ladder_solves`` of levels 0, 1, 2, ..."""
+    """Difference decay over the ``ladder_solves`` of ladder levels 0, 1, 2, ..."""
     energies, c_diffs, b_factors = (list(series) for series in zip(*solves))
     min_shrink = math.inf
     shrink_ok = True
@@ -497,7 +529,7 @@ def mesh_convergence(
     """
     if levels < 3:
         raise ValueError("need at least three ladder levels")
-    return convergence_report(ladder_solves(pair, phi, params, range(levels)), shrink_factor)
+    return convergence_report(ladder_solves(ladder_meshes(pair, params, levels), phi), shrink_factor)
 
 
 # ---------------------------------------------------------------------------

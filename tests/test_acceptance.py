@@ -8,8 +8,10 @@ set the usable CPU count, which decides whether a worker is forked.
 """
 
 import gc
+import hashlib
 import multiprocessing
 import re
+import sys
 import weakref
 from concurrent.futures import Future
 from dataclasses import replace
@@ -17,6 +19,7 @@ from dataclasses import replace
 import pytest
 
 from neckfield import acceptance, experiments
+from neckfield import mesh as mesh_module
 from neckfield.mesh import MeshError
 
 
@@ -102,9 +105,9 @@ def test_c8_fails_when_center_gradient_is_not_small(ctx, both_zero):
     assert len(center_lines) == 2 and all(d.startswith("BAD") for d in center_lines)
 
 
-def _run_all(monkeypatch, cpus):
+def _run_all(monkeypatch, cpus, echo=lambda line: None):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
-    return acceptance.run_all(echo=lambda line: None)
+    return acceptance.run_all(echo=echo)
 
 
 def _lines(results):
@@ -116,11 +119,35 @@ def _lines(results):
     return lines
 
 
+def _record_meshes(monkeypatch):
+    """Hash of every mesh this process's mesh producers return, in call
+    order; the producers are rebound wherever they were imported."""
+    made = []
+    for name in ("generate", "generate_touching", "refine_quadrisect"):
+        original = getattr(mesh_module, name)
+
+        def recorded(*args, _original=original, **kwargs):
+            mesh = _original(*args, **kwargs)
+            made.append(hashlib.sha256(mesh.vertices.tobytes() + mesh.triangles.tobytes()).hexdigest())
+            return mesh
+
+        for module in [m for n, m in sys.modules.items() if n.startswith("neckfield.") and m is not None]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, recorded)
+    return made
+
+
 def test_worker_gate_equals_inline_gate(monkeypatch):
+    # Same lines, and the same meshes in the same order, all made in this
+    # process: the worker only solves.
+    made = _record_meshes(monkeypatch)
     inline = _lines(_run_all(monkeypatch, 1))
+    inline_meshes = made[:]
+    made.clear()
     forked = _lines(_run_all(monkeypatch, 2))
     assert forked == inline
     assert sum(line.endswith(": PASS ") for line in forked) == 9
+    assert made == inline_meshes and len(made) == 26
     assert multiprocessing.active_children() == []
 
 
@@ -128,9 +155,28 @@ def test_worker_programming_error_crashes(monkeypatch):
     def broken(*args):
         raise TypeError("not a gate failure")
 
-    monkeypatch.setattr(acceptance, "solve_limit_direct", broken)  # built in the worker only
+    monkeypatch.setattr(acceptance, "solve_touching", broken)  # called in the worker only
     with pytest.raises(TypeError, match="not a gate failure"):
         _run_all(monkeypatch, 2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_finest_mesh_error_surfaces_at_c7(monkeypatch, cpus):
+    # The finest ladder mesh fails.  With a worker it fails before any
+    # criterion runs, and is raised when C7 asks for the ladder, as inline.
+    real = experiments.refine_quadrisect
+
+    def failing(mesh, pair):
+        if mesh.vertex_count > 20_000:
+            raise MeshError("forced finest-level failure")
+        return real(mesh, pair)
+
+    monkeypatch.setattr(experiments, "refine_quadrisect", failing)
+    echoed = []
+    with pytest.raises(MeshError, match="forced finest-level failure"):
+        _run_all(monkeypatch, cpus, echo=echoed.append)
+    assert [line.split()[0] for line in echoed if not line.startswith(" ")] == [f"C{i}" for i in range(1, 7)]
     assert multiprocessing.active_children() == []
 
 
@@ -150,15 +196,18 @@ def test_worker_dropped_gap_fails_the_sweep_criteria(monkeypatch):
     assert "BAD m=4 sweep dropped eps=9.8e-06: MeshError: forced failure" in results["C4"].details
 
 
-def test_c4_runtime_counts_prefetched_sweeps(monkeypatch):
+def test_runtime_budgets_count_prefetched_work(monkeypatch):
+    # What prefetch built before the criteria ran is on C3's and C4's
+    # budgets: the operator's mesh, and the sweeps' meshes and solves.
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     fresh = acceptance.AcceptanceContext()
     with fresh.prefetch():
-        result = acceptance.criterion_4_blowup_rates(fresh)
-    spent = fresh.build_seconds["sweep_m2"] + fresh.build_seconds["sweep_m4"]
-    assert spent > 0.0 and result.runtime >= spent
-    (budget,) = [d for d in result.details if "runtime" in d]
-    assert float(re.search(r"runtime ([\d.]+)s", budget).group(1)) >= float(f"{spent:.1f}")
+        results = [criterion(fresh) for criterion in acceptance.CRITERIA[2:4]]
+    for result, keys in zip(results, (["op_m2"], ["sweep_m2", "sweep_m4"])):
+        spent = sum(fresh.build_seconds[key] for key in keys)
+        assert spent > 0.0 and result.runtime >= spent
+        (budget,) = [d for d in result.details if "runtime" in d]
+        assert float(re.search(r"runtime ([\d.]+)s", budget).group(1)) >= float(f"{spent:.1f}")
 
 
 def test_cancelled_prefetch_builds_inline():
@@ -178,6 +227,7 @@ def test_context_needs_no_cycle_collector():
     try:
         ctx = acceptance.AcceptanceContext()
         ctx._builders()
+        ctx._mesh_plans()
         ref = weakref.ref(ctx)
         del ctx
         assert ref() is None

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from neckfield import experiments, fem
-from neckfield import mesh as mesh_module
 from neckfield.closed_forms import gap_rate_m
 from neckfield.conductivity import BoundaryData, neck_interpolant, solve_bundle
 from neckfield.experiments import (
@@ -22,7 +21,7 @@ from neckfield.experiments import (
     verify_leading_term,
 )
 from neckfield.geometry import InclusionPair, NeckProfile, ProfileKind
-from neckfield.mesh import MeshError, MeshParams, generate, refine_quadrisect
+from neckfield.mesh import MeshParams, generate, refine_quadrisect
 
 
 @pytest.fixture(scope="module")
@@ -157,37 +156,6 @@ class TestRunSweep:
         monkeypatch.setattr(experiments, "_sweep_entry", lambda job: (job[1], job[1], None))
         records, _ = run_sweep(pair, phi, [1e-2, 1e-3, 1e-4, 1e-5], MeshParams(), workers=2)
         assert made == [] and records == [1e-2, 1e-3, 1e-4, 1e-5]
-
-    def test_worker_pool_records_a_failing_far_field(self, pair, phi, monkeypatch):
-        # The far field is warmed before the fork; its failure is each
-        # gap's, as in a sequential sweep, not the sweep's.
-        def failing(*args):
-            raise MeshError("forced far-field failure")
-
-        monkeypatch.setattr(experiments, "_far_reference", failing)
-        monkeypatch.setattr(mesh_module, "_far_reference", failing)
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-        with pytest.raises(RuntimeError, match="every gap value failed.*forced far-field failure"):
-            run_sweep(pair, phi, [1e-2, 1e-3, 1e-4, 1e-5], MeshParams(), workers=2)
-
-    def test_worker_pool_inherits_the_far_field(self, pair, phi, monkeypatch):
-        # When the pool is made, the gap-0 far field of the pair is cached.
-        import concurrent.futures
-
-        reference = experiments._far_reference
-        cached = []
-
-        def made(size, context):
-            misses = reference.cache_info().misses
-            reference(pair.with_gap(0.0), MeshParams())
-            cached.append(reference.cache_info().misses == misses)
-
-        reference.cache_clear()
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _executor_stub(made))
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(experiments, "_sweep_entry", lambda job: (job[1], job[1], None))
-        run_sweep(pair, phi, [1e-2, 1e-3, 1e-4, 1e-5], MeshParams(), workers=2)
-        assert cached == [True]
 
 
 def _executor_stub(made):
