@@ -73,9 +73,9 @@ def _cli_wall(root: Path, *args: str, prefix: tuple[str, ...] = ()) -> float:
         return time.perf_counter() - t0
 
 
-def _fingerprint(root: Path, prefix: tuple[str, ...]) -> dict:
+def _fingerprint(root: Path, prefix: tuple[str, ...], workload: str = "gate") -> dict:
     out = subprocess.run(
-        [*prefix, sys.executable, "perfbench/run.py", "--workload", "gate", "--seed", "0", "--seconds", "1"],
+        [*prefix, sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "1"],
         cwd=root, env=_env(root), capture_output=True, text=True, check=True,
     )
     line = next(line for line in out.stdout.splitlines() if line.startswith("fingerprints: "))

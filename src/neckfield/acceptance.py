@@ -10,13 +10,15 @@ The heavy artifacts share no data, so with two usable CPUs run_all builds
 them on two processes before the criteria ask for them
 (``AcceptanceContext.prefetch``).  This process first builds every mesh the
 gate uses, in the order the criteria ask for them, so the meshes and their
-order are those of the sequential run.  Then one forked worker solves both
-gap sweeps, the coarser levels of the quadrisection ladder and the
-truncated-cusp factor, while this process solves the finest ladder level,
-the largest working set.  The criteria then run in order on those results
-with the same code, so every number is what the sequential run gives, and
-an artifact's error is raised when the first criterion that needs it asks
-for it.  With one usable CPU every artifact is built when first asked for.
+order are those of the sequential run.  Then one forked worker solves
+C3's structural identities, both gap sweeps, C6's constant and odd data,
+the coarser levels of the quadrisection ladder and the truncated-cusp
+factor, while this process solves the finest ladder level, the largest
+working set, and nothing else.  The criteria then run in order on those
+results with the same code, so every number is what the sequential run
+gives, and an artifact's error is raised when the first criterion that
+needs it asks for it.  With one usable CPU every artifact is built when
+first asked for.
 """
 
 from __future__ import annotations
@@ -51,10 +53,12 @@ __all__ = ["CriterionResult", "AcceptanceContext", "run_all", "CRITERIA"]
 
 # What ``AcceptanceContext.prefetch`` builds in its worker, in the order
 # the criteria ask for it.
-WORKER_ARTIFACTS = ("sweep_m2", "sweep_m4", "ladder_coarse", "b0_dir")
+WORKER_ARTIFACTS = ("identities", "sweep_m2", "sweep_m4", "degeneracy", "ladder_coarse", "b0_dir")
 LADDER_LEVELS = 4
 COARSE_LEVELS = 3  # the ladder levels solved in the worker
 CONSTANT_DATA_GAPS = (1e-2, 1e-4, 1e-5)  # C6
+CONSTANT_DATA = BoundaryData(kind="constant", value=2.0)  # C6
+ODD_DATA = BoundaryData(kind="linear_x1")  # C6
 CUSP_CUTS = (0.08, 0.04, 0.02)  # truncated-cusp radii, at two far-field refinements
 
 
@@ -128,6 +132,8 @@ class AcceptanceContext:
             # Stiffness operator, with its mesh and LU factorization, of the
             # quadratic pair at gap 1e-3 on the configured mesh.
             "op_m2": lambda: fem.assemble(next(meshes("op_m2"))),
+            "identities": lambda: _identity_numbers(self.default_operator(), phi),
+            "degeneracy": lambda: _degeneracy_numbers(meshes("constant_data"), self.default_operator()),
             "convergence": lambda: convergence_report(ladder_solves(meshes("ladder"), phi)),
             "ladder_coarse": lambda: ladder_solves(itertools.islice(meshes("ladder"), COARSE_LEVELS), phi),
             "ladder_finest": lambda: ladder_solves(itertools.islice(meshes("ladder"), COARSE_LEVELS, None), phi),
@@ -177,11 +183,11 @@ class AcceptanceContext:
 
         This process builds every mesh plan, in order, then forks one
         worker that solves WORKER_ARTIFACTS on the meshes it inherits, and
-        meanwhile solves the finest ladder level.  Each result, or the
-        error that building it raised, waits until ``_get`` asks for it.
-        With one usable CPU nothing is prefetched.  On leaving the block
-        the worker is stopped: a running build is waited for, and queued
-        ones are cancelled and later built inline if asked for.
+        meanwhile solves the finest ladder level, its only solve.  Each
+        result, or the error that building it raised, waits until ``_get``
+        asks for it.  With one usable CPU nothing is prefetched.  On leaving
+        the block the worker is stopped: a running build is waited for, and
+        queued ones are cancelled and later built inline if asked for.
         """
         if experiments._usable_cpus() < 2:
             yield
@@ -262,6 +268,40 @@ def _raising(items: list):
         if isinstance(item, Exception):
             raise item
         yield item
+
+
+def _identity_numbers(op: fem.StiffnessOperator, phi: BoundaryData) -> dict:
+    """The numbers C3 checks, on the solve of ``phi`` with ``op``: flux
+    reciprocity and a11 against the energy (relative), the decomposition
+    residual, each unit-potential field's violation of the maximum
+    principle, and the total flux of v1."""
+    bundle = solve_bundle(op.mesh, phi, op=op)
+    energy = op.energy(bundle.v1)
+    flux = op.fluxes(bundle.v1)
+    composed = (bundle.c1 - bundle.c2) * bundle.v1.values + bundle.vb.values
+    return {
+        "reciprocity": abs(bundle.a12 - bundle.a21) / abs(bundle.a12),
+        "energy": abs(bundle.a11 - energy) / energy,
+        "decomposition": float(np.abs(bundle.u.values - composed).max()),
+        "maximum_principle": {
+            name: max(float(-f.values.min()), float(f.values.max() - 1.0), 0.0)
+            for name, f in (("v1", bundle.v1), ("v2", bundle.v2))
+        },
+        "total_flux": abs(flux[OUTER] + flux[INCLUSION1] + flux[INCLUSION2]),
+    }
+
+
+def _degeneracy_numbers(meshes, op: fem.StiffnessOperator) -> dict:
+    """The numbers C6 checks: for constant data on each of ``meshes``, |B|,
+    the levels' distance from the data and the largest neck gradient; then
+    |C1 - C2| for odd data with ``op``."""
+    constant = []
+    for mesh in meshes:
+        bundle = solve_bundle(mesh, CONSTANT_DATA)
+        level = max(abs(bundle.c1 - CONSTANT_DATA.value), abs(bundle.c2 - CONSTANT_DATA.value))
+        constant.append((abs(bundle.b_factor), level, fem.max_gradient(bundle.u, "neck")[0]))
+    bundle = solve_bundle(op.mesh, ODD_DATA, op=op)
+    return {"constant": constant, "odd_level_gap": abs(bundle.c1 - bundle.c2)}
 
 
 def _truncated_cusp_factor(meshes, phi: BoundaryData) -> tuple[float, float]:
@@ -359,25 +399,16 @@ def criterion_2_oracle_asymptotics(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_3_structural_identities(ctx: AcceptanceContext) -> CriterionResult:
     """Exact discrete identities on the default mesh at gap 1e-3."""
     t0 = time.perf_counter()
-    op = ctx.default_operator()
-    t0 -= ctx.off_clock("op_m2")
-    bundle = solve_bundle(op.mesh, ctx.phi, op=op)
-    checks = []
-    rec = abs(bundle.a12 - bundle.a21) / abs(bundle.a12)
-    checks.append((f"flux reciprocity rel {rec:.2e} <= 1e-8", rec <= 1e-8))
-    en = op.energy(bundle.v1)
-    en_rel = abs(bundle.a11 - en) / en
-    checks.append((f"a11 vs energy rel {en_rel:.2e} <= 1e-10", en_rel <= 1e-10))
-    decomp = np.abs(
-        bundle.u.values - ((bundle.c1 - bundle.c2) * bundle.v1.values + bundle.vb.values)
-    ).max()
-    checks.append((f"decomposition identity {decomp:.2e} <= 1e-12", decomp <= 1e-12))
-    for name, f in (("v1", bundle.v1), ("v2", bundle.v2)):
-        viol = max(float(-f.values.min()), float(f.values.max() - 1.0), 0.0)
+    num = ctx._get("identities")
+    t0 -= ctx.off_clock("op_m2", "identities")
+    checks = [
+        (f"flux reciprocity rel {num['reciprocity']:.2e} <= 1e-8", num["reciprocity"] <= 1e-8),
+        (f"a11 vs energy rel {num['energy']:.2e} <= 1e-10", num["energy"] <= 1e-10),
+        (f"decomposition identity {num['decomposition']:.2e} <= 1e-12", num["decomposition"] <= 1e-12),
+    ]
+    for name, viol in num["maximum_principle"].items():
         checks.append((f"maximum principle {name} violation {viol:.2e} <= 1e-10", viol <= 1e-10))
-    total = abs(
-        op.flux(bundle.v1, OUTER) + op.flux(bundle.v1, INCLUSION1) + op.flux(bundle.v1, INCLUSION2)
-    )
+    total = num["total_flux"]
     checks.append((f"total flux of v1 {total:.2e} <= 1e-10", total <= 1e-10))
     runtime = time.perf_counter() - t0
     checks.append((f"runtime {runtime:.1f}s < 60s", runtime < 60.0))
@@ -441,28 +472,18 @@ def criterion_5_energy_constants(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_6_degeneracy_and_symmetry(ctx: AcceptanceContext) -> CriterionResult:
     """Constant data kills the blow-up; odd data kills the level gap."""
     t0 = time.perf_counter()
-    const = BoundaryData(kind="constant", value=2.0)
+    num = ctx._get("degeneracy")
+    t0 -= ctx.off_clock("constant_data", "degeneracy")
     checks = []
-    max_grads = []
-    for eps, mesh in zip(CONSTANT_DATA_GAPS, ctx.meshes("constant_data")):
-        bundle = solve_bundle(mesh, const)
-        checks.append(
-            (f"eps={eps:.0e} constant data: |B| = {abs(bundle.b_factor):.2e} <= 1e-10",
-             abs(bundle.b_factor) <= 1e-10)
-        )
-        lev = max(abs(bundle.c1 - 2.0), abs(bundle.c2 - 2.0))
+    for eps, (b_abs, lev, _) in zip(CONSTANT_DATA_GAPS, num["constant"]):
+        checks.append((f"eps={eps:.0e} constant data: |B| = {b_abs:.2e} <= 1e-10", b_abs <= 1e-10))
         checks.append((f"eps={eps:.0e} constant data: levels off by {lev:.2e} <= 1e-10", lev <= 1e-10))
-        mg, _ = fem.max_gradient(bundle.u, "neck")
-        max_grads.append(mg)
+    max_grad = max(mg for _, _, mg in num["constant"])
     checks.append(
-        (f"constant data: max|grad u| stays {max(max_grads):.2e} <= 1e-6 across sweep",
-         max(max_grads) <= 1e-6)
+        (f"constant data: max|grad u| stays {max_grad:.2e} <= 1e-6 across sweep", max_grad <= 1e-6)
     )
-    odd = BoundaryData(kind="linear_x1")
-    op = ctx.default_operator()
-    bundle = solve_bundle(op.mesh, odd, op=op)
-    scale = odd.scale(ctx.quad_pair(1e-3).outer_radius)
-    gap = abs(bundle.c1 - bundle.c2)
+    scale = ODD_DATA.scale(ctx.quad_pair(1e-3).outer_radius)
+    gap = num["odd_level_gap"]
     checks.append(
         (f"odd-in-x data on symmetric pair: |C1-C2| = {gap:.2e} <= 1e-8*scale", gap <= 1e-8 * scale)
     )

@@ -122,13 +122,9 @@ def flux_system(
     v0: fem.ScalarField,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flux matrix a_ij (field j through inclusion i) and loads b_i."""
-    a = np.array(
-        [
-            [op.flux(v1, INCLUSION1), op.flux(v2, INCLUSION1)],
-            [op.flux(v1, INCLUSION2), op.flux(v2, INCLUSION2)],
-        ]
-    )
-    b = np.array([-op.flux(v0, INCLUSION1), -op.flux(v0, INCLUSION2)])
+    f1, f2, f0 = (op.fluxes(v) for v in (v1, v2, v0))
+    a = np.array([[f1[INCLUSION1], f2[INCLUSION1]], [f1[INCLUSION2], f2[INCLUSION2]]])
+    b = np.array([-f0[INCLUSION1], -f0[INCLUSION2]])
     return a, b
 
 
@@ -160,7 +156,7 @@ def solve_bundle(
     c1, c2 = solve_constants(a, b)
     u = fem.ScalarField(mesh, c1 * v1.values + c2 * v2.values + v0.values)
     vb = fem.ScalarField(mesh, c2 * (v1.values + v2.values) + v0.values)
-    b_direct = -op.flux(vb, INCLUSION1)
+    b_direct = -op.fluxes(vb)[INCLUSION1]
     b_system = b[0] - c2 * (a[0, 0] + a[0, 1])
     c_diff_residual = (c1 - c2) - b_direct / a[0, 0]
     return SolveBundle(
@@ -257,11 +253,12 @@ def solve_touching(meshes, phi: BoundaryData) -> LimitBundle:
         op = fem.assemble(mesh)
         u1 = op.solve_dirichlet({INCLUSION1: 1.0, INCLUSION2: 1.0, OUTER: 0.0})
         u0 = op.solve_dirichlet({INCLUSION1: 0.0, INCLUSION2: 0.0, OUTER: phi.evaluate})
-        denom = op.flux(u1, INCLUSION1) + op.flux(u1, INCLUSION2)
+        f1, f0 = op.fluxes(u1), op.fluxes(u0)
+        denom = f1[INCLUSION1] + f1[INCLUSION2]
         if denom <= 0.0:
             raise fem.SolverError(f"merged-conductor flux {denom:.3e} should be positive")
-        c0 = -(op.flux(u0, INCLUSION1) + op.flux(u0, INCLUSION2)) / denom
-        b0 = -(c0 * op.flux(u1, INCLUSION1) + op.flux(u0, INCLUSION1))
+        c0 = -(f0[INCLUSION1] + f0[INCLUSION2]) / denom
+        b0 = -(c0 * f1[INCLUSION1] + f0[INCLUSION1])
         b_vals.append(b0)
         c_vals.append(c0)
         composed = fem.ScalarField(mesh, c0 * u1.values + u0.values)

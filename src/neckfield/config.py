@@ -8,7 +8,8 @@ canonical form whose reparse compares equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 from .conductivity import BoundaryData
 from .experiments import sweep_gaps
@@ -174,6 +175,30 @@ _SCHEMA: dict[str, dict[str, object]] = {
 }
 
 
+def _smallest_split(geometry: GeometryConfig, eps: float) -> float | None:
+    """Smallest fraction of the thinner inclusion, rounded up to four
+    decimals, for which the pair at gap ``eps`` exists with the rest of
+    ``geometry`` as given; None when the even split fails too.  The caps
+    reach less far as that fraction grows to 1/2, so bisection finds it."""
+    thin_first = geometry.split[0] < geometry.split[1]
+
+    def admissible(f: float) -> bool:
+        split = (f, 1.0 - f) if thin_first else (1.0 - f, f)
+        try:
+            replace(geometry, split=split).pair(eps)
+        except GeometryError:
+            return False
+        return True
+
+    if not admissible(0.5):
+        return None
+    lo, hi = 0.0, 0.5  # a zero fraction is never admissible
+    while hi - lo > 1e-7:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if admissible(mid) else (mid, hi)
+    return math.ceil(hi * 1e4) / 1e4
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every located problem."""
     problems: list[tuple[int, str, str]] = []
@@ -282,11 +307,16 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append((where("geometry", "profile"), "profile", str(exc)))
         else:
             # The inclusions reach farthest at the largest gap.
+            eps_max = max(eps_candidates, default=0.0)
             try:
-                geometry.pair(max(eps_candidates, default=0.0))
+                geometry.pair(eps_max)
             except GeometryError as exc:
                 names = "split, curvatures (or order and coefficient), neck_radius, separation and outer_radius"
-                problems.append((where("geometry", "split"), "split", f"{exc}; the inclusions follow from {names}"))
+                msg = f"{exc}; the inclusions follow from {names}"
+                bound = _smallest_split(geometry, eps_max)
+                if bound is not None:
+                    msg += f"; with the rest as given, the smaller split fraction must be at least {bound:.4f}"
+                problems.append((where("geometry", "split"), "split", msg))
 
     if problems:
         raise ConfigError(sorted(problems))

@@ -16,6 +16,11 @@ still above the 1e-10 bound, i.e. for data with an odd part.  A mesh
 that is not exactly mirror symmetric takes the identity reflection:
 P = I, no odd block, and the even solve is the full solve.
 
+The operator slices the interior rows of K once.  K is exactly
+symmetric, so the CSR arrays of its interior block K_ii are, unchanged,
+the CSC arrays of K_ii: no conversion is needed for the factorizations.
+Each field's boundary fluxes come from one product K f.
+
 A block of at least ``_DISSECTION_MIN`` unknowns is factored in a
 geometric nested-dissection order (George, SIAM J. Numer. Anal. 10,
 1973), which gives O(N log N) fill on a planar mesh: a k-d tree splits
@@ -81,15 +86,24 @@ class ScalarField:
 
 
 class StiffnessOperator:
-    """Sparse P1 stiffness with the interior/boundary index partition."""
+    """Sparse P1 stiffness with the interior/boundary index partition.
+
+    ``matrix`` must be exactly symmetric, as ``stiffness_matrix`` is.
+    """
 
     def __init__(self, mesh: Mesh, matrix: sp.csr_matrix):
         self.mesh = mesh
         self.matrix = matrix
-        self.boundary = np.flatnonzero(mesh.vertex_tags != INTERIOR)
-        self.interior = np.flatnonzero(mesh.vertex_tags == INTERIOR)
-        self._k_ii = matrix[self.interior][:, self.interior].tocsc()
-        self._k_ib = matrix[self.interior][:, self.boundary].tocsr()
+        tags = mesh.vertex_tags
+        self.boundary = np.flatnonzero(tags != INTERIOR)
+        self.interior = np.flatnonzero(tags == INTERIOR)
+        # The vertex ids of each boundary tag present, in tag order.
+        self._tag_ids = {int(tag): np.flatnonzero(tags == tag) for tag in np.unique(tags[self.boundary])}
+        rows = matrix[self.interior]
+        k_ii = rows[:, self.interior]
+        # K is exactly symmetric, so the CSR arrays of K_ii are its CSC arrays.
+        self._k_ii = sp.csc_matrix((k_ii.data, k_ii.indices, k_ii.indptr), shape=k_ii.shape)
+        self._k_ib = rows[:, self.boundary]
         self._even, self._odd, self._columns = _symmetry_bases(mesh, self.interior)
         self._factors: dict[str, tuple[sp.csc_matrix, object]] = {}
 
@@ -141,14 +155,13 @@ class StiffnessOperator:
         of the constrained system is verified to 1e-10 relative.
         """
         mesh = self.mesh
-        tags = set(int(t) for t in np.unique(mesh.vertex_tags) if t != INTERIOR)
-        missing = tags - set(data)
+        missing = set(self._tag_ids) - set(data)
         if missing:
             raise SolverError(f"boundary tags without data: {sorted(missing)}")
         u = np.zeros(mesh.vertex_count)
         for tag, value in data.items():
-            idx = np.flatnonzero(mesh.vertex_tags == tag)
-            if len(idx) == 0:
+            idx = self._tag_ids.get(tag)
+            if idx is None:
                 continue
             if callable(value):
                 u[idx] = np.asarray(value(mesh.vertices[idx]), dtype=float)
@@ -181,16 +194,15 @@ class StiffnessOperator:
         """Dirichlet energy f'Kf of a nodal field."""
         return float(f.values @ (self.matrix @ f.values))
 
-    def flux(self, f: ScalarField, tag: int) -> float:
-        """Consistent boundary flux through the tagged part.
+    def fluxes(self, f: ScalarField) -> dict[int, float]:
+        """Consistent boundary flux through each tagged part present, from
+        one product K f.
 
         Sign convention: the unit-potential field of a conductor has
         positive flux through its own boundary, equal to its energy.
         """
-        mask = self.mesh.vertex_tags == tag
-        if not mask.any():
-            raise SolverError(f"no boundary vertices carry tag {tag}")
-        return float((self.matrix @ f.values)[mask].sum())
+        kf = self.matrix @ f.values
+        return {tag: float(kf[ids].sum()) for tag, ids in self._tag_ids.items()}
 
 
 def _reflection(mesh: Mesh) -> np.ndarray:

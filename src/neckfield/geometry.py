@@ -96,6 +96,16 @@ class NeckProfile:
         r = float(np.sqrt(np.sum(arr * arr)))
         return float(self.coefficient * r**self.order)
 
+    def relative_line(self, x) -> np.ndarray:
+        """``relative([t])`` at each entry t of the array x, bit for bit: the
+        profile of one transverse variable along the neck."""
+        x = np.asarray(x, dtype=float)
+        if self.kind is ProfileKind.QUADRATIC:
+            (lam,) = self.curvatures
+            return 0.5 * (float(lam) * x * x)
+        # Python's float power, as in ``relative``: numpy's may round otherwise.
+        return self.coefficient * np.array([r**self.order for r in np.sqrt(x * x).tolist()])
+
     def relative_radial(self, r: float) -> float:
         """Relative profile at radius ``r`` (isotropic profiles only)."""
         if not self.is_radial():

@@ -215,13 +215,16 @@ def _neck_stations(pair: InclusionPair, params: MeshParams, x_start: float) -> n
     return np.asarray(xs)
 
 
-def _fiber(pair: InclusionPair, x: float, layers: int) -> np.ndarray:
-    """Station fiber at x, bottom to top: ``layers + 1`` rows at fixed
-    fractions of the local gap, the top row exactly on the upper graph."""
-    h1, h2 = pair.profile.heights([x])
-    y = h2 + (np.arange(layers + 1) / layers) * (pair.eps + pair.profile.relative([x]))
-    y[-1] = pair.eps + h1
-    return np.column_stack([np.full(layers + 1, x), y])
+def _fibers(pair: InclusionPair, xs, layers: int) -> np.ndarray:
+    """Station fibers at xs, shape (len(xs), layers + 1, 2), each bottom to
+    top: rows at fixed fractions of the local gap, the top row exactly on
+    the upper graph."""
+    xs = np.asarray(xs, dtype=float)
+    rel = pair.profile.relative_line(xs)
+    s1, s2 = pair.profile.split
+    y = -s2 * rel[:, None] + (np.arange(layers + 1) / layers) * (pair.eps + rel)[:, None]
+    y[:, -1] = pair.eps + s1 * rel
+    return np.stack([np.broadcast_to(xs[:, None], y.shape), y], axis=2)
 
 
 @dataclass
@@ -246,39 +249,30 @@ def _strip_piece(pair: InclusionPair, params: MeshParams, x_start: float, bridge
     xs = _neck_stations(pair, params, x_start)
     ns, nl = len(xs), params.layers
     rows = nl + 1
-    verts = np.concatenate([_fiber(pair, x, nl) for x in xs])
-    tris = []
-    col_x = []
-    for s in range(ns - 1):
-        b0 = s * rows
-        b1 = (s + 1) * rows
-        mid = 0.5 * (xs[s] + xs[s + 1])
-        for j in range(nl):
-            v00, v01 = b0 + j, b0 + j + 1
-            v10, v11 = b1 + j, b1 + j + 1
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-            col_x.extend((mid, mid))
-    segments: list[tuple[int, int, int]] = []
-    for s in range(ns - 1):
-        segments.append((s * rows, (s + 1) * rows, INCLUSION2))
-        segments.append((s * rows + nl, (s + 1) * rows + nl, INCLUSION1))
+    fibers = _fibers(pair, xs, nl)
+    verts = fibers.reshape(-1, 2)
+    # Column s, layer j: the quad v, v + rows, v + rows + 1, v + 1 with v =
+    # s * rows + j, cut into two triangles along its rising diagonal.
+    v = (np.arange(ns - 1)[:, None] * rows + np.arange(nl)).ravel()
+    tris = np.column_stack([v, v + rows, v + rows + 1, v, v + rows + 1, v + 1]).reshape(-1, 3)
+    # The lower and upper graph edge of each column.
+    s = np.arange(ns - 1) * rows
+    lower, upper = np.full(ns - 1, INCLUSION2), np.full(ns - 1, INCLUSION1)
+    segments = np.column_stack([s, s + rows, lower, s + nl, s + rows + nl, upper]).reshape(-1, 3)
     if bridge:
         h1, h2 = pair.profile.heights([x_start])
         mid_curve = 0.5 * (pair.eps + h1 + h2)
-        for j in range(nl):
-            ymid = 0.5 * (verts[j, 1] + verts[j + 1, 1])
-            tag = INCLUSION1 if ymid > mid_curve else INCLUSION2
-            segments.append((j, j + 1, tag))
-    tri_arr = np.asarray(tris, dtype=np.int64)
+        y = fibers[0, :, 1]
+        tags = np.where(0.5 * (y[:-1] + y[1:]) > mid_curve, INCLUSION1, INCLUSION2)
+        segments = np.vstack([segments, np.column_stack([np.arange(nl), np.arange(1, nl + 1), tags])])
     piece = _Piece(
         vertices=verts,
-        triangles=tri_arr,
-        segments=segments,
-        neck=np.ones(len(tri_arr), dtype=bool),
-        column_x=np.asarray(col_x),
+        triangles=tris,
+        segments=segments.tolist(),
+        neck=np.ones(len(tris), dtype=bool),
+        column_x=np.repeat(0.5 * (xs[:-1] + xs[1:]), 2 * nl),
     )
-    end_fiber = verts[(ns - 1) * rows : ns * rows].copy()
+    end_fiber = fibers[-1].copy()
     return piece, xs, end_fiber
 
 
@@ -707,7 +701,7 @@ def _far_reference(pair: InclusionPair, params: MeshParams) -> _FarReference:
     """
     from .fem import stiffness_matrix  # fem imports this module
 
-    end_fiber = _fiber(pair, pair.neck_radius, params.layers)
+    end_fiber = _fibers(pair, [pair.neck_radius], params.layers)[0]
     piece = _refine_far_half(pair, params, end_fiber)
     verts = piece.vertices
     tris = piece.triangles
@@ -1001,34 +995,7 @@ def refine_quadrisect(mesh: Mesh, pair: InclusionPair) -> Mesh:
     two: the column centres join the stations, and a neck child takes the
     centre of the half-column that holds its centroid.
     """
-    cap1, cap2 = pair.caps()
-    r0 = pair.neck_radius
     n = mesh.vertex_count
-
-    def _on_profile(i: int, upper: bool) -> bool:
-        x, y = mesh.vertices[i]
-        if abs(x) > r0 + 1e-12:
-            return False
-        h1, h2 = pair.profile.heights([x])
-        ref = pair.eps + h1 if upper else h2
-        return abs(y - ref) <= 1e-9 * max(1.0, abs(ref))
-
-    def _project(a: int, b: int, tag: int, mid: np.ndarray) -> np.ndarray:
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        if tag == OUTER:
-            return mid * (pair.outer_radius / math.hypot(mid[0], mid[1]))
-        if abs(pa[0] - pb[0]) <= 1e-14:
-            return mid  # vertical excision fiber, straight
-        upper = tag == INCLUSION1
-        if _on_profile(a, upper) and _on_profile(b, upper):
-            h1, h2 = pair.profile.heights([mid[0]])
-            y = pair.eps + h1 if upper else h2
-            return np.array([mid[0], y])
-        cap = cap1 if upper else cap2
-        center = np.array([0.0, cap.center_height])
-        d = mid - center
-        return center + d * (cap.radius / math.hypot(d[0], d[1]))
-
     keys = _edge_keys(mesh.triangles, n)
     uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     rank = np.empty(len(uniq), dtype=np.int64)
@@ -1040,8 +1007,7 @@ def refine_quadrisect(mesh: Mesh, pair: InclusionPair) -> Mesh:
     lo = mesh.boundary_edges.min(axis=1)
     hi = mesh.boundary_edges.max(axis=1)
     b_mid = n + rank[np.searchsorted(uniq, lo * n + hi)]
-    for a, b, tag, m in zip(lo.tolist(), hi.tolist(), mesh.boundary_tags.tolist(), b_mid.tolist()):
-        verts[m] = _project(a, b, tag, verts[m])
+    verts[b_mid] = _project_midpoints(mesh, pair, lo, hi, verts[b_mid])
     vtags[b_mid] = mesh.boundary_tags
     b_edges = np.column_stack([np.concatenate([lo, hi]), np.concatenate([b_mid, b_mid])])
     order = np.lexsort((b_edges[:, 1], b_edges[:, 0]))
@@ -1068,6 +1034,45 @@ def refine_quadrisect(mesh: Mesh, pair: InclusionPair) -> Mesh:
         stations=stations,
         layers=2 * mesh.layers,
     )
+
+
+def _project_midpoints(mesh: Mesh, pair: InclusionPair, a: np.ndarray, b: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """The midpoints ``mid`` of the boundary edges (a, b) of ``mesh``, in
+    the order of ``mesh.boundary_tags``, projected onto their curves: the
+    outer circle, the profile graph where both ends lie on it, else the
+    cap circle.  Midpoints of vertical excision fibers stay put.  Lengths
+    come from ``math.hypot``, which numpy's hypot need not match."""
+    tags = mesh.boundary_tags
+    pa, pb = mesh.vertices[a], mesh.vertices[b]
+    out = mid.copy()
+    upper = tags == INCLUSION1
+
+    def hypot(d: np.ndarray) -> np.ndarray:
+        return np.array(list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())))
+
+    def graph(x: np.ndarray, up: np.ndarray) -> np.ndarray:
+        rel = pair.profile.relative_line(x)
+        s1, s2 = pair.profile.split
+        return np.where(up, pair.eps + s1 * rel, -s2 * rel)
+
+    def on_graph(p: np.ndarray, up: np.ndarray) -> np.ndarray:
+        ref = graph(p[:, 0], up)
+        near = np.abs(p[:, 0]) <= pair.neck_radius + 1e-12
+        return near & (np.abs(p[:, 1] - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
+
+    outer = tags == OUTER
+    out[outer] = mid[outer] * (pair.outer_radius / hypot(mid[outer]))[:, None]
+    curved = ~outer & (np.abs(pa[:, 0] - pb[:, 0]) > 1e-14)
+    up = upper[curved]
+    on = on_graph(pa[curved], up) & on_graph(pb[curved], up)
+    at = np.flatnonzero(curved)
+    profile, cap = at[on], at[~on]
+    out[profile, 1] = graph(mid[profile, 0], upper[profile])
+    cap1, cap2 = pair.caps()
+    center = np.column_stack([np.zeros(len(cap)), np.where(upper[cap], cap1.center_height, cap2.center_height)])
+    d = mid[cap] - center
+    out[cap] = center + d * (np.where(upper[cap], cap1.radius, cap2.radius) / hypot(d))[:, None]
+    return out
 
 
 def mesh_convex_polygon(corners: np.ndarray, h: float) -> Mesh:

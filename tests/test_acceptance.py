@@ -20,6 +20,7 @@ import pytest
 
 from neckfield import acceptance, experiments
 from neckfield import mesh as mesh_module
+from neckfield.fem import SolverError
 from neckfield.mesh import MeshError
 
 
@@ -180,6 +181,21 @@ def test_finest_mesh_error_surfaces_at_c7(monkeypatch, cpus):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_identity_error_surfaces_at_c3(monkeypatch, cpus):
+    # C3's and C6's solves fail.  With a worker they fail there, and the
+    # error is raised, with its type, when C3 asks for its numbers, as inline.
+    def failing(*args, **kwargs):
+        raise SolverError("forced C3/C6 failure")
+
+    monkeypatch.setattr(acceptance, "solve_bundle", failing)  # C3's and C6's solves only
+    echoed = []
+    with pytest.raises(SolverError, match="forced C3/C6 failure"):
+        _run_all(monkeypatch, cpus, echo=echoed.append)
+    assert [line.split()[0] for line in echoed if not line.startswith(" ")] == ["C1", "C2"]
+    assert multiprocessing.active_children() == []
+
+
 def test_worker_dropped_gap_fails_the_sweep_criteria(monkeypatch):
     real = experiments.generate
 
@@ -197,17 +213,22 @@ def test_worker_dropped_gap_fails_the_sweep_criteria(monkeypatch):
 
 
 def test_runtime_budgets_count_prefetched_work(monkeypatch):
-    # What prefetch built before the criteria ran is on C3's and C4's
-    # budgets: the operator's mesh, and the sweeps' meshes and solves.
+    # What prefetch built before the criteria ran is on the budgets of C3,
+    # C4 and C6: their meshes, and the worker's seconds on their solves.
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     fresh = acceptance.AcceptanceContext()
     with fresh.prefetch():
-        results = [criterion(fresh) for criterion in acceptance.CRITERIA[2:4]]
-    for result, keys in zip(results, (["op_m2"], ["sweep_m2", "sweep_m4"])):
+        results = {r.name.split()[0]: r for r in (criterion(fresh) for criterion in acceptance.CRITERIA[2:6])}
+    for name, keys in (
+        ("C3", ["op_m2", "identities"]),
+        ("C4", ["sweep_m2", "sweep_m4"]),
+        ("C6", ["constant_data", "degeneracy"]),
+    ):
+        assert all(fresh.build_seconds[key] > 0.0 for key in keys)
         spent = sum(fresh.build_seconds[key] for key in keys)
-        assert spent > 0.0 and result.runtime >= spent
-        (budget,) = [d for d in result.details if "runtime" in d]
-        assert float(re.search(r"runtime ([\d.]+)s", budget).group(1)) >= float(f"{spent:.1f}")
+        assert results[name].runtime >= spent
+        for budget in [d for d in results[name].details if "runtime" in d]:  # C6 prints none
+            assert float(re.search(r"runtime ([\d.]+)s", budget).group(1)) >= float(f"{spent:.1f}")
 
 
 def test_cancelled_prefetch_builds_inline():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -76,6 +77,29 @@ class TestConfig:
         assert (line, key) == (2, "split")
         assert f"within {margin} of the outer boundary" in msg
         assert all(name in msg for name in ("split", "curvatures", "outer_radius"))
+
+    @pytest.mark.parametrize(
+        "profile,split",
+        [("", "0.7 0.3"), ("", "0.2 0.8"), ("profile = power\norder = 4\ncoefficient = 4\n", "0.9 0.1")],
+    )
+    def test_inadmissible_split_names_smallest_fraction(self, profile, split):
+        # The bound the message names is admissible; 1% below it is not.
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[geometry]\n{profile}split = {split}\n")
+        (_, _, msg), = err.value.problems
+        bound = float(re.search(r"smaller split fraction must be at least ([\d.]+)", msg).group(1))
+        thin_first = float(split.split()[0]) < 0.5
+        for fraction, ok in ((bound, True), (0.99 * bound, False)):
+            pair = (fraction, 1.0 - fraction) if thin_first else (1.0 - fraction, fraction)
+            text = f"[geometry]\n{profile}split = {pair[0]!r} {pair[1]!r}\n"
+            if ok:
+                parse_config(text)
+                continue
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            (line, key, msg), = err.value.problems
+            assert (line, key) == (text.count("\n"), "split")
+            assert "outer boundary" in msg and "smaller split fraction must be at least" in msg
 
     @pytest.mark.parametrize(
         "sweep,msg",

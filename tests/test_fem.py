@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from neckfield import fem
-from neckfield.conductivity import BoundaryData
+from neckfield.conductivity import BoundaryData, solve_bundle, solve_constants
 from neckfield.geometry import InclusionPair, NeckProfile, ProfileKind
 from neckfield.mesh import (
     INCLUSION1,
@@ -299,28 +299,31 @@ class TestFluxAndEnergy:
 
     def test_flux_equals_energy(self, op, v1):
         e = op.energy(v1)
-        assert abs(op.flux(v1, INCLUSION1) - e) <= 1e-10 * e
+        assert abs(op.fluxes(v1)[INCLUSION1] - e) <= 1e-10 * e
 
     def test_reciprocity(self, op, v1):
         v2 = op.solve_dirichlet({INCLUSION1: 0.0, INCLUSION2: 1.0, OUTER: 0.0})
-        a12 = op.flux(v2, INCLUSION1)
-        a21 = op.flux(v1, INCLUSION2)
+        a12 = op.fluxes(v2)[INCLUSION1]
+        a21 = op.fluxes(v1)[INCLUSION2]
         assert abs(a12 - a21) <= 1e-8 * abs(a12)
 
     def test_total_flux_vanishes(self, op, v1):
-        total = op.flux(v1, INCLUSION1) + op.flux(v1, INCLUSION2) + op.flux(v1, OUTER)
+        flux = op.fluxes(v1)
+        total = flux[INCLUSION1] + flux[INCLUSION2] + flux[OUTER]
         assert abs(total) <= 1e-10
 
     def test_flux_linearity(self, op, v1):
         v2 = op.solve_dirichlet({INCLUSION1: 0.0, INCLUSION2: 1.0, OUTER: 0.0})
         combo = fem.ScalarField(op.mesh, 2.0 * v1.values + 3.0 * v2.values)
-        lhs = op.flux(combo, INCLUSION1)
-        rhs = 2.0 * op.flux(v1, INCLUSION1) + 3.0 * op.flux(v2, INCLUSION1)
+        lhs = op.fluxes(combo)[INCLUSION1]
+        rhs = 2.0 * op.fluxes(v1)[INCLUSION1] + 3.0 * op.fluxes(v2)[INCLUSION1]
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     def test_unknown_tag_rejected(self, op, v1):
-        with pytest.raises(fem.SolverError):
-            op.flux(v1, 99)
+        # Fluxes are given for the boundary tags present, and no other.
+        assert sorted(op.fluxes(v1)) == sorted([OUTER, INCLUSION1, INCLUSION2])
+        with pytest.raises(KeyError):
+            op.fluxes(v1)[99]
 
 
 class TestAcrossGaps:
@@ -420,3 +423,94 @@ class TestDissection:
         fresh.solve_dirichlet({INCLUSION1: 1.0, INCLUSION2: 0.0, OUTER: 0.0})
         assert log.calls == [(fresh._even.shape[1], {})]
         assert fresh._even.shape[1] < fem._DISSECTION_MIN
+
+
+def _former_flux(op, f, tag):
+    # One product K f per flux, summed over a boolean tag mask.
+    return float((op.matrix @ f.values)[op.mesh.vertex_tags == tag].sum())
+
+
+def _former_operator(mesh):
+    # The operator with K_ii and K_ib sliced as before: the interior rows
+    # taken twice, and K_ii converted to CSC.
+    op = fem.assemble(mesh)
+    op._k_ii = op.matrix[op.interior][:, op.interior].tocsc()
+    op._k_ib = op.matrix[op.interior][:, op.boundary].tocsr()
+    return op
+
+
+def _former_solve(op, data):
+    mesh = op.mesh
+    u = np.zeros(mesh.vertex_count)
+    for tag, value in data.items():
+        idx = np.flatnonzero(mesh.vertex_tags == tag)
+        u[idx] = np.asarray(value(mesh.vertices[idx]), dtype=float) if callable(value) else float(value)
+    sol, _ = op._solve(-op._k_ib @ u[op.boundary])
+    u[op.interior] = sol
+    return fem.ScalarField(mesh, u)
+
+
+def _former_bundle(op, phi):
+    # solve_bundle with seven flux products.
+    mesh = op.mesh
+    v1 = _former_solve(op, {INCLUSION1: 1.0, INCLUSION2: 0.0, OUTER: 0.0})
+    v2 = _former_solve(op, {INCLUSION1: 0.0, INCLUSION2: 1.0, OUTER: 0.0})
+    v0 = _former_solve(op, {INCLUSION1: 0.0, INCLUSION2: 0.0, OUTER: phi.evaluate})
+    a = np.array([[_former_flux(op, v1, INCLUSION1), _former_flux(op, v2, INCLUSION1)],
+                  [_former_flux(op, v1, INCLUSION2), _former_flux(op, v2, INCLUSION2)]])
+    b = np.array([-_former_flux(op, v0, INCLUSION1), -_former_flux(op, v0, INCLUSION2)])
+    c1, c2 = solve_constants(a, b)
+    vb = fem.ScalarField(mesh, c2 * (v1.values + v2.values) + v0.values)
+    b_direct = -_former_flux(op, vb, INCLUSION1)
+    return {
+        "v1": v1, "v2": v2, "v0": v0,
+        "a11": a[0, 0], "a12": a[0, 1], "a21": a[1, 0], "a22": a[1, 1], "b1": b[0], "b2": b[1],
+        "c1": c1, "c2": c2,
+        "u": fem.ScalarField(mesh, c1 * v1.values + c2 * v2.values + v0.values),
+        "vb": vb,
+        "b_factor": b_direct,
+        "b_factor_system": b[0] - c2 * (a[0, 0] + a[0, 1]),
+        "c_diff_residual": (c1 - c2) - b_direct / a[0, 0],
+    }
+
+
+def _same_sparse(got, want):
+    assert got.format == want.format and got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+class TestOperatorSetupBits:
+    """One slice of the interior rows, K_ii's CSR arrays as its CSC form and
+    one flux product per field, against the former slicing and per-flux
+    path, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "case,kind",
+        [("default", "linear_xn"), ("ladder", "linear_xn"), ("touching", "linear_xn"),
+         ("quartic", "linear_xn"), ("default", "linear_x1")],
+    )
+    def test_equals_former_path(self, pair, op, ladder_op, case, kind):
+        if case == "default":
+            mesh = op.mesh
+        elif case == "ladder":
+            mesh = ladder_op.mesh
+        elif case == "touching":
+            mesh = generate_touching(pair.with_gap(0.0), 0.05, MeshParams())
+        else:
+            quartic = InclusionPair(2, NeckProfile(kind=ProfileKind.POWER_LAW, order=4.0, coefficient=4.0), 1e-3)
+            mesh = generate(quartic, MeshParams())
+        new, old = fem.assemble(mesh), _former_operator(mesh)
+        _same_sparse(new._k_ii, old._k_ii)
+        _same_sparse(new._k_ib, old._k_ib)
+        _same_sparse((new._even.T @ new._k_ii @ new._even).tocsc(), (old._even.T @ old._k_ii @ old._even).tocsc())
+        phi = BoundaryData(kind=kind)
+        got, want = solve_bundle(mesh, phi, op=new), _former_bundle(old, phi)
+        if kind == "linear_x1":
+            assert "odd" in new._factors  # the odd correction rhs - K_ii @ sol ran
+        for name, value in want.items():
+            if isinstance(value, fem.ScalarField):
+                assert getattr(got, name).values.tobytes() == value.values.tobytes(), name
+            else:
+                assert getattr(got, name) == value, name

@@ -356,7 +356,7 @@ class TestPinnedBytes:
 
 
 def _reference_gap(pair, params):
-    end_fiber = mesh_module._fiber(pair, pair.neck_radius, params.layers)
+    end_fiber = mesh_module._fibers(pair, [pair.neck_radius], params.layers)[0]
     return mesh_module._far_half_piece(pair, params, end_fiber)[1]
 
 
@@ -448,7 +448,8 @@ class TestMovedFarField:
         assert abs(bundle.a12 - bundle.a21) / abs(bundle.a12) <= 1e-8
         # C3's 1e-10 bound at its energy of about 100, per unit energy: the
         # rounding in the flux sum grows with the energy, 1e-15 of it.
-        total = sum(op.flux(bundle.v1, tag) for tag in (OUTER, INCLUSION1, INCLUSION2))
+        flux = op.fluxes(bundle.v1)
+        total = sum(flux[tag] for tag in (OUTER, INCLUSION1, INCLUSION2))
         assert abs(total) <= 1e-12 * bundle.a11
         for f in (bundle.v1, bundle.v2):
             assert f.values.min() >= -1e-10 and f.values.max() <= 1.0 + 1e-10
@@ -574,3 +575,128 @@ class TestArrayKernels:
         assert len(ref_accepted) > 10 and len(ref_split) > 5
         assert np.array_equal(accepted, ref_accepted)
         assert split.tolist() == ref_split
+
+
+def _strip_loop(pair, params, x_start, bridge):
+    # The former strip builder: one fiber per station, one quad at a time.
+    xs = mesh_module._neck_stations(pair, params, x_start)
+    ns, nl = len(xs), params.layers
+    rows = nl + 1
+
+    def fiber(x):
+        h1, h2 = pair.profile.heights([x])
+        y = h2 + (np.arange(nl + 1) / nl) * (pair.eps + pair.profile.relative([x]))
+        y[-1] = pair.eps + h1
+        return np.column_stack([np.full(nl + 1, x), y])
+
+    verts = np.concatenate([fiber(x) for x in xs])
+    tris, col_x, segments = [], [], []
+    for s in range(ns - 1):
+        b0, b1 = s * rows, (s + 1) * rows
+        mid = 0.5 * (xs[s] + xs[s + 1])
+        for j in range(nl):
+            tris += [(b0 + j, b1 + j, b1 + j + 1), (b0 + j, b1 + j + 1, b0 + j + 1)]
+            col_x += [mid, mid]
+    for s in range(ns - 1):
+        segments += [(s * rows, (s + 1) * rows, INCLUSION2), (s * rows + nl, (s + 1) * rows + nl, INCLUSION1)]
+    if bridge:
+        h1, h2 = pair.profile.heights([x_start])
+        mid_curve = 0.5 * (pair.eps + h1 + h2)
+        for j in range(nl):
+            ymid = 0.5 * (verts[j, 1] + verts[j + 1, 1])
+            segments.append((j, j + 1, INCLUSION1 if ymid > mid_curve else INCLUSION2))
+    return verts, np.asarray(tris, dtype=np.int64), segments, np.asarray(col_x), xs
+
+
+def _project_loop(mesh, pair, a, b, mid):
+    # The former projection: one boundary midpoint at a time.
+    cap1, cap2 = pair.caps()
+
+    def on_profile(i, upper):
+        x, y = mesh.vertices[i]
+        if abs(x) > pair.neck_radius + 1e-12:
+            return False
+        h1, h2 = pair.profile.heights([x])
+        ref = pair.eps + h1 if upper else h2
+        return abs(y - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    def project(i, j, tag, m):
+        pa, pb = mesh.vertices[i], mesh.vertices[j]
+        if tag == OUTER:
+            return m * (pair.outer_radius / math.hypot(m[0], m[1]))
+        if abs(pa[0] - pb[0]) <= 1e-14:
+            return m
+        upper = tag == INCLUSION1
+        if on_profile(i, upper) and on_profile(j, upper):
+            h1, h2 = pair.profile.heights([m[0]])
+            return np.array([m[0], pair.eps + h1 if upper else h2])
+        cap = cap1 if upper else cap2
+        center = np.array([0.0, cap.center_height])
+        d = m - center
+        return center + d * (cap.radius / math.hypot(d[0], d[1]))
+
+    out = mid.copy()
+    for k, (i, j, tag) in enumerate(zip(a.tolist(), b.tolist(), mesh.boundary_tags.tolist())):
+        out[k] = project(i, j, tag, mid[k])
+    return out
+
+
+def _profile_pair(kind, eps, split=(0.5, 0.5), outer_radius=4.0):
+    if kind == "quadratic":
+        prof = NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=(2.0,), split=split)
+    else:
+        prof = NeckProfile(kind=ProfileKind.POWER_LAW, order=float(kind), coefficient=4.0, split=split)
+    return InclusionPair(2, prof, eps, outer_radius=outer_radius)
+
+
+class TestArrayBits:
+    """The array strip and boundary projection against their former
+    one-station and one-edge loops, byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["quadratic", "4", "6"])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-5, 1e-3, 0.1, 0.5])
+    def test_strip_matches_fiber_loop(self, kind, eps):
+        # A wide outer circle admits the flat order-6 caps at large gaps.
+        pair = _profile_pair(kind, eps, split=(0.6, 0.4) if eps == 0.1 else (0.5, 0.5), outer_radius=8.0)
+        self._check_strip(pair, MeshParams(), 0.0, False)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "4", "6"])
+    @pytest.mark.parametrize("r_cut", [0.02, 0.08])
+    def test_bridge_strip_matches_fiber_loop(self, kind, r_cut):
+        pair = _profile_pair(kind, 0.0)
+        piece = self._check_strip(pair, MeshParams(layers=5), r_cut, True)
+        assert {tag for _, _, tag in piece.segments[-5:]} == {INCLUSION1, INCLUSION2}
+
+    @staticmethod
+    def _check_strip(pair, params, x_start, bridge):
+        piece, xs, end_fiber = mesh_module._strip_piece(pair, params, x_start, bridge)
+        verts, tris, segments, col_x, ref_xs = _strip_loop(pair, params, x_start, bridge)
+        assert piece.vertices.tobytes() == verts.tobytes()
+        assert piece.triangles.dtype == tris.dtype and np.array_equal(piece.triangles, tris)
+        assert [tuple(s) for s in piece.segments] == segments
+        assert piece.neck.dtype == bool and piece.neck.all() and len(piece.neck) == len(tris)
+        assert piece.column_x.tobytes() == col_x.tobytes()
+        assert xs.tobytes() == ref_xs.tobytes()
+        assert end_fiber.tobytes() == verts[-(params.layers + 1):].tobytes()
+        return piece
+
+    @pytest.mark.parametrize("case", ["ladder", "touching", "quartic"])
+    def test_quadrisection_matches_projection_loop(self, case, monkeypatch):
+        if case == "ladder":
+            pair = _profile_pair("quadratic", 1e-3)
+            meshes = [generate(pair, MeshParams())]
+            for _ in range(2):
+                meshes.append(refine_quadrisect(meshes[-1], pair))
+        elif case == "touching":
+            pair = _profile_pair("quadratic", 0.0)
+            meshes = [generate_touching(pair, 0.05, MeshParams())]
+        else:
+            pair = _profile_pair("4", 1e-3)
+            meshes = [generate(pair, MeshParams())]
+        for coarse in meshes:
+            got = refine_quadrisect(coarse, pair)
+            with monkeypatch.context() as patch:
+                patch.setattr(mesh_module, "_project_midpoints", _project_loop)
+                want = refine_quadrisect(coarse, pair)
+            for name in ("vertices", "triangles", "boundary_edges", "boundary_tags", "vertex_tags", "neck_column_x"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
