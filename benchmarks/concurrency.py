@@ -16,13 +16,11 @@ in order, and rewrites OUT after each part:
   a far field refined in both processes would show here.
 - ``one_cpu``: the same under ``taskset -c 0``, where the gate runs in one
   process.
-- ``sweep_workers``: PAIRS pairs of ``python -m neckfield.cli sweep`` on the
-  default config, whole process, with ``--workers 2`` and without.
 - ``fingerprints``: ``perfbench/run.py --workload gate --seed 0`` for one
-  pass under ``taskset -c 0`` in each checkout, and without it in the
-  change: the fingerprint line perfbench prints.  perfbench sees the
-  meshes of its own process only, so the three agree only if the gate
-  builds every mesh there.
+  pass in each checkout, with and without ``taskset -c 0``: the
+  fingerprint line perfbench prints.  perfbench sees the meshes of its
+  own process only, so the four agree only if the gate builds every mesh
+  there.  Then the same for ``--workload sweep`` (meshes and CSVs).
 - ``pairs``: for each workload, PAIRS alternating perfbench pairs, as in
   ``benchmarks/symmetry.py``.
 """
@@ -104,17 +102,11 @@ def main() -> None:
     doc["one_cpu"] = _alternate(parent, change, args.pairs,
                                 lambda root: {"wall_s": _cli_wall(root, "verify", prefix=ONE_CPU)}, "one-CPU verify")
     save()
-    doc["sweep_workers"] = _alternate(
-        parent, change, args.pairs,
-        lambda root: {"workers2_s": _cli_wall(root, "sweep", "--workers", "2"), "sequential_s": _cli_wall(root, "sweep")},
-        "sweep",
-    )
-    save()
-    doc["fingerprints"] = {
-        "parent_one_cpu": _fingerprint(parent, ONE_CPU),
-        "change_one_cpu": _fingerprint(change, ONE_CPU),
-        "change_two_cpus": _fingerprint(change, ()),
-    }
+    doc["fingerprints"] = {}
+    for side, root in (("parent", parent), ("change", change)):
+        doc["fingerprints"][f"{side}_one_cpu"] = _fingerprint(root, ONE_CPU)
+        doc["fingerprints"][f"{side}_two_cpus"] = _fingerprint(root, ())
+        doc["fingerprints"][f"{side}_sweep"] = _fingerprint(root, (), "sweep")
     print(f"fingerprints {doc['fingerprints']}", flush=True)
     save()
     doc["pairs"] = {}

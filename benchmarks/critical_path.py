@@ -16,8 +16,9 @@ in order, and rewrites OUT after each part:
   assembly (stiffness and operator setup), nested-dissection order, LU
   (``splu``), the rest of the factorization (block products and
   permutations) and the solves with their fluxes, then the criteria
-  after the fork (each criterion's share, waits on the worker included);
-  and the worker's seconds per artifact.
+  after the fork (each criterion's share, waits on the worker included:
+  since the gate collects the worker's results before the criteria run,
+  C1's share holds that wait); and the worker's seconds per artifact.
 - ``fingerprints``: perfbench's seed-0 fingerprint line (meshes, and the
   sweep's CSVs) for one pass of each workload in each checkout, the gate
   also under ``taskset -c 0``.
@@ -115,7 +116,6 @@ acceptance.AcceptanceContext._build = build_key
 acceptance._built = plan
 solve = experiments.solve_bundle
 experiments.solve_bundle = bundle
-timed(experiments, "_fork_pool")
 timed(fem, "assemble")
 timed(fem, "stiffness_matrix")
 timed(fem, "_dissection", "order")

@@ -19,8 +19,6 @@ in order, and rewrites OUT after each part:
   mesh and solve carry what scipy import the change moved out of set-up;
   the second shows the warm cost.  ``to_first_solve_s`` is the sum from
   the first import to the first ``solve_bundle`` result.
-- ``sweep_workers``: PAIRS pairs of ``python -m neckfield.cli sweep
-  --workers 2`` on the default config, wall time of the whole process.
 - ``pairs``: for each workload, PAIRS alternating perfbench pairs, as in
   ``benchmarks/symmetry.py``.
 """
@@ -31,13 +29,10 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import sys
-import tempfile
-import time
 from pathlib import Path
 
-from symmetry import WORKLOADS, _env, _python, _summary, pairs
+from symmetry import WORKLOADS, _python, _summary, pairs
 
 MODULES_CODE = """
 import json, sys
@@ -78,18 +73,6 @@ def _setup_code(root: Path) -> str:
         return run.SETUP_CODE
     finally:
         sys.path.pop(0)
-
-
-def _sweep_wall(root: Path) -> float:
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "sweep.cfg"
-        cfg.write_text(f"[output]\ndirectory = {Path(tmp) / 'out'}\n")
-        t0 = time.perf_counter()
-        subprocess.run(
-            [sys.executable, "-m", "neckfield.cli", "sweep", "--config", str(cfg), "--workers", "2"],
-            cwd=root, env=_env(root), capture_output=True, check=True,
-        )
-        return time.perf_counter() - t0
 
 
 def _alternate(parent: Path, change: Path, count: int, measure, label: str) -> dict:
@@ -138,9 +121,6 @@ def main() -> None:
     save()
     doc["first_solve"] = _alternate(parent, change, args.pairs,
                                     lambda root: json.loads(_python(root, FIRST_SOLVE_CODE)[-1]), "first solve")
-    save()
-    doc["sweep_workers"] = _alternate(parent, change, args.pairs,
-                                      lambda root: {"wall_s": _sweep_wall(root)}, "sweep --workers 2")
     save()
     doc["pairs"] = {}
     for workload in WORKLOADS:

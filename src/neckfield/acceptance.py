@@ -7,32 +7,32 @@ data are pinned per criterion; mesh resolution and fit tolerances come
 from the configuration.
 
 The heavy artifacts share no data, so with two usable CPUs run_all builds
-them on two processes before the criteria ask for them
+them on two processes before the criteria run
 (``AcceptanceContext.prefetch``).  This process first builds every mesh the
 gate uses, in the order the criteria ask for them, so the meshes and their
-order are those of the sequential run.  Then one forked worker solves
-C3's structural identities, both gap sweeps, C6's constant and odd data,
-the coarser levels of the quadrisection ladder and the truncated-cusp
-factor, while this process solves the finest ladder level, the largest
-working set, and nothing else.  The criteria then run in order on those
-results with the same code, so every number is what the sequential run
-gives, and an artifact's error is raised when the first criterion that
-needs it asks for it.  With one usable CPU every artifact is built when
-first asked for.
+order are those of a one-process run.  Then one forked worker solves C3's
+structural identities, both gap sweeps, C6's constant and odd data, the
+coarser levels of the quadrisection ladder and the truncated-cusp factor,
+while this process solves the finest ladder level, the largest working
+set, and nothing else.  The worker's results are collected and the worker
+is joined before the criteria run, in order, on those results with the
+same code, so every number is what a one-process run gives, and an
+artifact's error is raised when the first criterion that needs it asks
+for it.  With one usable CPU every artifact is built when first asked for.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import closed_forms as cf
-from . import experiments, fem
+from . import fem
 from .conductivity import BoundaryData, solve_bundle, solve_touching, touching_meshes
 from .config import ExperimentConfig
 from .experiments import (
@@ -78,11 +78,12 @@ class AcceptanceContext:
     """Shared solves for the acceptance criteria.
 
     ``_mesh_plans`` gives the meshes of each heavy artifact and
-    ``_builders`` one function per artifact that solves on them.  ``_get``
-    returns an artifact from the cache, else takes it from what
-    ``prefetch`` built, else builds it inline.  ``build_seconds`` holds the
-    seconds ``prefetch`` spent on each mesh plan and each artifact, which
-    no criterion's clock saw; a sweep's plan and artifact share one key.
+    ``_builders`` one function per artifact that solves on them.  A mesh
+    plan is built whole when first used and an artifact when first asked
+    for; either keeps the error that building it raised, which is raised
+    again wherever it is asked for.  ``build_seconds`` holds the seconds
+    ``prefetch`` spent on each mesh plan and each artifact, which no
+    criterion's clock saw; a sweep's plan and artifact share one key.
     """
 
     def __init__(self, cfg: ExperimentConfig | None = None):
@@ -91,15 +92,14 @@ class AcceptanceContext:
         self.tol = self.cfg.tolerances
         self.phi = BoundaryData(kind="linear_xn")
         self.eps_list = [1e-2 * 4.0 ** (-k) for k in range(6)]
-        self._cache: dict[str, object] = {}
-        self._meshes: dict[str, list] = {}  # plan -> what prefetch built of it
-        self._ready: dict[str, object] = {}  # key -> Future of (artifact, seconds)
+        self._cache: dict[str, object] = {}  # key -> artifact, or the error building it raised
+        self._meshes: dict[str, list] = {}  # plan -> its meshes, an error in place of those it stopped
         self.build_seconds: dict[str, float] = {}
 
     def _mesh_plans(self) -> dict:
-        """The meshes of each artifact, built as they are taken, in the order
-        the criteria first ask for them.  Made afresh at each call, so that
-        no closure keeps the context alive after its run."""
+        """The meshes of each artifact, in the order the criteria first ask
+        for them.  Made afresh at each call, so that no closure keeps the
+        context alive after its run."""
         quad, params = self.quad_pair(1e-3), self.params
         finer = replace(params, refinement=params.refinement + 2)
         return {
@@ -115,11 +115,10 @@ class AcceptanceContext:
         }
 
     def meshes(self, plan: str):
-        """Iterator over the meshes of ``plan``: those ``prefetch`` built,
-        where an error that building raised is raised again in its place,
-        else each built as it is taken."""
+        """Iterator over the meshes of ``plan``, built whole on first use; an
+        error that building raised is raised again in its place."""
         if plan not in self._meshes:
-            return iter(self._mesh_plans()[plan]())
+            self._meshes[plan] = _built(self._mesh_plans()[plan])
         return _raising(self._meshes[plan])
 
     def _builders(self) -> dict:
@@ -134,7 +133,6 @@ class AcceptanceContext:
             "op_m2": lambda: fem.assemble(next(meshes("op_m2"))),
             "identities": lambda: _identity_numbers(self.default_operator(), phi),
             "degeneracy": lambda: _degeneracy_numbers(meshes("constant_data"), self.default_operator()),
-            "convergence": lambda: convergence_report(ladder_solves(meshes("ladder"), phi)),
             "ladder_coarse": lambda: ladder_solves(itertools.islice(meshes("ladder"), COARSE_LEVELS), phi),
             "ladder_finest": lambda: ladder_solves(itertools.islice(meshes("ladder"), COARSE_LEVELS, None), phi),
             "b0_ext": lambda: fit_blowup_limit(self.records_m2()),
@@ -154,9 +152,13 @@ class AcceptanceContext:
     # cached heavy artifacts ------------------------------------------------
 
     def _build(self, key: str) -> tuple[object, float]:
-        """Build an artifact; returns it and the seconds it took."""
+        """Build an artifact; returns it, or the error that building it
+        raised, and the seconds it took."""
         t0 = time.perf_counter()
-        value = self._builders()[key]()
+        try:
+            value = self._builders()[key]()
+        except Exception as exc:  # raised again where the artifact is asked for
+            value = exc
         return value, time.perf_counter() - t0
 
     def off_clock(self, *keys: str) -> float:
@@ -167,49 +169,40 @@ class AcceptanceContext:
 
     def _get(self, key: str):
         if key not in self._cache:
-            ready = self._ready.pop(key, None)
-            if ready is None or ready.cancelled():  # cancelled on leaving prefetch
-                value, _ = self._build(key)
-            else:
-                value, seconds = ready.result()
-                self.build_seconds[key] = self.build_seconds.get(key, 0.0) + seconds
-            self._cache[key] = value
-        return self._cache[key]
+            self._cache[key], _ = self._build(key)
+        value = self._cache[key]
+        if isinstance(value, Exception):
+            raise value
+        return value
 
-    @contextlib.contextmanager
-    def prefetch(self):
-        """Build the heavy artifacts on two processes for the length of the
-        block.
+    def prefetch(self) -> None:
+        """Build the heavy artifacts on two processes, if two CPUs are usable.
 
         This process builds every mesh plan, in order, then forks one
         worker that solves WORKER_ARTIFACTS on the meshes it inherits, and
-        meanwhile solves the finest ladder level, its only solve.  Each
-        result, or the error that building it raised, waits until ``_get``
-        asks for it.  With one usable CPU nothing is prefetched.  On leaving
-        the block the worker is stopped: a running build is waited for, and
-        queued ones are cancelled and later built inline if asked for.
+        meanwhile solves the finest ladder level, its only solve.  It then
+        collects every result, or the error that building it raised with
+        the worker's traceback, and stops the worker before it returns.
         """
-        if experiments._usable_cpus() < 2:
-            yield
+        if _usable_cpus() < 2:
             return
-        from concurrent.futures import Future
+        import concurrent.futures
+        import multiprocessing
 
-        for plan, build in self._mesh_plans().items():
+        for plan in self._mesh_plans():
             t0 = time.perf_counter()
-            self._meshes[plan] = _built(build)
+            self.meshes(plan)  # builds the plan whole
             self.build_seconds[plan] = time.perf_counter() - t0
-        pool = experiments._fork_pool(1, initializer=_adopt, initargs=(self,))
-        try:
-            for key in WORKER_ARTIFACTS:
-                self._ready[key] = pool.submit(_build_adopted, key)
-            self._ready["ladder_finest"] = finest = Future()
-            try:
-                finest.set_result(self._build("ladder_finest"))
-            except Exception as exc:  # raised again by _get, as the worker's errors are
-                finest.set_exception(exc)
-            yield
-        finally:
-            pool.shutdown(cancel_futures=True)
+        fork = multiprocessing.get_context("fork")
+        with concurrent.futures.ProcessPoolExecutor(1, fork, initializer=_adopt, initargs=(self,)) as worker:
+            futures = {key: worker.submit(_build_adopted, key) for key in WORKER_ARTIFACTS}
+            built = {"ladder_finest": self._build("ladder_finest")}
+            for key, future in futures.items():
+                error = future.exception()
+                built[key] = (error, 0.0) if error is not None else future.result()
+        for key, (value, seconds) in built.items():
+            self._cache[key] = value
+            self.build_seconds[key] = self.build_seconds.get(key, 0.0) + seconds
 
     def sweep(self, order: int):
         """Records and per-gap failures of the quadratic (2) or quartic (4) sweep."""
@@ -234,12 +227,8 @@ class AcceptanceContext:
         return self._get("op_m2")
 
     def convergence(self):
-        if "convergence" not in self._cache and "ladder_finest" in self._ready:
-            # Prefetched in two parts; the coarse levels first, so that an
-            # error surfaces in level order, as in one ladder.
-            solves = self._get("ladder_coarse") + self._get("ladder_finest")
-            self._cache["convergence"] = convergence_report(solves)
-        return self._get("convergence")
+        # The coarse levels first, so that an error surfaces in level order.
+        return convergence_report(self._get("ladder_coarse") + self._get("ladder_finest"))
 
     def blowup_extrapolated(self):
         """The m = 2 sweep's blow-up factor extrapolated to the touching limit."""
@@ -322,7 +311,21 @@ def _adopt(ctx: AcceptanceContext) -> None:
 
 
 def _build_adopted(key: str) -> tuple[object, float]:
-    return _adopted._build(key)
+    value, seconds = _adopted._build(key)
+    if isinstance(value, Exception):
+        raise value  # the executor sends it back with this traceback
+    return value, seconds
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, so a run pinned to one CPU stays in one process.  The worker
+    is forked, so where the platform cannot fork this is 1."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _result(name: str, t0: float, checks: list[tuple[str, bool]]) -> CriterionResult:
@@ -579,12 +582,12 @@ def run_all(cfg: ExperimentConfig | None = None, echo=print) -> list[CriterionRe
     """Run every criterion, one pass/fail line each, on the artifacts that
     ``AcceptanceContext.prefetch`` builds."""
     ctx = AcceptanceContext(cfg)
+    ctx.prefetch()
     results = []
-    with ctx.prefetch():
-        for criterion in CRITERIA:
-            result = criterion(ctx)
-            results.append(result)
-            echo(result.line())
-            for detail in result.details:
-                echo(f"    {detail}")
+    for criterion in CRITERIA:
+        result = criterion(ctx)
+        results.append(result)
+        echo(result.line())
+        for detail in result.details:
+            echo(f"    {detail}")
     return results

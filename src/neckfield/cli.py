@@ -192,7 +192,7 @@ def _cmd_sweep(args) -> int:
     eps_list = cfg.sweep.eps_list()
     pair = cfg.geometry.pair(eps_list[0])
     phi = cfg.boundary.data()
-    records, failures = run_sweep(pair, phi, eps_list, cfg.mesh, workers=args.workers)
+    records, failures = run_sweep(pair, phi, eps_list, cfg.mesh)
     t_sweep = time.perf_counter() - t0
 
     outdir = Path(cfg.output_dir)
@@ -355,7 +355,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("sweep", help="run the gap sweep and fit rates")
     p.add_argument("--config", help="configuration file (default: built-in)")
     p.add_argument("--plots", action="store_true", help="also render SVG plots")
-    p.add_argument("--workers", type=int, help="solve gap values in a process pool")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the acceptance suite")

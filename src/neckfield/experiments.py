@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -228,21 +227,6 @@ def _gap_mesh(pair: InclusionPair, eps: float, params: MeshParams) -> tuple[floa
         return eps, None, f"{type(exc).__name__}: {exc}"
 
 
-def _gap_record(meshed, phi: BoundaryData) -> tuple[float, SweepRecord | None, str | None]:
-    eps, p, mesh = meshed
-    if p is None:
-        return eps, None, mesh
-    try:
-        return eps, sweep_record(p, mesh, phi)[0], None
-    except _GAP_ERRORS as exc:
-        return eps, None, f"{type(exc).__name__}: {exc}"
-
-
-def _sweep_entry(args) -> tuple[float, SweepRecord | None, str | None]:
-    pair, eps, phi, params = args
-    return _gap_record(_gap_mesh(pair, eps, params), phi)
-
-
 def sweep_gaps(eps_list: list[float]) -> list[float]:
     """The distinct gaps of a sweep, largest first; raises ValueError
     unless there are at least four of them spanning two decades."""
@@ -254,54 +238,14 @@ def sweep_gaps(eps_list: list[float]) -> list[float]:
     return eps_sorted
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, so a run pinned to one CPU stays in one process.  Pools are
-    forked, so where the platform cannot fork this is 1."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork_pool(workers: int, **kwargs):
-    """Process pool of ``workers`` forked processes; ``kwargs`` go to the
-    executor.  scipy is imported first, so the workers inherit it instead
-    of each importing it at its first mesh."""
-    import concurrent.futures
-    import multiprocessing
-
-    import scipy.sparse.linalg  # noqa: F401
-    import scipy.spatial  # noqa: F401
-
-    context = multiprocessing.get_context("fork")
-    return concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=context, **kwargs)
-
-
 def run_sweep(
     pair: InclusionPair,
     phi: BoundaryData,
     eps_list: list[float],
     params: MeshParams,
-    workers: int | None = None,
 ) -> tuple[list[SweepRecord], dict[float, str]]:
-    """One record per gap, largest gap first; per-gap failures collected.
-
-    Gap values are independent, so with ``workers`` they solve in a
-    process pool of at most one process per gap and per usable CPU;
-    results are assembled in gap order either way.
-    """
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    jobs = [(pair, eps, phi, params) for eps in sweep_gaps(eps_list)]
-    pool_size = min(workers or 1, len(jobs), _usable_cpus())
-    if pool_size > 1:
-        with _fork_pool(pool_size) as pool:
-            outcomes = list(pool.map(_sweep_entry, jobs))
-    else:
-        outcomes = [_sweep_entry(job) for job in jobs]
-    return _sweep_outcomes(outcomes)
+    """One record per gap, largest gap first; per-gap failures collected."""
+    return solve_sweep(sweep_meshes(pair, eps_list, params), phi)
 
 
 def sweep_meshes(pair: InclusionPair, eps_list: list[float], params: MeshParams):
@@ -313,17 +257,16 @@ def sweep_meshes(pair: InclusionPair, eps_list: list[float], params: MeshParams)
 
 def solve_sweep(meshes, phi: BoundaryData) -> tuple[list[SweepRecord], dict[float, str]]:
     """``run_sweep``'s records and failures, from ``sweep_meshes``."""
-    return _sweep_outcomes([_gap_record(meshed, phi) for meshed in meshes])
-
-
-def _sweep_outcomes(outcomes) -> tuple[list[SweepRecord], dict[float, str]]:
     records: list[SweepRecord] = []
     failures: dict[float, str] = {}
-    for eps, record, error in outcomes:
-        if record is not None:
-            records.append(record)
-        else:
-            failures[eps] = error
+    for eps, p, mesh in meshes:
+        if p is None:
+            failures[eps] = mesh  # the error text of its mesh
+            continue
+        try:
+            records.append(sweep_record(p, mesh, phi)[0])
+        except _GAP_ERRORS as exc:
+            failures[eps] = f"{type(exc).__name__}: {exc}"
     if not records:
         raise RuntimeError(f"every gap value failed: {failures}")
     return records, failures

@@ -59,7 +59,6 @@ __all__ = [
     "generate_touching",
     "refine_quadrisect",
     "audit",
-    "mesh_convex_polygon",
     "write_mesh_text",
 ]
 
@@ -1073,28 +1072,6 @@ def _project_midpoints(mesh: Mesh, pair: InclusionPair, a: np.ndarray, b: np.nda
     d = mid[cap] - center
     out[cap] = center + d * (np.where(upper[cap], cap1.radius, cap2.radius) / hypot(d))[:, None]
     return out
-
-
-def mesh_convex_polygon(corners: np.ndarray, h: float) -> Mesh:
-    """Uniform refinement of a convex polygon; single OUTER boundary tag.
-
-    Small helper for solver verification on hole-free domains.
-    """
-    corners = np.asarray(corners, dtype=float)
-    chains = []
-    for k in range(len(corners)):
-        a, b = corners[k], corners[(k + 1) % len(corners)]
-        chains.append(_segment_chain(a, b, h, tag=OUTER))
-
-    def size_fn(pts: np.ndarray) -> np.ndarray:
-        return np.full(len(pts), h)
-
-    piece = _refine_polygon(chains, size_fn, h)
-    count = len(piece.triangles)
-    piece.neck = np.zeros(count, dtype=bool)
-    piece.column_x = np.full(count, np.nan)
-    merged = _merge_pieces([piece])
-    return _finalize(np.asarray([]), 4, merged)
 
 
 def write_mesh_text(mesh: Mesh) -> str:

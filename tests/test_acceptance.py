@@ -13,7 +13,6 @@ import multiprocessing
 import re
 import sys
 import weakref
-from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
@@ -107,7 +106,7 @@ def test_c8_fails_when_center_gradient_is_not_small(ctx, both_zero):
 
 
 def _run_all(monkeypatch, cpus, echo=lambda line: None):
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: cpus)
     return acceptance.run_all(echo=echo)
 
 
@@ -215,10 +214,11 @@ def test_worker_dropped_gap_fails_the_sweep_criteria(monkeypatch):
 def test_runtime_budgets_count_prefetched_work(monkeypatch):
     # What prefetch built before the criteria ran is on the budgets of C3,
     # C4 and C6: their meshes, and the worker's seconds on their solves.
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
     fresh = acceptance.AcceptanceContext()
-    with fresh.prefetch():
-        results = {r.name.split()[0]: r for r in (criterion(fresh) for criterion in acceptance.CRITERIA[2:6])}
+    fresh.prefetch()
+    assert multiprocessing.active_children() == []
+    results = {r.name.split()[0]: r for r in (criterion(fresh) for criterion in acceptance.CRITERIA[2:6])}
     for name, keys in (
         ("C3", ["op_m2", "identities"]),
         ("C4", ["sweep_m2", "sweep_m4"]),
@@ -231,14 +231,51 @@ def test_runtime_budgets_count_prefetched_work(monkeypatch):
             assert float(re.search(r"runtime ([\d.]+)s", budget).group(1)) >= float(f"{spent:.1f}")
 
 
-def test_cancelled_prefetch_builds_inline():
-    # What prefetch's worker had not started when the block ended is built
-    # here if a criterion asks for it after the block.
+@pytest.mark.parametrize(
+    "mask,count,fork,cpus",
+    [(8, 64, True, 8), (None, None, True, 1), (8, 8, False, 1)],
+    ids=["mask-wins", "unknown-count", "no-fork"],
+)
+def test_usable_cpus(monkeypatch, mask, count, fork, cpus):
+    # ``mask`` is the size of the affinity mask; None stands for a platform
+    # without one.
+    if mask is None:
+        monkeypatch.delattr(acceptance.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(acceptance.os, "sched_getaffinity", lambda pid: set(range(mask)))
+    monkeypatch.setattr(acceptance.os, "cpu_count", lambda: count)
+    if not fork:
+        monkeypatch.delattr(acceptance.os, "fork", raising=False)
+    assert acceptance._usable_cpus() == cpus
+
+
+class _NoProcess(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_prefetch_forks_only_with_two_cpus(monkeypatch, cpus):
+    # The stand-in executor starts no process; with two CPUs it stops
+    # prefetch where the worker would be forked.
+    import concurrent.futures
+
+    made = []
+
+    def executor(*args, **kwargs):
+        made.append(args)
+        raise _NoProcess
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(acceptance.AcceptanceContext, "_mesh_plans", lambda self: {})
     fresh = acceptance.AcceptanceContext()
-    fresh._ready["op_m2"] = cancelled = Future()
-    cancelled.cancel()
-    assert fresh.default_operator().mesh.vertex_count > 0
-    assert "op_m2" not in fresh.build_seconds
+    if cpus == 1:
+        fresh.prefetch()
+        assert made == [] and fresh._cache == {}
+    else:
+        with pytest.raises(_NoProcess):
+            fresh.prefetch()
+        assert len(made) == 1
 
 
 def test_context_needs_no_cycle_collector():

@@ -192,14 +192,6 @@ class TestCommands:
         assert "line 1: [sweep] a sweep needs at least four distinct gap values" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_workers_below_one_exit_two(self, tmp_path, capsys, workers):
-        path = tmp_path / "fast.cfg"
-        path.write_text(FAST_CONFIG.format(outdir=tmp_path / "out"))
-        assert main(["sweep", "--config", str(path), "--workers", workers]) == 2
-        assert f"error: workers must be at least 1, got {workers}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     def test_mesh_solve_sweep_report(self, tmp_path, capsys):
         path = tmp_path / "fast.cfg"
         path.write_text(FAST_CONFIG.format(outdir=tmp_path / "out"))

@@ -115,67 +115,17 @@ class TestRunSweep:
         with pytest.raises(TypeError, match="not a gap failure"):
             run_sweep(pair, phi, [1e-2, 1e-3, 1e-4, 1e-5], MeshParams())
 
-    def test_worker_pool_matches_sequential(self, pair, phi, records):
-        eps_list = [r.eps for r in records]
-        parallel, failures = run_sweep(pair, phi, eps_list, MeshParams(), workers=2)
-        assert not failures
-        for seq, par in zip(records, parallel):
-            assert seq.eps == par.eps
-            assert seq.energy_v1 == par.energy_v1
-            assert seq.b_factor == par.b_factor
+    def test_solve_failures_drop_the_gap(self, pair, phi, monkeypatch):
+        def record(p, mesh, phi):
+            if p.eps < 1e-4:
+                raise fem.SolverError("forced solve failure")
+            return p.eps, None, None
 
-    @pytest.mark.parametrize(
-        "workers,cpus,pool",
-        [(64, 8, 4), (3, 2, 2), (2, 8, 2), (2, 1, None), (2, None, None), (1, 8, None), (None, 8, None)],
-    )
-    def test_worker_pool_is_capped(self, pair, phi, monkeypatch, workers, cpus, pool):
-        # ``cpus`` is the size of the affinity mask; None stands for a
-        # platform without one whose CPU count is unknown.
-        import concurrent.futures
-
-        made = []
-        stub = _executor_stub(lambda size, context: made.append((size, context.get_start_method())))
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", stub)
-        if cpus is None:
-            monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-        else:
-            monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)  # the mask wins
-        monkeypatch.setattr(experiments, "_sweep_entry", lambda job: (job[1], job[1], None))
-        records, failures = run_sweep(pair, phi, [1e-2, 1e-3, 1e-4, 1e-5], MeshParams(), workers=workers)
-        assert made == ([] if pool is None else [(pool, "fork")])
-        assert records == [1e-2, 1e-3, 1e-4, 1e-5] and not failures
-
-    def test_no_pool_without_fork(self, pair, phi, monkeypatch):
-        import concurrent.futures
-
-        made = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _executor_stub(lambda *args: made.append(args)))
-        monkeypatch.delattr(experiments.os, "fork")
-        monkeypatch.setattr(experiments, "_sweep_entry", lambda job: (job[1], job[1], None))
-        records, _ = run_sweep(pair, phi, [1e-2, 1e-3, 1e-4, 1e-5], MeshParams(), workers=2)
-        assert made == [] and records == [1e-2, 1e-3, 1e-4, 1e-5]
-
-
-def _executor_stub(made):
-    """Stands in for ProcessPoolExecutor: calls ``made(max_workers,
-    mp_context)`` and maps in this process, so no process is started."""
-
-    class Stub:
-        def __init__(self, max_workers, mp_context):
-            made(max_workers, mp_context)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    return Stub
+        monkeypatch.setattr(experiments, "generate", lambda p, params: None)
+        monkeypatch.setattr(experiments, "sweep_record", record)
+        records, failures = run_sweep(pair, phi, [1e-2, 1e-3, 1e-4, 1e-5], MeshParams())
+        assert records == [1e-2, 1e-3, 1e-4]
+        assert failures == {1e-5: "SolverError: forced solve failure"}
 
 
 class TestFitLine:

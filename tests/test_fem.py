@@ -16,9 +16,10 @@ from neckfield.mesh import (
     MeshParams,
     generate,
     generate_touching,
-    mesh_convex_polygon,
     refine_quadrisect,
 )
+
+from polygon_mesh import mesh_convex_polygon
 
 
 def unit_square_two_triangles():

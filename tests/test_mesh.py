@@ -21,10 +21,11 @@ from neckfield.mesh import (
     audit,
     generate,
     generate_touching,
-    mesh_convex_polygon,
     refine_quadrisect,
     write_mesh_text,
 )
+
+from polygon_mesh import mesh_convex_polygon
 
 
 @pytest.fixture(scope="module")
@@ -451,6 +452,9 @@ class TestMovedFarField:
         flux = op.fluxes(bundle.v1)
         total = sum(flux[tag] for tag in (OUTER, INCLUSION1, INCLUSION2))
         assert abs(total) <= 1e-12 * bundle.a11
+        # Flux equals energy, within C3's bound.
+        energy = op.energy(bundle.v1)
+        assert abs(bundle.a11 - energy) <= 1e-10 * energy
         for f in (bundle.v1, bundle.v2):
             assert f.values.min() >= -1e-10 and f.values.max() <= 1.0 + 1e-10
 

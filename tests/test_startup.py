@@ -51,7 +51,6 @@ CASES = {
     "constants": "from neckfield.cli import main\nassert main(['constants']) == 0",
     "init-config": "from neckfield.cli import main\nassert main(['init-config', '--out', 'lab.cfg']) == 0",
     "short-sweep-config": "from neckfield.cli import main\nassert main(['sweep', '--config', 'short.cfg']) == 2",
-    "workers-zero": "from neckfield.cli import main\nassert main(['sweep', '--config', 'fast.cfg', '--workers', '0']) == 2",
     "report": "from neckfield.cli import main\nassert main(['report', '--dir', 'stored']) == 0",
     "help": (
         "from neckfield.cli import main\n"
@@ -70,36 +69,8 @@ def test_no_scipy_at_start_up(tmp_path, case):
     assert not (tmp_path / "out").exists()
 
 
-def test_pool_workers_inherit_scipy(tmp_path):
-    # The executor records what the parent had loaded when the pool was
-    # made; it starts no process and the entries are stubs.
-    body = (
-        "import concurrent.futures\n"
-        "from neckfield import experiments\n"
-        "from neckfield.config import default_config_text, parse_config\n"
-        "seen = []\n"
-        "class Recorder:\n"
-        "    def __init__(self, max_workers, mp_context):\n"
-        "        seen.append([m for m in ('scipy.sparse.linalg', 'scipy.spatial') if m in sys.modules])\n"
-        "    def __enter__(self):\n"
-        "        return self\n"
-        "    def __exit__(self, *exc):\n"
-        "        return False\n"
-        "    def map(self, fn, jobs):\n"
-        "        return map(fn, jobs)\n"
-        "concurrent.futures.ProcessPoolExecutor = Recorder\n"
-        "experiments._usable_cpus = lambda: 2\n"
-        "experiments._sweep_entry = lambda job: (job[1], job[1], None)\n"
-        "cfg = parse_config(default_config_text())\n"
-        "eps = cfg.sweep.eps_list()\n"
-        "experiments.run_sweep(cfg.geometry.pair(eps[0]), cfg.boundary.data(), eps, cfg.mesh, workers=2)\n"
-        "assert seen == [['scipy.sparse.linalg', 'scipy.spatial']], seen"
-    )
-    assert "scipy.spatial" in _loaded_after(body, tmp_path)
-
-
 def test_no_process_pool_at_import(tmp_path):
-    # Only a pool of workers needs multiprocessing, so it is imported there.
+    # Only the gate's worker needs multiprocessing, so it is imported there.
     pool_modules = ("multiprocessing", "concurrent.futures.process")
     done = _fresh(f"import sys\nimport neckfield.cli\nprint([m for m in {pool_modules!r} if m in sys.modules])", tmp_path)
     assert done.returncode == 0, done.stderr
