@@ -10,7 +10,8 @@ rewrites OUT after each part:
 - ``ladder``: in each checkout, the C7/C9 ladder (default quadratic pair,
   eps = 1e-3, ``MeshParams()``, three quadrisections) at levels 0-3: V, T
   and the single-threaded ``fem.stiffness_matrix`` time (median of 5).  In
-  the change checkout also the even block P'K_iiP: its size and, for each
+  the change checkout also the even block, the half stiffness on the
+  interior vertices at x >= 0: its size and, for each
   ordering, the ordering time, the ``splu`` time (median of 5 each) and
   nnz(L+U).  ``colamd`` is ``splu(block)`` as the parent factors every
   block; ``dissection`` is ``fem._dissection`` followed by ``splu`` with
@@ -74,9 +75,9 @@ for level in range(4):
     row = {"level": level, "vertices": mesh.vertex_count, "triangles": mesh.triangle_count,
            "stiffness_matrix_s": assemble_s}
     if sys.argv[1:] == ["orderings"]:
-        op = fem.StiffnessOperator(mesh, k)
-        block = (op._even.T @ op._k_ii @ op._even).tocsc()
-        points = mesh.vertices[op.interior[op._columns["even"]]]
+        op = fem.StiffnessOperator(mesh)
+        rows = op._unknowns["even"]
+        block, points = op._block(rows), op._points[rows]
         lu_s, lu = timed(lambda: spla.splu(block))
         row["even_size"] = block.shape[0]
         row["colamd"] = lu_row(0.0, lu_s, lu)

@@ -11,10 +11,11 @@ rewrites OUT after each part:
   pair, eps = 1e-3, ``linear_xn``, ``MeshParams()``, three quadrisections)
   at levels 0-3: V, the K_ii size, the even and odd block sizes, and the
   single-threaded ``splu`` time (median of 3) and nnz(L+U) of the full K_ii
-  against the even block P'K_iiP.
-- ``reflection_share``: in the change checkout, one untraced pass of each
-  perfbench workload at seed 0, counting the operators whose reflection is
-  not the identity.
+  against the even block, the half stiffness on the interior vertices at
+  x >= 0.
+- ``mirror_share``: in the change checkout, one untraced pass of each
+  perfbench workload at seed 0, counting the operators whose mesh carries
+  a mirror.
 - ``traced``: ``perfbench/run.py --workload W --seed 0 --seconds 20
   --trace 1`` in each checkout; the ``fem.lu_s``, ``fem.lu_nnz``,
   ``fem.lu_calls`` and ``fem.solve_dirichlet_s`` medians over the traced
@@ -64,16 +65,16 @@ for level in range(4):
     if level:
         mesh = refine_quadrisect(mesh, pair)
     op = fem.assemble(mesh)
-    even = (op._even.T @ op._k_ii @ op._even).tocsc()
-    full_s, full_nnz = timed_splu(op._k_ii)
-    even_s, even_nnz = timed_splu(even)
+    k_ii = fem.stiffness_matrix(mesh.vertices, mesh.triangles)[op.interior][:, op.interior].tocsc()
+    full_s, full_nnz = timed_splu(k_ii)
+    even_s, even_nnz = timed_splu(op._block(op._unknowns["even"]))
     print(json.dumps({
         "level": level,
         "vertices": mesh.vertex_count,
         "triangles": mesh.triangle_count,
-        "k_ii_size": op._k_ii.shape[0],
-        "even_size": op._even.shape[1],
-        "odd_size": op._odd.shape[1],
+        "k_ii_size": k_ii.shape[0],
+        "even_size": len(op._unknowns["even"]),
+        "odd_size": len(op._unknowns["odd"]),
         "splu_full_s": full_s,
         "splu_even_s": even_s,
         "lu_nnz_full": full_nnz,
@@ -83,28 +84,26 @@ for level in range(4):
 SHARE_CODE = """
 import json, sys, tempfile
 from pathlib import Path
-import numpy as np
 sys.path.insert(0, "perfbench")
 import neckfield.cli
 from neckfield import fem
 from workloads import WORKLOADS
 
 nf = sys.modules["neckfield"]
-reflected = []
-original = fem._reflection
+mirrored = []
+original = fem.StiffnessOperator.__init__
 
 
-def counted(mesh):
-    refl = original(mesh)
-    reflected.append(bool(np.any(refl != np.arange(mesh.vertex_count))))
-    return refl
+def counted(self, mesh):
+    mirrored.append(mesh.mirror is not None)
+    original(self, mesh)
 
 
-fem._reflection = counted
+fem.StiffnessOperator.__init__ = counted
 workload = WORKLOADS[sys.argv[1]](nf, 0)
 with tempfile.TemporaryDirectory(dir=".") as tmp:
     workload.run(Path(tmp))
-print(json.dumps({"operators": len(reflected), "reflected": sum(reflected)}))
+print(json.dumps({"operators": len(mirrored), "mirrored": sum(mirrored)}))
 """
 
 
@@ -183,8 +182,8 @@ def main() -> None:
     for row in doc["ladder"]:
         print(f"ladder {row}", flush=True)
     save()
-    doc["reflection_share"] = {w: json.loads(_python(change, SHARE_CODE, w)[-1]) for w in WORKLOADS}
-    print(f"reflection share {doc['reflection_share']}", flush=True)
+    doc["mirror_share"] = {w: json.loads(_python(change, SHARE_CODE, w)[-1]) for w in WORKLOADS}
+    print(f"mirror share {doc['mirror_share']}", flush=True)
     save()
     doc["traced"] = {}
     for workload in WORKLOADS:

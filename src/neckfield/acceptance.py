@@ -54,6 +54,16 @@ __all__ = ["CriterionResult", "AcceptanceContext", "run_all", "CRITERIA"]
 # What ``AcceptanceContext.prefetch`` builds in its worker, in the order
 # the criteria ask for it.
 WORKER_ARTIFACTS = ("identities", "sweep_m2", "sweep_m4", "degeneracy", "ladder_coarse", "b0_dir")
+# The artifacts that solve on each mesh plan; once all are built, the
+# plan's meshes are dropped.
+PLAN_READERS = {
+    "op_m2": ("identities", "degeneracy"),  # C3 and C6 solve on it through its operator
+    "sweep_m2": ("sweep_m2",),
+    "sweep_m4": ("sweep_m4",),
+    "constant_data": ("degeneracy",),
+    "ladder": ("ladder_coarse", "ladder_finest"),
+    "cusp": ("b0_dir",),
+}
 LADDER_LEVELS = 4
 COARSE_LEVELS = 3  # the ladder levels solved in the worker
 CONSTANT_DATA_GAPS = (1e-2, 1e-4, 1e-5)  # C6
@@ -81,9 +91,11 @@ class AcceptanceContext:
     ``_builders`` one function per artifact that solves on them.  A mesh
     plan is built whole when first used and an artifact when first asked
     for; either keeps the error that building it raised, which is raised
-    again wherever it is asked for.  ``build_seconds`` holds the seconds
-    ``prefetch`` spent on each mesh plan and each artifact, which no
-    criterion's clock saw; a sweep's plan and artifact share one key.
+    again wherever it is asked for.  A plan's meshes are dropped once every
+    artifact in ``PLAN_READERS`` that solves on them is built.
+    ``build_seconds`` holds the seconds ``prefetch`` spent on each mesh
+    plan and each artifact, which no criterion's clock saw; a sweep's plan
+    and artifact share one key.
     """
 
     def __init__(self, cfg: ExperimentConfig | None = None):
@@ -167,9 +179,15 @@ class AcceptanceContext:
         them."""
         return sum(self.build_seconds.get(key, 0.0) for key in keys)
 
+    def _drop_read_plans(self) -> None:
+        for plan, readers in PLAN_READERS.items():
+            if plan in self._meshes and all(key in self._cache for key in readers):
+                del self._meshes[plan]
+
     def _get(self, key: str):
         if key not in self._cache:
             self._cache[key], _ = self._build(key)
+            self._drop_read_plans()
         value = self._cache[key]
         if isinstance(value, Exception):
             raise value
@@ -203,6 +221,7 @@ class AcceptanceContext:
         for key, (value, seconds) in built.items():
             self._cache[key] = value
             self.build_seconds[key] = self.build_seconds.get(key, 0.0) + seconds
+        self._drop_read_plans()
 
     def sweep(self, order: int):
         """Records and per-gap failures of the quadratic (2) or quartic (4) sweep."""

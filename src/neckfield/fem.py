@@ -6,20 +6,25 @@ harmonic field this is exactly compatible with the discrete energy
 identity (flux of the unit-potential field through its own boundary
 equals its energy), which the solver pipeline relies on.
 
-Dirichlet solves use the mirror symmetry x -> -x of the mesh (Bossavit,
-CMAME 56, 1986).  The interior stiffness K_ii commutes with the
-reflection, so it splits into an even block P'K_iiP and an odd block
-Q'K_iiQ of about half the size each, and the LU of each block is far
-cheaper than that of K_ii.  Every solve starts with the even block; the
-odd block is factored and solved only when the residual against K_ii is
-still above the 1e-10 bound, i.e. for data with an odd part.  A mesh
-that is not exactly mirror symmetric takes the identity reflection:
-P = I, no odd block, and the even solve is the full solve.
+A mesh built mirror symmetric carries its vertex permutation m of
+x -> -x (``Mesh.mirror``), and the operator assembles only the half
+stiffness K_h of the triangles at x >= 0, over the vertices at x >= 0.
+The full stiffness is K f = K_h f + (K_h (f o m)) o m, which gives the
+residuals, energies and fluxes.  The Dirichlet solves split into an even
+and an odd part (Bossavit, CMAME 56, 1986): the even part solves the
+interior block of K_h on the vertices at x >= 0, which is the natural
+condition on the axis, and the odd part the block on the vertices at
+x > 0, which is the zero Dirichlet condition.  Each block has about half
+the unknowns of the full problem, and its LU is far cheaper.  Every
+solve starts with the even block; the odd block is factored and solved
+only when the residual of the full system is still above the 1e-10
+bound, i.e. for data with an odd part.  A mesh without a mirror is
+assembled whole, and its even solve is the full solve.
 
-The operator slices the interior rows of K once.  K is exactly
-symmetric, so the CSR arrays of its interior block K_ii are, unchanged,
-the CSC arrays of K_ii: no conversion is needed for the factorizations.
-Each field's boundary fluxes come from one product K f.
+K_h is exactly symmetric, so the CSR arrays of a principal block are,
+unchanged, its CSC arrays: no conversion is needed for the
+factorizations.  Each field's boundary fluxes come from one product
+K_h (f + f o m).
 
 A block of at least ``_DISSECTION_MIN`` unknowns is factored in a
 geometric nested-dissection order (George, SIAM J. Numer. Anal. 10,
@@ -86,66 +91,132 @@ class ScalarField:
 
 
 class StiffnessOperator:
-    """Sparse P1 stiffness with the interior/boundary index partition.
+    """P1 stiffness of a mesh, assembled on its fundamental domain: the
+    triangles at x >= 0 when the mesh carries a mirror, else all of them.
 
-    ``matrix`` must be exactly symmetric, as ``stiffness_matrix`` is.
+    Rows of the half stiffness K_h are the vertices ``_keep`` of the
+    fundamental domain; ``_image`` holds their mirror images.  K f is
+    K_h f at x > 0, K_h (f o m) at the images and the sum of the two on
+    the axis.
     """
 
-    def __init__(self, mesh: Mesh, matrix: sp.csr_matrix):
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.matrix = matrix
         tags = mesh.vertex_tags
-        self.boundary = np.flatnonzero(tags != INTERIOR)
         self.interior = np.flatnonzero(tags == INTERIOR)
         # The vertex ids of each boundary tag present, in tag order.
-        self._tag_ids = {int(tag): np.flatnonzero(tags == tag) for tag in np.unique(tags[self.boundary])}
-        rows = matrix[self.interior]
-        k_ii = rows[:, self.interior]
-        # K is exactly symmetric, so the CSR arrays of K_ii are its CSC arrays.
-        self._k_ii = sp.csc_matrix((k_ii.data, k_ii.indices, k_ii.indptr), shape=k_ii.shape)
-        self._k_ib = rows[:, self.boundary]
-        self._even, self._odd, self._columns = _symmetry_bases(mesh, self.interior)
-        self._factors: dict[str, tuple[sp.csc_matrix, object]] = {}
+        self._tag_ids = {int(tag): np.flatnonzero(tags == tag) for tag in np.unique(tags[tags != INTERIOR])}
+        verts, tris = mesh.vertices, mesh.triangles
+        self._keep, self._image = np.arange(mesh.vertex_count), None
+        if mesh.mirror is not None:
+            x = verts[:, 0]
+            half = np.all(x[tris] >= 0.0, axis=1)
+            if 2 * np.count_nonzero(half) != len(tris):
+                raise SolverError("the mirror does not split the triangles into two halves")
+            self._keep = np.flatnonzero(x >= 0.0)
+            self._image = mesh.mirror[self._keep]
+            local = np.empty(mesh.vertex_count, dtype=np.int64)
+            local[self._keep] = np.arange(len(self._keep))
+            verts, tris = verts[self._keep], local[tris[half]]
+        self._points = verts
+        self._half = stiffness_matrix(verts, tris)
+        kept = tags[self._keep]
+        self._tag_rows = {tag: np.flatnonzero(kept == tag) for tag in self._tag_ids}
+        # The unknowns of each block, as rows of K_h; the odd block leaves
+        # out the axis.
+        inner = kept == INTERIOR
+        self._unknowns = {"even": np.flatnonzero(inner)}
+        if self._image is not None:
+            self._unknowns["odd"] = np.flatnonzero(inner & (verts[:, 0] > 0.0))
+            self._axis = np.flatnonzero(inner & (verts[:, 0] == 0.0))
+        self._factors: dict[str, tuple[np.ndarray, object]] = {}
+
+    def _sides(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """K_h f and K_h (f o m) over the fundamental domain, the second None
+        without a mirror."""
+        side = self._half @ values[self._keep]
+        return side, None if self._image is None else self._half @ values[self._image]
+
+    def _interior_norm(self, side: np.ndarray, image: np.ndarray | None) -> float:
+        """Norm of K f over the interior vertices, from ``_sides(f)``."""
+        if image is None:
+            return float(np.linalg.norm(side[self._unknowns["even"]]))
+        odd, axis = self._unknowns["odd"], self._axis
+        return float(np.linalg.norm(np.concatenate([side[odd], image[odd], side[axis] + image[axis]])))
+
+    def _block(self, rows: np.ndarray) -> sp.csc_matrix:
+        """The principal block of K_h on ``rows``, in CSC."""
+        block = self._half[rows][:, rows]
+        # K_h is exactly symmetric, so the CSR arrays of the block are its CSC arrays.
+        return sp.csc_matrix((block.data, block.indices, block.indptr), shape=block.shape)
 
     def _factor(self, part: str):
-        """Basis and LU of the even or odd block of K_ii, factored on first use.
+        """Unknowns and LU of the even or odd block, factored on first use.
 
-        A block of at least ``_DISSECTION_MIN`` unknowns is factored in
-        nested-dissection order, and the basis returned has its columns in
-        that order, so that the solves need no permutation of their own.
+        A block of at least ``_DISSECTION_MIN`` unknowns is factored with
+        its unknowns in nested-dissection order, a smaller one in COLAMD's;
+        the unknowns are returned in the order of the factor's rows.
         """
         if part not in self._factors:
-            basis = self._even if part == "even" else self._odd
-            block = (basis.T @ self._k_ii @ basis).tocsc()
+            rows = self._unknowns[part]
+            block = self._block(rows)
             if block.shape[0] < _DISSECTION_MIN:
-                self._factors[part] = basis, spla.splu(block)
+                self._factors[part] = rows, spla.splu(block)
             else:
-                points = self.mesh.vertices[self.interior[self._columns[part]]]
-                perm = _dissection(block, points)
+                rows = rows[_dissection(block, self._points[rows])]
                 lu = spla.splu(
-                    block[perm][:, perm].tocsc(),
+                    self._block(rows),
                     permc_spec="NATURAL",
                     diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True},
                 )
-                self._factors[part] = basis[:, perm], lu
+                self._factors[part] = rows, lu
         return self._factors[part]
 
-    def _residual(self, sol: np.ndarray, rhs: np.ndarray) -> float:
-        return np.linalg.norm(self._k_ii @ sol - rhs) / max(np.linalg.norm(rhs), 1e-30)
+    def _lu(self, part: str, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The even or odd block's unknowns and their correction for a
+        residual over the rows of K_h, by its LU."""
+        rows, lu = self._factor(part)
+        return rows, lu.solve(-residual[rows])
 
-    def _solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-        """K_ii^-1 rhs by the even block, plus the odd block when the even
-        solution alone misses the residual bound; returns the solution and
-        its relative residual."""
-        even, lu = self._factor("even")
-        sol = even @ lu.solve(even.T @ rhs)
-        res = self._residual(sol, rhs)
-        if self._odd.shape[1] and res > _RESIDUAL_BOUND:
-            odd, lu = self._factor("odd")
-            sol += odd @ lu.solve(odd.T @ (rhs - self._k_ii @ sol))
-            res = self._residual(sol, rhs)
-        return sol, res
+    def _cg(self, part: str, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_lu`` by Jacobi preconditioned conjugate gradients: the fallback
+        when the LU fails."""
+        rows = self._unknowns[part]
+        block, rhs = self._block(rows), -residual[rows]
+        diag = block.diagonal()
+        precond = spla.LinearOperator(block.shape, matvec=lambda x: x / diag)
+        cap = int(50 * math.sqrt(max(len(rhs), 1)))
+        sol, info = spla.cg(block, rhs, rtol=1e-12, maxiter=cap, M=precond)
+        if info != 0:
+            res = np.linalg.norm(block @ sol - rhs) / max(np.linalg.norm(rhs), 1e-30)
+            raise SolverError(f"conjugate gradient stopped after {cap} iterations, residual {res:.3e}")
+        return rows, sol
+
+    def _solve(self, u: np.ndarray, block_solve) -> float:
+        """Fill in the interior values of ``u``, zero on entry, so that K u
+        vanishes on the interior; returns the relative residual.
+
+        The even part comes first: the solution for the even part of the
+        data, (u + u o m) / 2.  The odd part, for the residual's odd part,
+        is added only when the even part alone misses the residual bound.
+        ``block_solve(part, residual)`` solves a block.
+        """
+        keep, image = self._keep, self._image
+        side, mirrored = self._sides(u)
+        scale = max(self._interior_norm(side, mirrored), 1e-30)
+        rows, values = block_solve("even", side if image is None else 0.5 * (side + mirrored))
+        u[keep[rows]] = values
+        if image is not None:
+            u[image[rows]] = values
+        side, mirrored = self._sides(u)
+        res = self._interior_norm(side, mirrored) / scale
+        if image is not None and res > _RESIDUAL_BOUND:
+            rows, step = block_solve("odd", 0.5 * (side - mirrored))
+            u[keep[rows]] += step
+            u[image[rows]] -= step
+            res = self._interior_norm(*self._sides(u)) / scale
+        return res
 
     def solve_dirichlet(self, data: dict[int, object]) -> ScalarField:
         """Discrete harmonic extension of tagged boundary data.
@@ -167,114 +238,36 @@ class StiffnessOperator:
                 u[idx] = np.asarray(value(mesh.vertices[idx]), dtype=float)
             else:
                 u[idx] = float(value)
-        rhs = -self._k_ib @ u[self.boundary]
         if len(self.interior):
             try:
-                sol, res = self._solve(rhs)
+                res = self._solve(u, self._lu)
             except (RuntimeError, MemoryError):
-                sol, res = self._cg(rhs)
+                u[self.interior] = 0.0
+                res = self._solve(u, self._cg)
             if res > _RESIDUAL_BOUND:
                 raise SolverError(f"relative residual {res:.3e} exceeds 1e-10")
-            u[self.interior] = sol
         return ScalarField(mesh=mesh, values=u)
 
-    def _cg(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-        diag = self._k_ii.diagonal()
-        precond = spla.LinearOperator(
-            self._k_ii.shape, matvec=lambda x: x / diag
-        )
-        cap = int(50 * math.sqrt(max(len(rhs), 1)))
-        sol, info = spla.cg(self._k_ii, rhs, rtol=1e-12, maxiter=cap, M=precond)
-        res = self._residual(sol, rhs)
-        if info != 0:
-            raise SolverError(f"conjugate gradient stopped after {cap} iterations, residual {res:.3e}")
-        return sol, res
-
     def energy(self, f: ScalarField) -> float:
-        """Dirichlet energy f'Kf of a nodal field."""
-        return float(f.values @ (self.matrix @ f.values))
+        """Dirichlet energy f'Kf of a nodal field: f'K_h f plus the same for
+        f o m."""
+        sides = [f.values[self._keep]] if self._image is None else [f.values[self._keep], f.values[self._image]]
+        return float(sum(side @ (self._half @ side) for side in sides))
 
     def fluxes(self, f: ScalarField) -> dict[int, float]:
         """Consistent boundary flux through each tagged part present, from
         one product K f.
 
+        Every tag is mirror symmetric, so a flux is the sum of
+        K_h (f + f o m) over the tag's vertices at x >= 0.
         Sign convention: the unit-potential field of a conductor has
         positive flux through its own boundary, equal to its energy.
         """
-        kf = self.matrix @ f.values
-        return {tag: float(kf[ids].sum()) for tag, ids in self._tag_ids.items()}
-
-
-def _reflection(mesh: Mesh) -> np.ndarray:
-    """Vertex permutation of x -> -x, or the identity when the mesh is not
-    exactly mirror symmetric: in coordinates, in tags and in triangles."""
-    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    count = len(x)
-    identity = np.arange(count)
-    # Sorted by |x| then y, the vertices on the axis come first and every
-    # other vertex sits next to its mirror image.
-    order = np.argsort(_dense_rank(np.abs(x)) * count + _dense_rank(y))
-    off_axis = order[np.count_nonzero(x == 0.0):]
-    if len(off_axis) % 2:
-        return identity
-    a, b = off_axis[0::2], off_axis[1::2]
-    if not (np.array_equal(x[a], -x[b] + 0.0) and np.array_equal(y[a], y[b])):
-        return identity
-    refl = identity.copy()
-    refl[a], refl[b] = b, a
-    if not np.array_equal(mesh.vertex_tags[refl], mesh.vertex_tags):
-        return identity
-
-    def keys(corners: np.ndarray) -> np.ndarray:
-        t0, t1, t2 = corners
-        lo = np.minimum(np.minimum(t0, t1), t2)
-        hi = np.maximum(np.maximum(t0, t1), t2)
-        return np.sort((lo.astype(np.int64) * count + (t0 + t1 + t2 - lo - hi)) * count + hi)
-
-    # One contiguous int32 row of vertex ids per triangle corner.
-    corners = np.ascontiguousarray(mesh.triangles.T, dtype=np.int32)
-    if not np.array_equal(keys(refl.astype(np.int32)[corners]), keys(corners)):
-        return identity
-    return refl
-
-
-def _dense_rank(values: np.ndarray) -> np.ndarray:
-    """Rank of each entry among the distinct values; equal values share one."""
-    order = np.argsort(values)
-    ordered = values[order]
-    rank = np.empty(len(values), dtype=np.int64)
-    rank[order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
-    return rank
-
-
-def _symmetry_bases(
-    mesh: Mesh, interior: np.ndarray
-) -> tuple[sp.csc_matrix, sp.csc_matrix, dict[str, np.ndarray]]:
-    """Even basis P and odd basis Q over the interior unknowns, and the
-    interior position of the vertex each of their columns belongs to.
-
-    P has a column per interior vertex with x >= 0 (every vertex under the
-    identity reflection), with a 1 on the vertex and on its mirror; Q has a
-    column per interior vertex with x > 0, +1 on the vertex and -1 on its
-    mirror.  Together they span the interior space, and K_ii maps the span
-    of each into itself.
-    """
-    position = np.empty(mesh.vertex_count, dtype=np.int64)
-    position[interior] = np.arange(len(interior))
-    mirror = position[_reflection(mesh)[interior]]
-    moved = mirror != np.arange(len(interior))
-    right = mesh.vertices[interior, 0] > 0.0
-    odd = np.flatnonzero(moved & right)
-    even = np.flatnonzero(~moved | right)
-
-    def basis(cols: np.ndarray, sign: float) -> sp.csc_matrix:
-        pair = moved[cols]
-        rows = np.concatenate([cols, mirror[cols[pair]]])
-        at = np.concatenate([np.arange(len(cols)), np.flatnonzero(pair)])
-        vals = np.concatenate([np.ones(len(cols)), np.full(int(pair.sum()), sign)])
-        return sp.csc_matrix((vals, (rows, at)), shape=(len(interior), len(cols)))
-
-    return basis(even, 1.0), basis(odd, -1.0), {"even": even, "odd": odd}
+        values = f.values[self._keep]
+        if self._image is not None:
+            values = values + f.values[self._image]
+        kf = self._half @ values
+        return {tag: float(kf[rows].sum()) for tag, rows in self._tag_rows.items()}
 
 
 def _bit_length(a: np.ndarray) -> np.ndarray:
@@ -378,8 +371,8 @@ def stiffness_matrix(vertices: np.ndarray, triangles: np.ndarray) -> sp.csr_matr
 
 
 def assemble(mesh: Mesh) -> StiffnessOperator:
-    """Assemble the P1 stiffness matrix, exactly symmetric."""
-    return StiffnessOperator(mesh, stiffness_matrix(mesh.vertices, mesh.triangles))
+    """Assemble the P1 stiffness operator of a mesh on its fundamental domain."""
+    return StiffnessOperator(mesh)
 
 
 def element_gradients(f: ScalarField, rows: np.ndarray | None = None) -> np.ndarray:

@@ -135,8 +135,13 @@ class Mesh:
     neck_column_x: np.ndarray
     stations: np.ndarray
     layers: int
+    # The vertex permutation of x -> -x on a mesh built mirror symmetric,
+    # else None.
+    mirror: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if self.mirror is not None:
+            self.mirror.setflags(write=False)
         self.vertices.setflags(write=False)
         self.triangles.setflags(write=False)
         self.boundary_edges.setflags(write=False)
@@ -761,9 +766,14 @@ def _mirror_piece(piece: _Piece) -> _Piece:
     )
 
 
-def _merge_pieces(pieces: list[_Piece]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _merge_pieces(pieces: list[_Piece], mirrored: bool = False) -> tuple:
     """Glue the pieces at coincident vertices.  Vertices match by value, so
-    -0.0 meets 0.0; ids and coordinates follow first occurrence."""
+    -0.0 meets 0.0; ids and coordinates follow first occurrence.
+
+    With ``mirrored``, each piece is followed by its mirror image, and the
+    vertex permutation of x -> -x comes last in the result, else None."""
+    if mirrored:
+        pieces = [p for right in pieces for p in (right, _mirror_piece(right))]
     allv = np.concatenate([piece.vertices for piece in pieces])
     key = allv + 0.0  # -0.0 -> 0.0; every other value is unchanged
     order = np.lexsort((key[:, 1], key[:, 0]))
@@ -793,11 +803,19 @@ def _merge_pieces(pieces: list[_Piece]) -> tuple[np.ndarray, np.ndarray, np.ndar
             neck_flags.append(piece.neck)
             col_x.append(piece.column_x)
     verts = allv[np.sort(first)]
-    return verts, np.vstack(tris), np.vstack(segs), np.concatenate(neck_flags), np.concatenate(col_x)
+    mirror = None
+    if mirrored:
+        # Vertex j of a piece and vertex j of its image are mirror images.
+        mirror = np.empty(len(verts), dtype=np.int64)
+        starts = np.cumsum([0] + [len(p.vertices) for p in pieces])
+        for lo, mid, hi in zip(starts[0::2], starts[1::2], starts[2::2]):
+            right, left = ids[lo:mid], ids[mid:hi]
+            mirror[right], mirror[left] = left, right
+    return verts, np.vstack(tris), np.vstack(segs), np.concatenate(neck_flags), np.concatenate(col_x), mirror
 
 
 def _finalize(pair_stations: np.ndarray, layers: int, merged) -> Mesh:
-    verts, tris, segs, neck, col_x = merged
+    verts, tris, segs, neck, col_x, mirror = merged
     area2 = _signed_area2(verts[tris])
     if np.any(area2 == 0.0):
         raise MeshError("degenerate triangle produced during merge")
@@ -846,6 +864,7 @@ def _finalize(pair_stations: np.ndarray, layers: int, merged) -> Mesh:
         neck_column_x=col_x,
         stations=pair_stations,
         layers=layers,
+        mirror=mirror,
     )
 
 
@@ -858,7 +877,7 @@ def _glued_mesh(pair: InclusionPair, params: MeshParams, x_start: float) -> Mesh
     far_r, _ = _far_half_piece(pair, params, end_fiber)
     left = -xs[::-1] + 0.0
     stations = np.concatenate([left if x_start > 0.0 else left[:-1], xs])
-    merged = _merge_pieces([strip_r, _mirror_piece(strip_r), far_r, _mirror_piece(far_r)])
+    merged = _merge_pieces([strip_r, far_r], mirrored=True)
     return _finalize(stations, params.layers, merged)
 
 
@@ -907,8 +926,9 @@ class MeshAudit:
 
 
 def audit(mesh: Mesh) -> MeshAudit:
-    """Invariant replay: watertightness, orientation, Euler count, quality."""
-    failures: list[str] = []
+    """Invariant replay: watertightness, orientation, Euler count, quality,
+    and the mirror where the mesh carries one."""
+    failures = [] if mesh.mirror is None else _mirror_failures(mesh)
     areas = mesh.areas()
     if np.any(areas <= 0.0):
         failures.append(f"{int(np.sum(areas <= 0.0))} non-positively oriented triangles")
@@ -980,6 +1000,33 @@ def audit(mesh: Mesh) -> MeshAudit:
     )
 
 
+def _mirror_failures(mesh: Mesh) -> list[str]:
+    """How ``mesh.mirror`` fails to be the symmetry x -> -x: an involution
+    of the vertices that maps (x, y) to (-x, y) exactly, keeps the tags,
+    maps the triangles onto themselves and leaves no triangle across the
+    axis."""
+    n, m = mesh.vertex_count, mesh.mirror
+    if m.shape != (n,) or m.min() < 0 or m.max() >= n or not np.array_equal(m[m], np.arange(n)):
+        return ["mirror is not an involution of the vertices"]
+    failures = []
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    if not (np.array_equal(x[m], -x) and np.array_equal(y[m], y)):
+        failures.append("mirror does not map (x, y) to (-x, y) exactly")
+    if not np.array_equal(mesh.vertex_tags[m], mesh.vertex_tags):
+        failures.append("mirror changes vertex tags")
+
+    def keys(tris: np.ndarray) -> np.ndarray:
+        s = np.sort(tris, axis=1).astype(np.int64)
+        return np.sort((s[:, 0] * n + s[:, 1]) * n + s[:, 2])
+
+    if not np.array_equal(keys(m[mesh.triangles]), keys(mesh.triangles)):
+        failures.append("mirror does not map the triangles onto themselves")
+    across = int(np.sum((x[mesh.triangles].min(axis=1) < 0.0) & (x[mesh.triangles].max(axis=1) > 0.0)))
+    if across:
+        failures.append(f"{across} triangles cross the mirror axis")
+    return failures
+
+
 def refine_quadrisect(mesh: Mesh, pair: InclusionPair) -> Mesh:
     """Split every triangle into four via edge midpoints.
 
@@ -992,7 +1039,8 @@ def refine_quadrisect(mesh: Mesh, pair: InclusionPair) -> Mesh:
     Midpoints are numbered after the parent's vertices in order of first
     occurrence, triangle by triangle.  Each neck station column splits in
     two: the column centres join the stations, and a neck child takes the
-    centre of the half-column that holds its centroid.
+    centre of the half-column that holds its centroid.  The mirror image
+    of the midpoint of edge (a, b) is the midpoint of (m(a), m(b)).
     """
     n = mesh.vertex_count
     keys = _edge_keys(mesh.triangles, n)
@@ -1022,6 +1070,15 @@ def refine_quadrisect(mesh: Mesh, pair: InclusionPair) -> Mesh:
     k = np.searchsorted(stations, cx) - 1
     col_x[neck] = 0.5 * (stations[k] + stations[k + 1])
 
+    mirror = mesh.mirror
+    if mirror is not None:
+        # In key order, the images' keys come nearly sorted, which the search favours.
+        a, b = mirror[uniq // n], mirror[uniq % n]
+        image = np.searchsorted(uniq, np.minimum(a, b) * n + np.maximum(a, b))
+        mid_mirror = np.empty(len(uniq), dtype=np.int64)
+        mid_mirror[rank] = n + rank[image]
+        mirror = np.concatenate([mirror, mid_mirror])
+
     return Mesh(
         vertices=verts,
         triangles=tris,
@@ -1032,6 +1089,7 @@ def refine_quadrisect(mesh: Mesh, pair: InclusionPair) -> Mesh:
         neck_column_x=col_x,
         stations=stations,
         layers=2 * mesh.layers,
+        mirror=mirror,
     )
 
 

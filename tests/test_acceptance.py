@@ -151,6 +151,28 @@ def test_worker_gate_equals_inline_gate(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_each_mesh_plan_is_built_once_and_dropped(monkeypatch, cpus):
+    plans = acceptance.AcceptanceContext._mesh_plans
+    built, contexts = [], []
+
+    def counted(self):
+        return {name: lambda make=make, name=name: built.append(name) or make() for name, make in plans(self).items()}
+
+    prefetch = acceptance.AcceptanceContext.prefetch
+
+    def kept(self):
+        contexts.append(self)
+        prefetch(self)
+
+    monkeypatch.setattr(acceptance.AcceptanceContext, "_mesh_plans", counted)
+    monkeypatch.setattr(acceptance.AcceptanceContext, "prefetch", kept)
+    results = _run_all(monkeypatch, cpus)
+    assert all(result.passed for result in results)
+    assert sorted(built) == sorted(acceptance.PLAN_READERS)
+    assert contexts[0]._meshes == {}
+
+
 def test_worker_programming_error_crashes(monkeypatch):
     def broken(*args):
         raise TypeError("not a gate failure")

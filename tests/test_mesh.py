@@ -4,13 +4,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from neckfield import fem
 from neckfield import mesh as mesh_module
 from neckfield.conductivity import BoundaryData, solve_bundle
-from neckfield.geometry import InclusionPair, NeckProfile, ProfileKind
+from neckfield.geometry import GeometryError, InclusionPair, NeckProfile, ProfileKind
 from neckfield.mesh import (
     INCLUSION1,
     INCLUSION2,
@@ -361,14 +361,17 @@ def _reference_gap(pair, params):
     return mesh_module._far_half_piece(pair, params, end_fiber)[1]
 
 
-def _wide_pair(order, eps):
-    # Order 0 is the quadratic profile; every profile has gap 0.25 at R0.
-    # The outer radius leaves room for gaps up to 0.9.
+def _wide_pair(order, eps, split=0.5, scale=1.0, neck_radius=0.5, outer_radius=5.0):
+    # Order 0 is the quadratic profile; at scale 1 every profile has gap
+    # 0.25 at x = 0.5.  The default outer radius leaves room for gaps up
+    # to 0.9.
     if order == 0:
-        prof = NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=(2.0,))
+        prof = NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=(2.0 * scale,), split=(split, 1.0 - split))
     else:
-        prof = NeckProfile(kind=ProfileKind.POWER_LAW, order=float(order), coefficient=0.25 * 2.0**order)
-    return InclusionPair(2, prof, eps, outer_radius=5.0)
+        coefficient = 0.25 * scale * 2.0**order
+        prof = NeckProfile(kind=ProfileKind.POWER_LAW, order=float(order), coefficient=coefficient,
+                           split=(split, 1.0 - split))
+    return InclusionPair(2, prof, eps, neck_radius=neck_radius, outer_radius=outer_radius)
 
 
 class TestMovedFarField:
@@ -422,25 +425,33 @@ class TestMovedFarField:
         assert not mesh_module._far_reference(_wide_pair(0, 0.9), params).lift.any()
 
     @settings(max_examples=20, deadline=None, derandomize=True)
-    @example(log_eps=math.log10(0.9), order=0, refinement=1)
-    @example(log_eps=math.log10(0.9), order=6, refinement=0)
+    @example(log_eps=math.log10(0.9), order=0, refinement=1, geometry=(0.5, 1.0, 0.5, 5.0), layers=6)
+    @example(log_eps=math.log10(0.9), order=6, refinement=0, geometry=(0.5, 1.0, 0.5, 5.0), layers=6)
     @given(
         log_eps=st.floats(math.log10(1e-8), math.log10(0.9)),
         order=st.sampled_from([0, 2, 3, 4, 5, 6]),
-        refinement=st.integers(0, 1),
+        refinement=st.integers(0, 2),
+        # split of the upper inclusion, coefficient scale, neck radius, outer radius
+        geometry=st.tuples(st.floats(0.3, 0.7), st.floats(0.5, 2.0), st.floats(0.3, 0.7), st.floats(4.5, 6.0)),
+        layers=st.integers(4, 8),
     )
-    def test_moved_meshes_keep_the_invariants(self, log_eps, order, refinement):
-        pair = _wide_pair(order, 10.0**log_eps)
-        params = MeshParams(h_far=0.5, refinement=refinement)
+    def test_moved_meshes_keep_the_invariants(self, log_eps, order, refinement, geometry, layers):
+        try:
+            pair = _wide_pair(order, 10.0**log_eps, *geometry)
+        except GeometryError:
+            assume(False)
+        params = MeshParams(layers=layers, h_far=0.5, refinement=refinement)
         mesh = generate(pair, params)
-        report = audit(mesh)
+        report = audit(mesh)  # the mirror included
+        assert mesh.mirror is not None
         assert report.passed, report.failures
         assert report.far_min_angle_deg >= 20.0
         mirrored = np.column_stack([-mesh.vertices[:, 0] + 0.0, mesh.vertices[:, 1]])
         assert set(map(tuple, mesh.vertices.tolist())) == set(map(tuple, mirrored.tolist()))
         # The moved upper cap stays on the upper inclusion's circle.
         cap1, _ = pair.caps()
-        on_cap = (mesh.vertex_tags == INCLUSION1) & (np.abs(mesh.vertices[:, 0]) > pair.neck_radius)
+        on_cap = mesh.vertex_tags == INCLUSION1
+        on_cap[mesh.triangles[mesh.neck]] = False  # the strip's vertices lie on the profile graph
         radii = np.hypot(mesh.vertices[on_cap, 0], mesh.vertices[on_cap, 1] - cap1.center_height)
         assert np.abs(radii - cap1.radius).max() <= 1e-12
 
