@@ -109,9 +109,13 @@ def solve_components(
     op: fem.StiffnessOperator, phi: BoundaryData
 ) -> tuple[fem.ScalarField, fem.ScalarField, fem.ScalarField]:
     """Unit-potential fields of each inclusion and the grounded response."""
-    v1 = op.solve_dirichlet({INCLUSION1: 1.0, INCLUSION2: 0.0, OUTER: 0.0})
-    v2 = op.solve_dirichlet({INCLUSION1: 0.0, INCLUSION2: 1.0, OUTER: 0.0})
-    v0 = op.solve_dirichlet({INCLUSION1: 0.0, INCLUSION2: 0.0, OUTER: phi.evaluate})
+    v1, v2, v0 = op.solve_dirichlet(
+        [
+            {INCLUSION1: 1.0, INCLUSION2: 0.0, OUTER: 0.0},
+            {INCLUSION1: 0.0, INCLUSION2: 1.0, OUTER: 0.0},
+            {INCLUSION1: 0.0, INCLUSION2: 0.0, OUTER: phi.evaluate},
+        ]
+    )
     return v1, v2, v0
 
 
@@ -251,8 +255,9 @@ def solve_touching(meshes, phi: BoundaryData) -> LimitBundle:
     fields = None
     for mesh in meshes:
         op = fem.assemble(mesh)
-        u1 = op.solve_dirichlet({INCLUSION1: 1.0, INCLUSION2: 1.0, OUTER: 0.0})
-        u0 = op.solve_dirichlet({INCLUSION1: 0.0, INCLUSION2: 0.0, OUTER: phi.evaluate})
+        u1, u0 = op.solve_dirichlet(
+            [{INCLUSION1: 1.0, INCLUSION2: 1.0, OUTER: 0.0}, {INCLUSION1: 0.0, INCLUSION2: 0.0, OUTER: phi.evaluate}]
+        )
         f1, f0 = op.fluxes(u1), op.fluxes(u0)
         denom = f1[INCLUSION1] + f1[INCLUSION2]
         if denom <= 0.0:

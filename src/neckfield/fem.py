@@ -19,7 +19,8 @@ the unknowns of the full problem, and its LU is far cheaper.  Every
 solve starts with the even block; the odd block is factored and solved
 only when the residual of the full system is still above the 1e-10
 bound, i.e. for data with an odd part.  A mesh without a mirror is
-assembled whole, and its even solve is the full solve.
+assembled whole, and its even solve is the full solve.  Several boundary
+data given at once share each LU solve.
 
 K_h is exactly symmetric, so the CSR arrays of a principal block are,
 unchanged, its CSC arrays: no conversion is needed for the
@@ -137,12 +138,13 @@ class StiffnessOperator:
         side = self._half @ values[self._keep]
         return side, None if self._image is None else self._half @ values[self._image]
 
-    def _interior_norm(self, side: np.ndarray, image: np.ndarray | None) -> float:
-        """Norm of K f over the interior vertices, from ``_sides(f)``."""
+    def _interior_norm(self, side: np.ndarray, image: np.ndarray | None) -> np.ndarray:
+        """Norm of K f over the interior vertices, from ``_sides(f)``, for
+        each column f."""
         if image is None:
-            return float(np.linalg.norm(side[self._unknowns["even"]]))
+            return np.linalg.norm(side[self._unknowns["even"]], axis=0)
         odd, axis = self._unknowns["odd"], self._axis
-        return float(np.linalg.norm(np.concatenate([side[odd], image[odd], side[axis] + image[axis]])))
+        return np.linalg.norm(np.concatenate([side[odd], image[odd], side[axis] + image[axis]]), axis=0)
 
     def _block(self, rows: np.ndarray) -> sp.csc_matrix:
         """The principal block of K_h on ``rows``, in CSC."""
@@ -180,64 +182,73 @@ class StiffnessOperator:
         return rows, lu.solve(-residual[rows])
 
     def _cg(self, part: str, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``_lu`` by Jacobi preconditioned conjugate gradients: the fallback
-        when the LU fails."""
+        """``_lu`` by Jacobi preconditioned conjugate gradients, one column
+        at a time: the fallback when the LU fails."""
         rows = self._unknowns[part]
         block, rhs = self._block(rows), -residual[rows]
         diag = block.diagonal()
         precond = spla.LinearOperator(block.shape, matvec=lambda x: x / diag)
         cap = int(50 * math.sqrt(max(len(rhs), 1)))
-        sol, info = spla.cg(block, rhs, rtol=1e-12, maxiter=cap, M=precond)
-        if info != 0:
-            res = np.linalg.norm(block @ sol - rhs) / max(np.linalg.norm(rhs), 1e-30)
-            raise SolverError(f"conjugate gradient stopped after {cap} iterations, residual {res:.3e}")
+        sol = np.empty_like(rhs)
+        for col in range(rhs.shape[1]):
+            sol[:, col], info = spla.cg(block, rhs[:, col], rtol=1e-12, maxiter=cap, M=precond)
+            if info != 0:
+                res = np.linalg.norm(block @ sol[:, col] - rhs[:, col]) / max(np.linalg.norm(rhs[:, col]), 1e-30)
+                raise SolverError(f"conjugate gradient stopped after {cap} iterations, residual {res:.3e}")
         return rows, sol
 
     def _solve(self, u: np.ndarray, block_solve) -> float:
-        """Fill in the interior values of ``u``, zero on entry, so that K u
-        vanishes on the interior; returns the relative residual.
+        """Fill in the interior values of each column of ``u``, zero on
+        entry, so that K u vanishes on the interior; returns the largest
+        relative residual.
 
         The even part comes first: the solution for the even part of the
         data, (u + u o m) / 2.  The odd part, for the residual's odd part,
-        is added only when the even part alone misses the residual bound.
-        ``block_solve(part, residual)`` solves a block.
+        is added only to the columns whose even part alone misses the
+        residual bound.  ``block_solve(part, residual)`` solves a block.
         """
         keep, image = self._keep, self._image
         side, mirrored = self._sides(u)
-        scale = max(self._interior_norm(side, mirrored), 1e-30)
+        scale = np.maximum(self._interior_norm(side, mirrored), 1e-30)
         rows, values = block_solve("even", side if image is None else 0.5 * (side + mirrored))
         u[keep[rows]] = values
         if image is not None:
             u[image[rows]] = values
         side, mirrored = self._sides(u)
         res = self._interior_norm(side, mirrored) / scale
-        if image is not None and res > _RESIDUAL_BOUND:
-            rows, step = block_solve("odd", 0.5 * (side - mirrored))
-            u[keep[rows]] += step
-            u[image[rows]] -= step
-            res = self._interior_norm(*self._sides(u)) / scale
-        return res
+        odd = np.flatnonzero(res > _RESIDUAL_BOUND)
+        if image is not None and len(odd):
+            rows, step = block_solve("odd", 0.5 * (side[:, odd] - mirrored[:, odd]))
+            u[np.ix_(keep[rows], odd)] += step
+            u[np.ix_(image[rows], odd)] -= step
+            side, mirrored = self._sides(u)
+            res = self._interior_norm(side, mirrored) / scale
+        return float(res.max())
 
-    def solve_dirichlet(self, data: dict[int, object]) -> ScalarField:
+    def solve_dirichlet(self, data: dict[int, object] | list[dict[int, object]]):
         """Discrete harmonic extension of tagged boundary data.
 
         ``data`` maps every boundary tag present in the mesh to a constant
-        or to a callable taking an (N, 2) coordinate array.  The residual
-        of the constrained system is verified to 1e-10 relative.
+        or to a callable taking an (N, 2) coordinate array.  A list of such
+        maps is solved at once, each LU solve taking every right-hand side,
+        and gives the list of fields.  The residual of each constrained
+        system is verified to 1e-10 relative.
         """
         mesh = self.mesh
-        missing = set(self._tag_ids) - set(data)
-        if missing:
-            raise SolverError(f"boundary tags without data: {sorted(missing)}")
-        u = np.zeros(mesh.vertex_count)
-        for tag, value in data.items():
-            idx = self._tag_ids.get(tag)
-            if idx is None:
-                continue
-            if callable(value):
-                u[idx] = np.asarray(value(mesh.vertices[idx]), dtype=float)
-            else:
-                u[idx] = float(value)
+        each = data if isinstance(data, list) else [data]
+        u = np.zeros((mesh.vertex_count, len(each)), order="F")  # each field's values contiguous
+        for col, values in enumerate(each):
+            missing = set(self._tag_ids) - set(values)
+            if missing:
+                raise SolverError(f"boundary tags without data: {sorted(missing)}")
+            for tag, value in values.items():
+                idx = self._tag_ids.get(tag)
+                if idx is None:
+                    continue
+                if callable(value):
+                    u[idx, col] = np.asarray(value(mesh.vertices[idx]), dtype=float)
+                else:
+                    u[idx, col] = float(value)
         if len(self.interior):
             try:
                 res = self._solve(u, self._lu)
@@ -246,7 +257,8 @@ class StiffnessOperator:
                 res = self._solve(u, self._cg)
             if res > _RESIDUAL_BOUND:
                 raise SolverError(f"relative residual {res:.3e} exceeds 1e-10")
-        return ScalarField(mesh=mesh, values=u)
+        fields = [ScalarField(mesh=mesh, values=u[:, col]) for col in range(len(each))]
+        return fields if isinstance(data, list) else fields[0]
 
     def energy(self, f: ScalarField) -> float:
         """Dirichlet energy f'Kf of a nodal field: f'K_h f plus the same for

@@ -153,11 +153,11 @@ class TestSolve:
             op.solve_dirichlet({INCLUSION1: 1.0})
 
     def test_cg_fallback_matches_direct(self, op):
-        # Boundary data without symmetry, so both blocks are solved.
+        # Two columns of boundary data without symmetry, so both blocks are solved.
         rng = np.random.default_rng(20260810)
-        u = np.zeros(op.mesh.vertex_count)
+        u = np.zeros((op.mesh.vertex_count, 2))
         boundary = np.flatnonzero(op.mesh.vertex_tags != INTERIOR)
-        u[boundary] = rng.standard_normal(len(boundary))
+        u[boundary] = rng.standard_normal((len(boundary), 2))
         direct, iterative = u.copy(), u.copy()
         assert op._solve(direct, op._lu) <= 1e-10
         assert op._solve(iterative, op._cg) <= 1e-10
@@ -192,6 +192,8 @@ class _FullOperator:
         self.lu = spla.splu(self.k_ii)
 
     def solve_dirichlet(self, data):
+        if isinstance(data, list):
+            return [self.solve_dirichlet(each) for each in data]
         tags = self.mesh.vertex_tags
         u = np.zeros(self.mesh.vertex_count)
         for tag, value in data.items():
@@ -342,6 +344,16 @@ class TestMirrorSplit:
         data = {INCLUSION1: 1.0, INCLUSION2: 0.0, OUTER: phi.evaluate}
         assert _reference_error(fresh, data) <= 1e-12
         assert sorted(fresh._factors) == parts
+
+    def test_list_of_data_solves_each(self, op):
+        datas = [
+            {INCLUSION1: 1.0, INCLUSION2: 0.0, OUTER: 0.0},
+            {INCLUSION1: 0.0, INCLUSION2: 0.0, OUTER: BoundaryData(kind="linear_x1").evaluate},
+        ]
+        fields = fem.assemble(op.mesh).solve_dirichlet(datas)
+        for data, field in zip(datas, fields):
+            alone = fem.assemble(op.mesh).solve_dirichlet(data).values
+            assert np.abs(field.values - alone).max() <= 1e-13 * np.abs(alone).max()
 
     def test_default_mesh_reflects(self, op):
         mesh = op.mesh
@@ -514,9 +526,9 @@ class TestDissection:
         log = _SpluLog()
         monkeypatch.setattr(fem, "spla", log)
         fresh = fem.StiffnessOperator(ladder_op.mesh)
-        u = np.zeros(fresh.mesh.vertex_count)
+        u = np.zeros((fresh.mesh.vertex_count, 1))
         boundary = np.flatnonzero(fresh.mesh.vertex_tags != INTERIOR)
-        u[boundary] = np.random.default_rng(20261018).standard_normal(len(boundary))
+        u[boundary, 0] = np.random.default_rng(20261018).standard_normal(len(boundary))
         res = fresh._solve(u, fresh._lu)
         assert res <= 1e-12
         assert sorted(fresh._factors) == ["even", "odd"]
