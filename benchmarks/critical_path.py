@@ -1,13 +1,14 @@
-"""Before/after figures for the gate's critical path: the gate's own process.
+"""Before/after figures for the gate's critical path, in both of its processes.
 
     python3 benchmarks/critical_path.py --parent CHECKOUT --change CHECKOUT --out BENCH.json
-        [--pairs 10] [--runs 3] [--holdout SEED]
+        [--pairs 10] [--runs 3] [--holdout SEED] [--parts ladder,timeline,...]
 
 Each CHECKOUT is a directory holding a tree of the repository (``src/``,
 ``perfbench/``, ``BENCHMARK.json``); the script writes nothing into them
 except perfbench's own temporary directories.  Every run is a fresh
-interpreter, and pair i runs the parent first when i is odd.  It records,
-in order, and rewrites OUT after each part:
+interpreter, and pair i runs the parent first when i is odd.  It records
+these parts, in order, or those that ``--parts`` names, and rewrites OUT
+after each; the parts of an existing OUT that it does not run are kept:
 
 - ``ladder``: RUNS alternating pairs of processes, each of which solves
   the C7/C9 ladder (default quadratic pair, eps = 1e-3, ``linear_xn``,
@@ -15,23 +16,29 @@ in order, and rewrites OUT after each part:
   Per level 0-3, the medians over all repeats of a checkout: V, T, the
   interior vertices (the unknowns of the full problem), the size of each
   block ``splu`` factored and nnz(L+U), and the seconds of ``fem.assemble``
-  (operator setup), of ``splu`` (LU), of ``fem._dissection`` (order) and
-  of the rest of ``solve_bundle`` (solves: block setup, the three solves
-  and the fluxes).  Only names both checkouts have are used.
+  (operator setup), of ``splu`` (LU), of ``fem._dissection`` (order), of
+  the rest of the first ``solve_bundle`` (solves: block setup, the three
+  solves and the fluxes), and of a second ``solve_bundle`` with the
+  operator factored.  Only names both checkouts have are used.
 - ``timeline``: RUNS alternating pairs of processes, each of which runs
   ``run_all`` once to warm up, then PASSES more times with two usable
-  CPUs.  For each pass, and as medians over all passes of a checkout: the
-  seconds of the gate's own process in the mesh stage before the fork
-  (with the meshes' V and T), the fork, ladder level 3 split into
-  assembly (stiffness and operator setup), nested-dissection order, LU
-  (``splu``), the rest of the factorization (block slicing) and the
-  solves with their fluxes, then the criteria after the fork (each
-  criterion's share, waits on the worker included: since the gate
-  collects the worker's results before the criteria run, C1's share holds
-  that wait); and the worker's seconds per artifact.
+  CPUs.  For each pass, and as medians over all passes of a checkout, for
+  the gate's process and for its forked worker (whose spans come back
+  through a file): the seconds of each mesh plan and each artifact it
+  built during ``prefetch``, its busy seconds, and, in the process that
+  solved it, ladder level 3 split into the ladder plan built inside it,
+  stiffness, the rest of the operator setup, nested-dissection order, LU
+  (``splu``), the rest of the factorization and the solves with their
+  fluxes.  Also: the gate's seconds from the start of ``prefetch`` to its
+  first build (the fork, when it forks first) and from its last build to
+  the end of ``prefetch`` (its wait on the worker), the worker's start
+  and idle seconds, and each criterion's seconds after ``prefetch``.
 - ``fingerprints``: perfbench's seed-0 fingerprint line (meshes, and the
   sweep's CSVs) for one pass of each workload in each checkout, the gate
   also under ``taskset -c 0``.
+- ``traced``: ``fem.lu_calls`` and the other ``TRACED_METRICS`` of one
+  seed-0 ``--trace 1`` perfbench gate run per checkout.  The probe sees
+  the gate's process only.
 - ``verify``: PAIRS pairs of a fresh process running ``neckfield verify``
   on the default config, with two usable CPUs and under ``taskset -c 0``:
   the wall time of the whole process, its own peak RSS and the largest
@@ -58,7 +65,7 @@ from pathlib import Path
 
 from concurrency import ONE_CPU, _fingerprint
 from startup import _alternate
-from symmetry import WORKLOADS, _env, _python, pairs, perfbench
+from symmetry import TRACED_METRICS, TRACED_SECONDS, WORKLOADS, _env, _python, pairs, perfbench
 
 LADDER_REPEATS = 3
 LADDER_CODE = """
@@ -114,7 +121,9 @@ for level in range(4):
         t2 = time.perf_counter()
         lu = sum(s for name, s, _ in spans if name == "lu")
         order_s = sum(s for name, s, _ in spans if name == "order")
-        runs.append({"setup_s": t1 - t0, "lu_s": lu, "order_s": order_s, "solves_s": t2 - t1 - lu - order_s})
+        solve_bundle(mesh, phi, op=op)  # the operator is factored now
+        runs.append({"setup_s": t1 - t0, "lu_s": lu, "order_s": order_s, "solves_s": t2 - t1 - lu - order_s,
+                     "factored_bundle_s": time.perf_counter() - t2})
     print(json.dumps({
         "level": level,
         "vertices": mesh.vertex_count,
@@ -138,11 +147,11 @@ print(json.dumps({
 """
 PASSES = 5
 TIMELINE_CODE = """
-import json, sys, time
-from neckfield import acceptance, experiments, fem
-from neckfield.mesh import Mesh
+import glob, json, os, sys, tempfile, time
+from neckfield import acceptance, fem
 
 spans = []  # (label, start, end) in this process
+OUT = tempfile.mkdtemp()  # where each worker build leaves its spans
 
 
 def timed(owner, name, label=None):
@@ -172,15 +181,8 @@ class Spla:
         return lu
 
 
-contexts, built, finest = [], [], []
-init = acceptance.AcceptanceContext.__init__
-build = acceptance.AcceptanceContext._build
-built_plan = acceptance._built
-
-
-def capture(self, *args, **kwargs):
-    init(self, *args, **kwargs)
-    contexts.append(self)
+Context = acceptance.AcceptanceContext
+build, meshes, build_adopted = Context._build, Context.meshes, acceptance._build_adopted
 
 
 def build_key(self, key):
@@ -191,24 +193,33 @@ def build_key(self, key):
         spans.append((f"build:{key}", t0, time.perf_counter()))
 
 
-def plan(make):
+def plan_meshes(self, plan):
+    if plan in self._meshes:
+        return meshes(self, plan)
     t0 = time.perf_counter()
-    items = built_plan(make)
-    built.append((items, t0, time.perf_counter()))
-    return items
+    try:
+        return meshes(self, plan)  # builds the plan whole
+    finally:
+        spans.append((f"plan:{plan}", t0, time.perf_counter()))
 
 
-def bundle(mesh, *args, **kwargs):
-    finest.append(mesh)
-    return solve(mesh, *args, **kwargs)
+def worker_build(key):
+    # Runs in the forked worker: its spans go to a file for the gate's process.
+    spans.clear()
+    t0 = time.perf_counter()
+    try:
+        return build_adopted(key)
+    finally:
+        spans.append((f"worker:{key}", t0, time.perf_counter()))
+        with open(os.path.join(OUT, f"{os.getpid()}-{key}.json"), "w") as fh:
+            json.dump(spans, fh)
 
 
 acceptance.run_all(echo=lambda line: None)  # warm: imports, far-field caches
-acceptance.AcceptanceContext.__init__ = capture
-acceptance.AcceptanceContext._build = build_key
-acceptance._built = plan
-solve = experiments.solve_bundle
-experiments.solve_bundle = bundle
+Context._build = build_key
+Context.meshes = plan_meshes
+acceptance._build_adopted = worker_build
+timed(Context, "prefetch")
 timed(fem, "assemble")
 timed(fem, "stiffness_matrix")
 timed(fem, "_dissection", "order")
@@ -216,31 +227,49 @@ timed(fem.StiffnessOperator, "_factor")
 fem.spla = Spla(fem.spla)
 
 
-def within(label, lo, hi):
-    return sum(b - a for name, a, b in spans if name == label and lo <= a and b <= hi)
+def within(found, label, lo, hi):
+    return sum(b - a for name, a, b in found if name == label and lo <= a and b <= hi)
 
 
-def counts(items):
-    meshes = [m for item in items for m in (item if isinstance(item, tuple) else (item,)) if isinstance(m, Mesh)]
-    return len(meshes), sum(m.vertex_count for m in meshes), sum(m.triangle_count for m in meshes)
+def top(found, lo, hi):
+    # The plan and build spans in [lo, hi] that no other of them holds.
+    kept = [(n, a, b) for n, a, b in found if n.split(":")[0] in ("plan", "build") and lo <= a and b <= hi]
+    return [(n, a, b) for n, a, b in kept if not any(c <= a and b <= d and (c, d) != (a, b) for _, c, d in kept)]
+
+
+def process(found, lo, hi):
+    # Seconds of each mesh plan and, top level only, of each artifact that
+    # a process built in [lo, hi], its busy seconds, and the ladder level-3
+    # split if the finest level was built there; and when it was last busy.
+    spans_ = top(found, lo, hi)
+    row = {"plans": {n[5:]: b - a for n, a, b in found if n.startswith("plan:") and lo <= a and b <= hi},
+           "artifacts": {n[6:]: b - a for n, a, b in spans_ if n.startswith("build:")},
+           "busy_s": sum(b - a for _, a, b in spans_)}
+    finest = [(a, b) for n, a, b in found if n == "build:ladder_finest" and lo <= a and b <= hi]
+    if finest:
+        (a, b), = finest
+        assemble, factor = within(found, "assemble", a, b), within(found, "_factor", a, b)
+        order, lu, stiffness = within(found, "order", a, b), within(found, "lu", a, b), within(found, "stiffness_matrix", a, b)
+        plans = sum(d - c for n, c, d in found if n.startswith("plan:") and a <= c and d <= b)
+        row["ladder3"] = {"s": b - a, "plans_s": plans, "stiffness_s": stiffness,
+                          "operator_setup_s": assemble - stiffness, "order_s": order, "lu_s": lu,
+                          "factor_rest_s": factor - order - lu, "solves_s": b - a - plans - assemble - factor}
+    return row, max((b for _, _, b in spans_), default=lo)
 
 
 rows = []
 for _ in range(int(sys.argv[1])):
-    for kept in (spans, built, contexts, finest):
-        kept.clear()
+    spans.clear()
+    for path in glob.glob(os.path.join(OUT, "*.json")):
+        os.remove(path)
     echoed = []
     t0 = time.perf_counter()
     acceptance.run_all(echo=lambda line: echoed.append((line, time.perf_counter())))
     end = time.perf_counter()
-    (ctx,) = contexts
-    mesh_lo, mesh_hi = built[0][1], built[-1][2]
-    (lo, hi) = next((a, b) for name, a, b in spans if name == "build:ladder_finest")
-    mesh = finest[-1]
-    assemble, factor = within("assemble", lo, hi), within("_factor", lo, hi)
-    order, lu = within("order", lo, hi), within("lu", lo, hi)
-    plan_s = dict(zip(ctx._mesh_plans(), (b - a for _, a, b in built)))
-    stage = [counts(items) for items, _, _ in built]
+    (lo, hi), = [(a, b) for n, a, b in spans if n == "prefetch"]
+    worker_spans = [tuple(s) for path in glob.glob(os.path.join(OUT, "*.json")) for s in json.load(open(path))]
+    (gate, gate_end), (worker, worker_end) = process(spans, lo, hi), process(worker_spans, lo, hi)
+    work = [(a, b) for n, a, b in worker_spans if n.startswith("worker:")]
     criteria, last = {}, hi
     for line, at in echoed:
         if not line.startswith(" "):
@@ -248,26 +277,12 @@ for _ in range(int(sys.argv[1])):
             last = at
     rows.append({
         "wall_s": end - t0,
-        "mesh_stage_s": mesh_hi - mesh_lo,
-        "mesh_stage_meshes": sum(c[0] for c in stage),
-        "mesh_stage_vertices": sum(c[1] for c in stage),
-        "mesh_stage_triangles": sum(c[2] for c in stage),
-        "mesh_plan_s": plan_s,
-        "fork_s": lo - mesh_hi,
-        "ladder3_vertices": mesh.vertex_count,
-        "ladder3_triangles": mesh.triangle_count,
-        "ladder3_s": hi - lo,
-        "ladder3_stiffness_s": within("stiffness_matrix", lo, hi),
-        "ladder3_operator_setup_s": assemble - within("stiffness_matrix", lo, hi),
-        "ladder3_order_s": order,
-        "ladder3_lu_s": lu,
-        "ladder3_factor_rest_s": factor - order - lu,
-        "ladder3_solves_s": hi - lo - assemble - factor,
-        "ladder3_non_lu_s": hi - lo - lu,
-        "criteria_after_fork_s": end - hi,
+        "prefetch_s": hi - lo,
+        "gate": {**gate, "to_first_build_s": min((a for n, a, b in top(spans, lo, hi)), default=hi) - lo,
+                 "wait_s": hi - gate_end},
+        "worker": {**worker, "start_s": min(a for a, _ in work) - lo, "idle_s": hi - worker_end},
+        "criteria_s": end - hi,
         "criterion_s": criteria,
-        "worker_s": {key: ctx.build_seconds.get(key, 0.0) - plan_s.get(key, 0.0)
-                     for key in acceptance.WORKER_ARTIFACTS},
     })
 
 
@@ -326,6 +341,16 @@ def _verify(root: Path, prefix: tuple[str, ...] = ()) -> dict:
     return {"wall_s": wall, **json.loads(out.stdout.splitlines()[-1])}
 
 
+def _traced(root: Path, workload: str, seconds: float) -> dict:
+    """TRACED_METRICS of one seed-0 ``--trace 1`` perfbench run."""
+    run = perfbench(root, workload, 0, seconds, trace=1)
+    return {"exit_code": run["exit_code"], "correct": run["correct"],
+            **{name: run["metrics"].get(name) for name in TRACED_METRICS}}
+
+
+PARTS = ("ladder", "timeline", "fingerprints", "traced", "verify", "pairs", "holdout")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -334,44 +359,59 @@ def main() -> None:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--holdout", type=int, default=37)
+    parser.add_argument("--parts", default=",".join(PARTS), help="comma-separated subset of " + ", ".join(PARTS))
     args = parser.parse_args()
+    parts = args.parts.split(",")
+    if not set(parts) <= set(PARTS):
+        parser.error(f"unknown parts: {sorted(set(parts) - set(PARTS))}")
     parent, change = args.parent.resolve(), args.change.resolve()
     sides = (("parent", parent), ("change", change))
     seconds = float(json.loads((change / "BENCHMARK.json").read_text())["run_seconds"])
-    doc = {"host": f"{platform.machine()}, {os.cpu_count()} cores, Python {platform.python_version()}"}
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc["host"] = f"{platform.machine()}, {os.cpu_count()} cores, Python {platform.python_version()}"
 
     def save() -> None:
         args.out.write_text(json.dumps(doc, indent=2) + "\n")
 
-    doc["ladder"] = _ladder(parent, change, args.runs)
-    for side in ("parent", "change"):
-        for row in doc["ladder"][side]:
-            print(f"ladder {side} {row}", flush=True)
-    save()
-    doc["timeline"] = _timeline(parent, change, args.runs)
-    for side in ("parent", "change"):
-        print(f"timeline {side}: {json.dumps(doc['timeline'][side]['median'])}", flush=True)
-    save()
-    doc["fingerprints"] = {f"{side}_{workload}": _fingerprint(root, (), workload)
-                           for side, root in sides for workload in WORKLOADS}
-    doc["fingerprints"].update({f"{side}_gate_one_cpu": _fingerprint(root, ONE_CPU) for side, root in sides})
-    print(f"fingerprints {doc['fingerprints']}", flush=True)
-    save()
-    doc["verify"] = {
-        "two_cpus": _alternate(parent, change, args.pairs, _verify, "two-CPU verify"),
-        "one_cpu": _alternate(parent, change, args.pairs, lambda root: _verify(root, ONE_CPU), "one-CPU verify"),
-    }
-    save()
-    doc["pairs"] = {}
-    for workload in WORKLOADS:
-        doc["pairs"][workload] = pairs(parent, change, workload, args.pairs, seconds)
+    if "ladder" in parts:
+        doc["ladder"] = _ladder(parent, change, args.runs)
+        for side in ("parent", "change"):
+            for row in doc["ladder"][side]:
+                print(f"ladder {side} {row}", flush=True)
         save()
-    doc["holdout"] = {"seed": args.holdout,
-                      "sweep": {side: perfbench(root, "sweep", args.holdout, seconds) for side, root in sides}}
-    print("holdout sweep: " + ", ".join(
-        f"{side} {doc['holdout']['sweep'][side]['metrics'].get('wall_s', float('nan')):.3f} s" for side, _ in sides),
-        flush=True)
-    save()
+    if "timeline" in parts:
+        doc["timeline"] = _timeline(parent, change, args.runs)
+        for side in ("parent", "change"):
+            print(f"timeline {side}: {json.dumps(doc['timeline'][side]['median'])}", flush=True)
+        save()
+    if "fingerprints" in parts:
+        doc["fingerprints"] = {f"{side}_{workload}": _fingerprint(root, (), workload)
+                               for side, root in sides for workload in WORKLOADS}
+        doc["fingerprints"].update({f"{side}_gate_one_cpu": _fingerprint(root, ONE_CPU) for side, root in sides})
+        print(f"fingerprints {doc['fingerprints']}", flush=True)
+        save()
+    if "traced" in parts:
+        doc["traced_gate"] = {side: _traced(root, "gate", TRACED_SECONDS) for side, root in sides}
+        print(f"traced gate {doc['traced_gate']}", flush=True)
+        save()
+    if "verify" in parts:
+        doc["verify"] = {
+            "two_cpus": _alternate(parent, change, args.pairs, _verify, "two-CPU verify"),
+            "one_cpu": _alternate(parent, change, args.pairs, lambda root: _verify(root, ONE_CPU), "one-CPU verify"),
+        }
+        save()
+    if "pairs" in parts:
+        doc["pairs"] = {}
+        for workload in WORKLOADS:
+            doc["pairs"][workload] = pairs(parent, change, workload, args.pairs, seconds)
+            save()
+    if "holdout" in parts:
+        doc["holdout"] = {"seed": args.holdout,
+                          "sweep": {side: perfbench(root, "sweep", args.holdout, seconds) for side, root in sides}}
+        print("holdout sweep: " + ", ".join(
+            f"{side} {doc['holdout']['sweep'][side]['metrics'].get('wall_s', float('nan')):.3f} s"
+            for side, _ in sides), flush=True)
+        save()
 
 
 if __name__ == "__main__":

@@ -85,10 +85,6 @@ class SweepRecord:
     def c_diff(self) -> float:
         return self.c1 - self.c2
 
-    @property
-    def c_mean(self) -> float:
-        return 0.5 * (self.c1 + self.c2)
-
 
 @dataclass(frozen=True)
 class FitResult:

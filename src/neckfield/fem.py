@@ -22,21 +22,14 @@ bound, i.e. for data with an odd part.  A mesh without a mirror is
 assembled whole, and its even solve is the full solve.  Several boundary
 data given at once share each LU solve.
 
-K_h is exactly symmetric, so the CSR arrays of a principal block are,
-unchanged, its CSC arrays: no conversion is needed for the
-factorizations.  Each field's boundary fluxes come from one product
-K_h (f + f o m).
-
 A block of at least ``_DISSECTION_MIN`` unknowns is factored in a
 geometric nested-dissection order (George, SIAM J. Numer. Anal. 10,
-1973), which gives O(N log N) fill on a planar mesh: a k-d tree splits
-the unknowns at the median of each cell's wider axis, the unknowns of a
-cell's low half that couple to its high half form its separator, and
-each separator is numbered after both halves.  SuperLU then factors
-without reordering or pivoting, which the symmetric positive definite
-blocks allow.  Smaller blocks keep SuperLU's COLAMD ordering: the two
-break even at a few thousand unknowns, and the ordering wins from about
-15,000 on (BENCH_7.json has the figures per ladder level).
+1973; ``_dissection``), which gives O(N log N) fill on a planar mesh.
+SuperLU then factors without reordering or pivoting, which the symmetric
+positive definite blocks allow.  Smaller blocks keep SuperLU's COLAMD
+ordering: the two break even at a few thousand unknowns, and the
+ordering wins from about 15,000 on (BENCH_7.json has the figures per
+ladder level).
 
 ``sp`` and ``spla`` are deferred stand-ins for ``scipy.sparse`` and
 ``scipy.sparse.linalg`` (``mesh._Deferred``): the first assembly or
@@ -134,9 +127,14 @@ class StiffnessOperator:
 
     def _sides(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """K_h f and K_h (f o m) over the fundamental domain, the second None
-        without a mirror."""
-        side = self._half @ values[self._keep]
-        return side, None if self._image is None else self._half @ values[self._image]
+        without a mirror.  Where f o m equals f on the kept rows, the second
+        is the first itself: its product would be the same bits."""
+        kept = values[self._keep]
+        side = self._half @ kept
+        if self._image is None:
+            return side, None
+        mirrored = values[self._image]
+        return side, side if np.array_equal(kept, mirrored) else self._half @ mirrored
 
     def _interior_norm(self, side: np.ndarray, image: np.ndarray | None) -> np.ndarray:
         """Norm of K f over the interior vertices, from ``_sides(f)``, for
@@ -144,7 +142,7 @@ class StiffnessOperator:
         if image is None:
             return np.linalg.norm(side[self._unknowns["even"]], axis=0)
         odd, axis = self._unknowns["odd"], self._axis
-        return np.linalg.norm(np.concatenate([side[odd], image[odd], side[axis] + image[axis]]), axis=0)
+        return np.sqrt(sum(np.square(part).sum(axis=0) for part in (side[odd], image[odd], side[axis] + image[axis])))
 
     def _block(self, rows: np.ndarray) -> sp.csc_matrix:
         """The principal block of K_h on ``rows``, in CSC."""
@@ -165,14 +163,14 @@ class StiffnessOperator:
             if block.shape[0] < _DISSECTION_MIN:
                 self._factors[part] = rows, spla.splu(block)
             else:
-                rows = rows[_dissection(block, self._points[rows])]
+                perm = _dissection(block, self._points[rows])
                 lu = spla.splu(
-                    self._block(rows),
+                    block[perm][:, perm],
                     permc_spec="NATURAL",
                     diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True},
                 )
-                self._factors[part] = rows, lu
+                self._factors[part] = rows[perm], lu
         return self._factors[part]
 
     def _lu(self, part: str, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,36 +289,14 @@ def _dissection(block: sp.csc_matrix, points: np.ndarray) -> np.ndarray:
     """Nested-dissection order of a structurally symmetric block whose
     unknowns sit at ``points``: ``perm[k]`` is the unknown numbered k.
 
-    A k-d tree splits every cell above ``_DISSECTION_LEAF`` unknowns at the
-    median of its wider axis, one level of cells at a time.  Each coupling
-    between two leaves is cut by their lowest common ancestor; the cutting
-    node takes the coupled unknown of its low half into its separator,
-    unless either unknown already sits in a coarser separator.  A node's
-    range of numbers holds its low subtree, its high subtree, then its
-    separator.
+    Each coupling between two leaves of the k-d tree (``_kd_leaves``) is
+    cut by their lowest common ancestor; the cutting node takes the coupled
+    unknown of its low half into its separator, unless either unknown
+    already sits in a coarser separator.  A node's range of numbers holds
+    its low subtree, its high subtree, then its separator.
     """
     n = block.shape[0]
-    coords = [np.ascontiguousarray(points[:, axis]) for axis in (0, 1)]
-    rank = np.empty(2 * n, dtype=np.int64)  # rank along x, then along y
-    for axis in (0, 1):
-        rank[axis * n + np.argsort(coords[axis], kind="stable")] = np.arange(n)
-    node = np.ones(n, dtype=np.int64)  # heap index of the leaf: root 1, children 2h, 2h + 1
-    live = np.arange(n)  # unknowns of cells still to split, grouped by cell
-    cell = np.zeros(n, dtype=np.int64)
-    sizes = np.array([n])
-    while len(live):
-        first = np.cumsum(sizes) - sizes
-        here = [c[live] for c in coords]
-        x, y = (np.maximum.reduceat(h, first) - np.minimum.reduceat(h, first) for h in here)
-        axis = (y > x).astype(np.int64)
-        live = live[np.argsort(cell * n + rank[(axis * n)[cell] + live])]
-        high = np.arange(len(live)) >= (first + sizes // 2)[cell]
-        node[live] = 2 * node[live] + high
-        child = 2 * cell + high
-        sizes = np.column_stack([sizes // 2, sizes - sizes // 2]).ravel()
-        split = sizes > _DISSECTION_LEAF
-        go = split[child]
-        live, cell, sizes = live[go], (np.cumsum(split) - 1)[child[go]], sizes[split]
+    node = _kd_leaves(points)
 
     # The lowest common ancestor of the two leaves of each coupling, by
     # bringing both heap indices to the same depth and dropping the bits
@@ -356,6 +332,42 @@ def _dissection(block: sp.csc_matrix, points: np.ndarray) -> np.ndarray:
     end = (node[s] >> (leaf_depth[s] - d)) - (1 << d) + 1
     key[s] = (end << (deepest - d)) * 64 - 1 - d
     return np.argsort(key, kind="stable")
+
+
+def _kd_leaves(points: np.ndarray) -> np.ndarray:
+    """Heap index of each point's leaf (root 1, children 2h and 2h + 1) in
+    a k-d tree that splits the root and every cell above _DISSECTION_LEAF
+    points at the median of its wider axis, ties by index, smaller half low."""
+    n = len(points)
+    coords = [np.ascontiguousarray(points[:, axis]) for axis in (0, 1)]
+    # The points of the cells left to split, grouped by cell, each cell in
+    # x order and in y order.  A split partitions the order across its cut
+    # stably, so no level sorts again.
+    orders = [np.argsort(c, kind="stable") for c in coords]
+    node = np.ones(n, dtype=np.int64)
+    high = np.zeros(n, dtype=bool)  # whether a point went to its cell's high half
+    sizes, ids = np.array([n]), np.array([1])  # each cell's point count and heap index
+    while len(orders[0]):
+        first = np.cumsum(sizes) - sizes
+        x, y = (c[o[first + sizes - 1]] - c[o[first]] for c, o in zip(coords, orders))
+        wide = np.repeat(y > x, sizes)  # the cell is cut along y
+        along, across = np.where(wide, orders[1], orders[0]), np.where(wide, orders[0], orders[1])
+        lows = sizes // 2
+        cut = np.repeat(first + lows, sizes)  # the first position of each high half
+        position = np.arange(len(along))
+        high[along] = position >= cut
+        went = high[across]
+        before = np.cumsum(went) - went  # high points before each position
+        highs = before - np.repeat(before[first], sizes)  # ... in its own cell
+        split = np.empty_like(across)
+        split[np.where(went, cut + highs, position - highs)] = across
+        orders = [np.where(wide, split, along), np.where(wide, along, split)]
+        sizes, ids = np.column_stack([lows, sizes - lows]).ravel(), np.column_stack([2 * ids, 2 * ids + 1]).ravel()
+        more = sizes > _DISSECTION_LEAF
+        go = np.repeat(more, sizes)
+        node[orders[0][~go]] = np.repeat(ids[~more], sizes[~more])
+        orders, sizes, ids = [o[go] for o in orders], sizes[more], ids[more]
+    return node
 
 
 def stiffness_matrix(vertices: np.ndarray, triangles: np.ndarray) -> sp.csr_matrix:

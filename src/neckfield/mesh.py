@@ -159,9 +159,6 @@ class Mesh:
     def triangle_count(self) -> int:
         return self.triangles.shape[0]
 
-    def centroids(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
-
     def areas(self) -> np.ndarray:
         return 0.5 * _signed_area2(self.vertices[self.triangles])
 

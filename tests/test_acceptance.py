@@ -10,8 +10,10 @@ set the usable CPU count, which decides whether a worker is forked.
 import gc
 import hashlib
 import multiprocessing
+import os
 import re
 import sys
+import time
 import weakref
 from dataclasses import replace
 
@@ -139,7 +141,8 @@ def _record_meshes(monkeypatch):
 
 def test_worker_gate_equals_inline_gate(monkeypatch):
     # Same lines, and the same meshes in the same order, all made in this
-    # process: the worker only solves.
+    # process; the worker's second build of the ladder, in its own process,
+    # is not among them.
     made = _record_meshes(monkeypatch)
     inline = _lines(_run_all(monkeypatch, 1))
     inline_meshes = made[:]
@@ -177,9 +180,29 @@ def test_worker_programming_error_crashes(monkeypatch):
     def broken(*args):
         raise TypeError("not a gate failure")
 
-    monkeypatch.setattr(acceptance, "solve_touching", broken)  # called in the worker only
+    # The truncated-cusp factor, built in the gate's process while the
+    # worker solves the finest ladder level.
+    monkeypatch.setattr(acceptance, "solve_touching", broken)
     with pytest.raises(TypeError, match="not a gate failure"):
         _run_all(monkeypatch, 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_finest_level_programming_error_crashes(monkeypatch):
+    # The level-3 solve raises, in the worker only: a process other than
+    # this one.  The error is raised where C7 asks for the ladder.
+    real, parent = experiments.solve_bundle, os.getpid()
+
+    def broken(mesh, *args, **kwargs):
+        if os.getpid() != parent and mesh.vertex_count > 100_000:
+            raise TypeError("not a gate failure")
+        return real(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_bundle", broken)
+    echoed = []
+    with pytest.raises(TypeError, match="not a gate failure"):
+        _run_all(monkeypatch, 2, echo=echoed.append)
+    assert [line.split()[0] for line in echoed if not line.startswith(" ")] == [f"C{i}" for i in range(1, 7)]
     assert multiprocessing.active_children() == []
 
 
@@ -204,8 +227,9 @@ def test_finest_mesh_error_surfaces_at_c7(monkeypatch, cpus):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_identity_error_surfaces_at_c3(monkeypatch, cpus):
-    # C3's and C6's solves fail.  With a worker they fail there, and the
-    # error is raised, with its type, when C3 asks for its numbers, as inline.
+    # C3's and C6's solves fail.  With a worker they fail in the gate's
+    # process before any criterion runs, and the error is raised, with its
+    # type, when C3 asks for its numbers, as inline.
     def failing(*args, **kwargs):
         raise SolverError("forced C3/C6 failure")
 
@@ -235,18 +259,37 @@ def test_worker_dropped_gap_fails_the_sweep_criteria(monkeypatch):
 
 def test_runtime_budgets_count_prefetched_work(monkeypatch):
     # What prefetch built before the criteria ran is on the budgets of C3,
-    # C4 and C6: their meshes, and the worker's seconds on their solves.
+    # C4 and C6: their solves, and their meshes, each mesh plan built inside
+    # the timed build of the artifact that reads it first.
     monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
+    spans = {}  # (method, plan or artifact) -> (start, end) of its first call in this process
+
+    def spanned(name):
+        original = getattr(acceptance.AcceptanceContext, name)
+
+        def wrapper(self, key):
+            t0 = time.perf_counter()
+            out = original(self, key)
+            spans.setdefault((name, key), (t0, time.perf_counter()))
+            return out
+
+        monkeypatch.setattr(acceptance.AcceptanceContext, name, wrapper)
+
+    spanned("meshes")
+    spanned("_build")
     fresh = acceptance.AcceptanceContext()
     fresh.prefetch()
     assert multiprocessing.active_children() == []
     results = {r.name.split()[0]: r for r in (criterion(fresh) for criterion in acceptance.CRITERIA[2:6])}
-    for name, keys in (
-        ("C3", ["op_m2", "identities"]),
-        ("C4", ["sweep_m2", "sweep_m4"]),
-        ("C6", ["constant_data", "degeneracy"]),
+    for name, keys, plans in (
+        ("C3", ["identities"], {"op_m2": "identities"}),
+        ("C4", ["sweep_m2", "sweep_m4"], {"sweep_m2": "sweep_m2", "sweep_m4": "sweep_m4"}),
+        ("C6", ["degeneracy"], {"constant_data": "degeneracy"}),
     ):
         assert all(fresh.build_seconds[key] > 0.0 for key in keys)
+        for plan, reader in plans.items():
+            (start, end), (first, last) = spans["_build", reader], spans["meshes", plan]
+            assert start <= first <= last <= end
         spent = sum(fresh.build_seconds[key] for key in keys)
         assert results[name].runtime >= spent
         for budget in [d for d in results[name].details if "runtime" in d]:  # C6 prints none
@@ -298,6 +341,35 @@ def test_prefetch_forks_only_with_two_cpus(monkeypatch, cpus):
         with pytest.raises(_NoProcess):
             fresh.prefetch()
         assert len(made) == 1
+
+
+def test_worker_is_forked_before_any_mesh(monkeypatch):
+    # The stand-in executor starts no process.  It records the mesh plans
+    # built when the worker would be forked, and what the worker is given.
+    import concurrent.futures
+
+    fresh = acceptance.AcceptanceContext()
+    seen = []
+
+    class Executor:
+        def __init__(self, *args, **kwargs):
+            seen.append(dict(fresh._meshes))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            seen.append(args)
+            raise _NoProcess
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
+    with pytest.raises(_NoProcess):
+        fresh.prefetch()
+    assert seen == [{}, ("ladder_finest",)]
 
 
 def test_context_needs_no_cycle_collector():

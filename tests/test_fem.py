@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neckfield import fem
-from neckfield.conductivity import BoundaryData, solve_bundle, solve_constants
+from neckfield.conductivity import BoundaryData, solve_bundle, solve_components, solve_constants
 from neckfield.geometry import InclusionPair, NeckProfile, ProfileKind
 from neckfield.mesh import (
     INCLUSION1,
@@ -462,7 +464,7 @@ class TestAcrossGaps:
             f = op.solve_dirichlet({INCLUSION1: 1.0, INCLUSION2: 0.0, OUTER: 0.0})
             grads = fem.element_gradients(f)
             norms = np.hypot(grads[:, 0], grads[:, 1])
-            cent = mesh.centroids()
+            cent = mesh.vertices[mesh.triangles].mean(axis=1)
             scaled = norms[mesh.neck] * np.array([p.gap([x]) for x in cent[mesh.neck, 0]])
             band_constants.append(max(scaled.max(), 1.0 / scaled.min()))
         assert max(band_constants) <= 2.0 * min(band_constants)
@@ -508,9 +510,48 @@ def ladder_op(pair):
     return fem.assemble(mesh)
 
 
+@pytest.fixture(scope="module")
+def finest_op(pair, ladder_op):
+    return fem.assemble(refine_quadrisect(ladder_op.mesh, pair))
+
+
 def _even_block(op):
     rows = op._unknowns["even"]
     return op._block(rows), op._points[rows]
+
+
+def _former_kd_leaves(points):
+    # The former k-d tree, the oracle of ``fem._kd_leaves``: each level
+    # sorts every live unknown by (cell, rank along the cell's wider axis).
+    n = len(points)
+    coords = [np.ascontiguousarray(points[:, axis]) for axis in (0, 1)]
+    rank = np.empty(2 * n, dtype=np.int64)  # rank along x, then along y
+    for axis in (0, 1):
+        rank[axis * n + np.argsort(coords[axis], kind="stable")] = np.arange(n)
+    node = np.ones(n, dtype=np.int64)
+    live = np.arange(n)
+    cell = np.zeros(n, dtype=np.int64)
+    sizes = np.array([n])
+    while len(live):
+        first = np.cumsum(sizes) - sizes
+        here = [c[live] for c in coords]
+        x, y = (np.maximum.reduceat(h, first) - np.minimum.reduceat(h, first) for h in here)
+        axis = (y > x).astype(np.int64)
+        live = live[np.argsort(cell * n + rank[(axis * n)[cell] + live])]
+        high = np.arange(len(live)) >= (first + sizes // 2)[cell]
+        node[live] = 2 * node[live] + high
+        child = 2 * cell + high
+        sizes = np.column_stack([sizes // 2, sizes - sizes // 2]).ravel()
+        split = sizes > fem._DISSECTION_LEAF
+        go = split[child]
+        live, cell, sizes = live[go], (np.cumsum(split) - 1)[child[go]], sizes[split]
+    return node
+
+
+def _former_dissection(block, points):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fem, "_kd_leaves", _former_kd_leaves)
+        return fem._dissection(block, points)
 
 
 class TestDissection:
@@ -537,6 +578,48 @@ class TestDissection:
         colamd = spla.splu(block)
         assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("part", ["even", "odd"])
+    def test_equals_former_tree(self, ladder_op, finest_op, level, part, monkeypatch):
+        case = ladder_op if level == 2 else finest_op
+        rows = case._unknowns[part]
+        block, points = case._block(rows), case._points[rows]
+        assert np.array_equal(fem._kd_leaves(points), _former_kd_leaves(points))
+        assert np.array_equal(fem._dissection(block, points), _former_dissection(block, points))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(0, 600),
+        spread=st.integers(1, 8),  # coordinates are integers below it, so many tie
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_former_tree_with_ties(self, n, spread, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.integers(0, spread, size=(n, 2)).astype(float)
+        assert np.array_equal(fem._kd_leaves(points), _former_kd_leaves(points))
+        if n:
+            # A random structurally symmetric block on the cloud.
+            i, j = rng.integers(0, n, size=(2, 4 * n))
+            block = sp.csr_matrix((np.ones(8 * n + n), (np.r_[i, j, np.arange(n)], np.r_[j, i, np.arange(n)])),
+                                  shape=(n, n))
+            assert np.array_equal(fem._dissection(block, points), _former_dissection(block, points))
+
+    def test_lu_gets_the_former_arrays(self, ladder_op, monkeypatch):
+        # The block is sliced from K_h once and then permuted; SuperLU gets
+        # the bytes of slicing K_h on the permuted unknowns.
+        log = _SpluLog(splu=lambda matrix, **kwargs: matrix)
+        monkeypatch.setattr(fem, "spla", log)
+        fresh = fem.StiffnessOperator(ladder_op.mesh)
+        for part in ("even", "odd"):
+            rows, got = fresh._factor(part)
+            want = fresh._unknowns[part]
+            want = want[_former_dissection(fresh._block(want), fresh._points[want])]
+            assert np.array_equal(rows, want)
+            half = fresh._half[want][:, want]
+            assert got.format == "csc"
+            for name in ("data", "indices", "indptr"):
+                assert getattr(got, name).tobytes() == getattr(half, name).tobytes(), name
+
     def test_small_block_keeps_colamd(self, op, monkeypatch):
         log = _SpluLog()
         monkeypatch.setattr(fem, "spla", log)
@@ -544,6 +627,28 @@ class TestDissection:
         fresh.solve_dirichlet({INCLUSION1: 1.0, INCLUSION2: 0.0, OUTER: 0.0})
         assert log.calls == [(len(fresh._unknowns["even"]), {})]
         assert len(fresh._unknowns["even"]) < fem._DISSECTION_MIN
+
+
+class TestSides:
+    """``_sides`` against its two products, byte for byte; one product when
+    the field is even."""
+
+    @pytest.mark.parametrize("kind,even", [("linear_xn", True), ("linear_x1", False)])
+    def test_equals_two_products(self, op, kind, even):
+        fields = solve_components(op, BoundaryData(kind=kind))
+        u = np.column_stack([f.values for f in fields])
+        side, mirrored = op._sides(u)
+        assert (mirrored is side) == even
+        assert side.tobytes() == (op._half @ u[op._keep]).tobytes()
+        assert mirrored.tobytes() == (op._half @ u[op._image]).tobytes()
+
+    def test_without_mirror(self):
+        mesh = mesh_convex_polygon(np.array([[0.0, 0.0], [2.0, 0.0], [2.3, 1.1], [-0.4, 1.0]]), 0.15)
+        new = fem.assemble(mesh)
+        u = new.solve_dirichlet({OUTER: lambda pts: np.cos(pts[:, 0]) * np.exp(pts[:, 1])}).values[:, None]
+        side, mirrored = new._sides(u)
+        assert mirrored is None
+        assert side.tobytes() == (new._half @ u).tobytes()
 
 
 class TestOperatorSetupBits:

@@ -97,7 +97,7 @@ class TestGenerate:
         assert keys == mirrored
 
     def test_neck_flags_match_region(self, pair, mesh):
-        cent = mesh.centroids()
+        cent = mesh.vertices[mesh.triangles].mean(axis=1)
         for i in np.flatnonzero(mesh.neck)[::7]:
             assert pair.in_neck(cent[i])
 
@@ -374,6 +374,24 @@ def _wide_pair(order, eps, split=0.5, scale=1.0, neck_radius=0.5, outer_radius=5
     return InclusionPair(2, prof, eps, neck_radius=neck_radius, outer_radius=outer_radius)
 
 
+def _assert_solve_invariants(mesh):
+    """Reciprocity, zero total flux, flux equal to energy and the maximum
+    principle of the ``linear_xn`` solve on ``mesh``."""
+    op = fem.assemble(mesh)
+    bundle = solve_bundle(mesh, BoundaryData(kind="linear_xn"), op=op)
+    assert abs(bundle.a12 - bundle.a21) / abs(bundle.a12) <= 1e-8
+    # C3's 1e-10 bound at its energy of about 100, per unit energy: the
+    # rounding in the flux sum grows with the energy, 1e-15 of it.
+    flux = op.fluxes(bundle.v1)
+    total = sum(flux[tag] for tag in (OUTER, INCLUSION1, INCLUSION2))
+    assert abs(total) <= 1e-12 * bundle.a11
+    # Flux equals energy, within C3's bound.
+    energy = op.energy(bundle.v1)
+    assert abs(bundle.a11 - energy) <= 1e-10 * energy
+    for f in (bundle.v1, bundle.v2):
+        assert f.values.min() >= -1e-10 and f.values.max() <= 1.0 + 1e-10
+
+
 class TestMovedFarField:
     def test_cache_miss_and_hit_give_the_same_bytes(self, pair, cold_far_field):
         params = MeshParams()
@@ -455,19 +473,14 @@ class TestMovedFarField:
         radii = np.hypot(mesh.vertices[on_cap, 0], mesh.vertices[on_cap, 1] - cap1.center_height)
         assert np.abs(radii - cap1.radius).max() <= 1e-12
 
-        op = fem.assemble(mesh)
-        bundle = solve_bundle(mesh, BoundaryData(kind="linear_xn"), op=op)
-        assert abs(bundle.a12 - bundle.a21) / abs(bundle.a12) <= 1e-8
-        # C3's 1e-10 bound at its energy of about 100, per unit energy: the
-        # rounding in the flux sum grows with the energy, 1e-15 of it.
-        flux = op.fluxes(bundle.v1)
-        total = sum(flux[tag] for tag in (OUTER, INCLUSION1, INCLUSION2))
-        assert abs(total) <= 1e-12 * bundle.a11
-        # Flux equals energy, within C3's bound.
-        energy = op.energy(bundle.v1)
-        assert abs(bundle.a11 - energy) <= 1e-10 * energy
-        for f in (bundle.v1, bundle.v2):
-            assert f.values.min() >= -1e-10 and f.values.max() <= 1.0 + 1e-10
+        _assert_solve_invariants(mesh)
+        if refinement == 0:
+            # A quadrisected mesh keeps them too, its mirror included.
+            finer = refine_quadrisect(mesh, pair)
+            assert finer.mirror is not None
+            report = audit(finer)
+            assert report.passed, report.failures
+            _assert_solve_invariants(finer)
 
         if _reference_gap(pair, params) == 0.0:
             ref = mesh_module._far_reference(pair.with_gap(0.0), params)
