@@ -47,9 +47,8 @@ from .mesh import INCLUSION1, INCLUSION2, OUTER, generate
 
 __all__ = ["CriterionResult", "AcceptanceContext", "run_all", "CRITERIA"]
 
-# What ``AcceptanceContext.prefetch`` builds in the gate's process while
-# its worker solves the finest ladder level, in the order the criteria ask
-# for it.
+# What ``AcceptanceContext.prefetch`` builds in the gate's process while its
+# worker solves the finest ladder level, in the order the criteria ask for it.
 INLINE_ARTIFACTS = ("identities", "sweep_m2", "sweep_m4", "degeneracy", "ladder_coarse", "b0_dir")
 # The artifacts that solve on each mesh plan; once all are built, the
 # plan's meshes are dropped.
@@ -206,10 +205,9 @@ class AcceptanceContext:
         fork = multiprocessing.get_context("fork")
         with concurrent.futures.ProcessPoolExecutor(1, fork, initializer=_adopt, initargs=(self,)) as worker:
             future = worker.submit(_build_adopted, "ladder_finest")
-            # Every mesh plan is built here, the ladder too: perfbench's
-            # fingerprint and audit see only this process's meshes, so the
-            # worker's ladder is a second build until the trace carries
-            # each mesh's hash (ROADMAP item 2).
+            # Every mesh plan is built here, the ladder too: perfbench's fingerprint and
+            # audit see only this process's meshes, so the worker's ladder is a second
+            # build until the trace carries each mesh's hash (ROADMAP item 2).
             for key in INLINE_ARTIFACTS:
                 self._cache[key], self.build_seconds[key] = self._build(key)
                 self._drop_read_plans()

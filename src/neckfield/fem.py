@@ -313,7 +313,7 @@ def _dissection(block: sp.csc_matrix, points: np.ndarray) -> np.ndarray:
     depth = _bit_length(a) - 1 - below
     i_low = ((a >> (below - 1)) & 1) == 0
     low_end, high_end = np.where(i_low, ei, ej), np.where(i_low, ej, ei)
-    order = np.argsort(depth, kind="stable")
+    order = np.argsort(depth.astype(np.int16), kind="stable")  # a radix sort: depths are below 64
     low_end, high_end, depth = low_end[order], high_end[order], depth[order]
     sep = np.full(n, np.iinfo(np.int64).max)  # depth of the separator holding each unknown
     starts = np.flatnonzero(np.diff(depth, prepend=-1))
@@ -364,9 +364,10 @@ def _kd_leaves(points: np.ndarray) -> np.ndarray:
         orders = [np.where(wide, split, along), np.where(wide, along, split)]
         sizes, ids = np.column_stack([lows, sizes - lows]).ravel(), np.column_stack([2 * ids, 2 * ids + 1]).ravel()
         more = sizes > _DISSECTION_LEAF
-        go = np.repeat(more, sizes)
-        node[orders[0][~go]] = np.repeat(ids[~more], sizes[~more])
-        orders, sizes, ids = [o[go] for o in orders], sizes[more], ids[more]
+        if not more.all():  # some cells are leaves: number their points, drop them
+            go = np.repeat(more, sizes)
+            node[orders[0][~go]] = np.repeat(ids[~more], sizes[~more])
+            orders, sizes, ids = [o[go] for o in orders], sizes[more], ids[more]
     return node
 
 

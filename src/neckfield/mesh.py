@@ -1042,9 +1042,10 @@ def refine_quadrisect(mesh: Mesh, pair: InclusionPair) -> Mesh:
     n = mesh.vertex_count
     keys = _edge_keys(mesh.triangles, n)
     uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(uniq))
-    new_keys = keys[np.sort(first)]
+    fresh = np.zeros(len(keys), dtype=bool)  # the first occurrence of each edge
+    fresh[first] = True
+    rank = (np.cumsum(fresh) - 1)[first]  # each edge's number in order of first occurrence
+    new_keys = keys[fresh]
     verts = np.concatenate([mesh.vertices, 0.5 * (mesh.vertices[new_keys // n] + mesh.vertices[new_keys % n])])
     vtags = np.concatenate([mesh.vertex_tags, np.full(len(uniq), INTERIOR, dtype=np.int64)])
 
