@@ -336,7 +336,7 @@ def _dissection(block: sp.csc_matrix, points: np.ndarray) -> np.ndarray:
 
 def _kd_leaves(points: np.ndarray) -> np.ndarray:
     """Heap index of each point's leaf (root 1, children 2h and 2h + 1) in
-    a k-d tree that splits the root and every cell above _DISSECTION_LEAF
+    a k-d tree that splits the root and every cell above ``_DISSECTION_LEAF``
     points at the median of its wider axis, ties by index, smaller half low."""
     n = len(points)
     coords = [np.ascontiguousarray(points[:, axis]) for axis in (0, 1)]
