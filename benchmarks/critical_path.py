@@ -24,12 +24,13 @@ after each; the parts of an existing OUT that it does not run are kept:
   ``run_all`` once to warm up, then PASSES more times with two usable
   CPUs.  For each pass, and as medians over all passes of a checkout, for
   the gate's process and for its forked worker (whose spans come back
-  through a file): the seconds of each mesh plan and each artifact it
-  built during ``prefetch``, its busy seconds, and, in the process that
-  solved it, ladder level 3 split into the ladder plan built inside it,
-  stiffness, the rest of the operator setup, nested-dissection order, LU
-  (``splu``), the rest of the factorization and the solves with their
-  fluxes.  Also: the gate's seconds from the start of ``prefetch`` to its
+  through a file): the seconds of each artifact it built during
+  ``prefetch`` and of the meshes made inside it (``generate``,
+  ``generate_touching`` and ``refine_quadrisect``, wherever they were
+  imported), its busy seconds, and, in the process that solved it, ladder
+  level 3 split into the meshes made inside it, stiffness, the rest of the
+  operator setup, nested-dissection order, LU (``splu``), the rest of the
+  factorization and the solves with their fluxes.  Also: the gate's seconds from the start of ``prefetch`` to its
   first build (the fork, when it forks first) and from its last build to
   the end of ``prefetch`` (its wait on the worker), the worker's start
   and idle seconds, and each criterion's seconds after ``prefetch``.
@@ -148,7 +149,7 @@ print(json.dumps({
 PASSES = 5
 TIMELINE_CODE = """
 import glob, json, os, sys, tempfile, time
-from neckfield import acceptance, fem
+from neckfield import acceptance, fem, mesh
 
 spans = []  # (label, start, end) in this process
 OUT = tempfile.mkdtemp()  # where each worker build leaves its spans
@@ -165,6 +166,16 @@ def timed(owner, name, label=None):
             spans.append((label or name, t0, time.perf_counter()))
 
     setattr(owner, name, wrapper)
+    return wrapper
+
+
+def timed_producer(name):
+    # A mesh producer, rebound in every module that imported it.
+    original = getattr(mesh, name)
+    wrapper = timed(mesh, name, "mesh")
+    for module in [m for n, m in sys.modules.items() if n.startswith("neckfield.") and m is not None]:
+        if getattr(module, name, None) is original:
+            setattr(module, name, wrapper)
 
 
 class Spla:
@@ -182,7 +193,7 @@ class Spla:
 
 
 Context = acceptance.AcceptanceContext
-build, meshes, build_adopted = Context._build, Context.meshes, acceptance._build_adopted
+build, build_adopted = Context._build, acceptance._build_adopted
 
 
 def build_key(self, key):
@@ -191,16 +202,6 @@ def build_key(self, key):
         return build(self, key)
     finally:
         spans.append((f"build:{key}", t0, time.perf_counter()))
-
-
-def plan_meshes(self, plan):
-    if plan in self._meshes:
-        return meshes(self, plan)
-    t0 = time.perf_counter()
-    try:
-        return meshes(self, plan)  # builds the plan whole
-    finally:
-        spans.append((f"plan:{plan}", t0, time.perf_counter()))
 
 
 def worker_build(key):
@@ -217,8 +218,9 @@ def worker_build(key):
 
 acceptance.run_all(echo=lambda line: None)  # warm: imports, far-field caches
 Context._build = build_key
-Context.meshes = plan_meshes
 acceptance._build_adopted = worker_build
+for producer in ("generate", "generate_touching", "refine_quadrisect"):
+    timed_producer(producer)
 timed(Context, "prefetch")
 timed(fem, "assemble")
 timed(fem, "stiffness_matrix")
@@ -232,28 +234,29 @@ def within(found, label, lo, hi):
 
 
 def top(found, lo, hi):
-    # The plan and build spans in [lo, hi] that no other of them holds.
-    kept = [(n, a, b) for n, a, b in found if n.split(":")[0] in ("plan", "build") and lo <= a and b <= hi]
+    # The build spans in [lo, hi] that no other of them holds.
+    kept = [(n, a, b) for n, a, b in found if n.startswith("build:") and lo <= a and b <= hi]
     return [(n, a, b) for n, a, b in kept if not any(c <= a and b <= d and (c, d) != (a, b) for _, c, d in kept)]
 
 
 def process(found, lo, hi):
-    # Seconds of each mesh plan and, top level only, of each artifact that
-    # a process built in [lo, hi], its busy seconds, and the ladder level-3
-    # split if the finest level was built there; and when it was last busy.
+    # Seconds of each artifact that a process built in [lo, hi], top level
+    # only, and of the meshes made inside it, its busy seconds, and the
+    # ladder level-3 split if the finest level was built there; and when it
+    # was last busy.
     spans_ = top(found, lo, hi)
-    row = {"plans": {n[5:]: b - a for n, a, b in found if n.startswith("plan:") and lo <= a and b <= hi},
-           "artifacts": {n[6:]: b - a for n, a, b in spans_ if n.startswith("build:")},
+    row = {"artifacts": {n[6:]: b - a for n, a, b in spans_},
+           "meshes": {n[6:]: within(found, "mesh", a, b) for n, a, b in spans_},
            "busy_s": sum(b - a for _, a, b in spans_)}
     finest = [(a, b) for n, a, b in found if n == "build:ladder_finest" and lo <= a and b <= hi]
     if finest:
         (a, b), = finest
         assemble, factor = within(found, "assemble", a, b), within(found, "_factor", a, b)
         order, lu, stiffness = within(found, "order", a, b), within(found, "lu", a, b), within(found, "stiffness_matrix", a, b)
-        plans = sum(d - c for n, c, d in found if n.startswith("plan:") and a <= c and d <= b)
-        row["ladder3"] = {"s": b - a, "plans_s": plans, "stiffness_s": stiffness,
+        meshes = within(found, "mesh", a, b)
+        row["ladder3"] = {"s": b - a, "meshes_s": meshes, "stiffness_s": stiffness,
                           "operator_setup_s": assemble - stiffness, "order_s": order, "lu_s": lu,
-                          "factor_rest_s": factor - order - lu, "solves_s": b - a - plans - assemble - factor}
+                          "factor_rest_s": factor - order - lu, "solves_s": b - a - meshes - assemble - factor}
     return row, max((b for _, _, b in spans_), default=lo)
 
 

@@ -6,30 +6,31 @@ criterion and reports one pass/fail line each.  Geometry and boundary
 data are pinned per criterion; mesh resolution and fit tolerances come
 from the configuration.
 
-The heavy artifacts share no data, so with two usable CPUs run_all builds
-them on two processes before the criteria run
+Each heavy artifact builds its own meshes, and none outlives it but the
+shared operator's.  The artifacts share no data, so with two usable CPUs
+run_all builds them on two processes before the criteria run
 (``AcceptanceContext.prefetch``): a worker forked before any mesh builds
 the quadrisection ladder and solves its finest level, while this process
-builds every other artifact and every mesh, in the order of a one-process
-run.  The criteria then run, in order, on those results with the same
-code, so every number is what a one-process run gives, and an artifact's
-error is raised when the first criterion that needs it asks for it.  With
-one usable CPU every artifact is built when first asked for.
+builds every other artifact, ladder levels 0-2 included.  The criteria
+then run, in order, on those results with the same code, so every number
+is what a one-process run gives, and an artifact's error is raised when
+the first criterion that needs it asks for it.  With one usable CPU every
+artifact is built when first asked for.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import time
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from . import closed_forms as cf
 from . import fem
-from .conductivity import BoundaryData, solve_bundle, solve_touching, touching_meshes
+from .conductivity import BoundaryData, solve_bundle, solve_limit_direct
 from .config import ExperimentConfig
 from .experiments import (
     convergence_report,
@@ -39,27 +40,16 @@ from .experiments import (
     fit_rate,
     ladder_meshes,
     ladder_solves,
-    solve_sweep,
-    sweep_meshes,
+    run_sweep,
 )
 from .geometry import InclusionPair, NeckProfile, ProfileKind
-from .mesh import INCLUSION1, INCLUSION2, OUTER, generate
+from .mesh import INCLUSION1, INCLUSION2, OUTER, MeshParams, generate
 
 __all__ = ["CriterionResult", "AcceptanceContext", "run_all", "CRITERIA"]
 
 # What ``AcceptanceContext.prefetch`` builds in the gate's process while its
 # worker solves the finest ladder level, in the order the criteria ask for it.
 INLINE_ARTIFACTS = ("identities", "sweep_m2", "sweep_m4", "degeneracy", "ladder_coarse", "b0_dir")
-# The artifacts that solve on each mesh plan; once all are built, the
-# plan's meshes are dropped.
-PLAN_READERS = {
-    "op_m2": ("identities", "degeneracy"),  # C3 and C6 solve on it through its operator
-    "sweep_m2": ("sweep_m2",),
-    "sweep_m4": ("sweep_m4",),
-    "constant_data": ("degeneracy",),
-    "ladder": ("ladder_coarse", "ladder_finest"),
-    "cusp": ("b0_dir",),
-}
 LADDER_LEVELS = 4
 COARSE_LEVELS = 3  # the ladder levels solved in the gate's process; the worker solves the rest
 CONSTANT_DATA_GAPS = (1e-2, 1e-4, 1e-5)  # C6
@@ -83,15 +73,12 @@ class CriterionResult:
 class AcceptanceContext:
     """Shared solves for the acceptance criteria.
 
-    ``_mesh_plans`` gives the meshes of each heavy artifact and
-    ``_builders`` one function per artifact that solves on them.  A mesh
-    plan is built whole when first used and an artifact when first asked
-    for; either keeps the error that building it raised, which is raised
-    again wherever it is asked for.  A plan's meshes are dropped once every
-    artifact in ``PLAN_READERS`` that solves on them is built.
-    ``build_seconds`` holds the seconds ``prefetch`` spent on each
-    artifact, the mesh plans it built included, which no criterion's clock
-    saw.
+    ``_builders`` gives one function per heavy artifact, which builds the
+    meshes it solves on.  An artifact is built when first asked for and
+    keeps the error that building it raised, which is raised again
+    wherever it is asked for.  ``build_seconds`` holds the seconds
+    ``prefetch`` spent on each artifact, its meshes included, which no
+    criterion's clock saw.
     """
 
     def __init__(self, cfg: ExperimentConfig | None = None):
@@ -101,50 +88,28 @@ class AcceptanceContext:
         self.phi = BoundaryData(kind="linear_xn")
         self.eps_list = [1e-2 * 4.0 ** (-k) for k in range(6)]
         self._cache: dict[str, object] = {}  # key -> artifact, or the error building it raised
-        self._meshes: dict[str, list] = {}  # plan -> its meshes, an error in place of those it stopped
         self.build_seconds: dict[str, float] = {}
-
-    def _mesh_plans(self) -> dict:
-        """The meshes of each artifact, in the order the criteria first ask
-        for them.  Made afresh at each call, so that no closure keeps the
-        context alive after its run."""
-        quad, params = self.quad_pair(1e-3), self.params
-        finer = replace(params, refinement=params.refinement + 2)
-        return {
-            "op_m2": lambda: [generate(quad, params)],
-            "sweep_m2": lambda: sweep_meshes(quad, self.eps_list, params),
-            "sweep_m4": lambda: sweep_meshes(self.pow4_pair(1e-3), self.eps_list, params),
-            "constant_data": lambda: (generate(self.quad_pair(eps), params) for eps in CONSTANT_DATA_GAPS),
-            "ladder": lambda: ladder_meshes(quad, params, LADDER_LEVELS),
-            "cusp": lambda: itertools.chain(
-                touching_meshes(self.quad_pair(0.0), CUSP_CUTS, params),
-                touching_meshes(self.quad_pair(0.0), CUSP_CUTS, finer),
-            ),
-        }
-
-    def meshes(self, plan: str):
-        """Iterator over the meshes of ``plan``, built whole on first use; an
-        error that building raised is raised again in its place."""
-        if plan not in self._meshes:
-            self._meshes[plan] = _built(self._mesh_plans()[plan])
-        return _raising(self._meshes[plan])
 
     def _builders(self) -> dict:
         """One function per heavy artifact.  Made afresh at each build, so
         that no closure keeps the context alive after its run."""
-        meshes, phi = self.meshes, self.phi
+        quad, params, phi = self.quad_pair(1e-3), self.params, self.phi
         return {
-            "sweep_m2": lambda: solve_sweep(meshes("sweep_m2"), phi),
-            "sweep_m4": lambda: solve_sweep(meshes("sweep_m4"), phi),
+            "sweep_m2": lambda: run_sweep(quad, phi, self.eps_list, params),
+            "sweep_m4": lambda: run_sweep(self.pow4_pair(1e-3), phi, self.eps_list, params),
             # Stiffness operator, with its mesh and LU factorization, of the
             # quadratic pair at gap 1e-3 on the configured mesh.
-            "op_m2": lambda: fem.assemble(next(meshes("op_m2"))),
+            "op_m2": lambda: fem.assemble(generate(quad, params)),
             "identities": lambda: _identity_numbers(self.default_operator(), phi),
-            "degeneracy": lambda: _degeneracy_numbers(meshes("constant_data"), self.default_operator()),
-            "ladder_coarse": lambda: ladder_solves(itertools.islice(meshes("ladder"), COARSE_LEVELS), phi),
-            "ladder_finest": lambda: ladder_solves(itertools.islice(meshes("ladder"), COARSE_LEVELS, None), phi),
+            "degeneracy": lambda: _degeneracy_numbers(
+                (generate(self.quad_pair(eps), params) for eps in CONSTANT_DATA_GAPS), self.default_operator()
+            ),
+            "ladder_coarse": lambda: ladder_solves(ladder_meshes(quad, params, COARSE_LEVELS), phi),
+            "ladder_finest": lambda: ladder_solves(
+                islice(ladder_meshes(quad, params, LADDER_LEVELS), COARSE_LEVELS, None), phi
+            ),
             "b0_ext": lambda: fit_blowup_limit(self.records_m2()),
-            "b0_dir": lambda: _truncated_cusp_factor(meshes("cusp"), phi),
+            "b0_dir": lambda: _truncated_cusp_factor(self.quad_pair(0.0), phi, params),
         }
 
     # pinned geometries ----------------------------------------------------
@@ -170,20 +135,14 @@ class AcceptanceContext:
         return value, time.perf_counter() - t0
 
     def off_clock(self, *keys: str) -> float:
-        """Seconds ``prefetch`` spent on these artifacts, their mesh plans
+        """Seconds ``prefetch`` spent on these artifacts, their meshes
         included; a runtime budget adds them, since no criterion's clock
         saw them."""
         return sum(self.build_seconds.get(key, 0.0) for key in keys)
 
-    def _drop_read_plans(self) -> None:
-        for plan, readers in PLAN_READERS.items():
-            if plan in self._meshes and all(key in self._cache for key in readers):
-                del self._meshes[plan]
-
     def _get(self, key: str):
         if key not in self._cache:
             self._cache[key], _ = self._build(key)
-            self._drop_read_plans()
         value = self._cache[key]
         if isinstance(value, Exception):
             raise value
@@ -193,9 +152,9 @@ class AcceptanceContext:
         """Build the heavy artifacts on two processes, if two CPUs are usable.
 
         A worker forked before any mesh is built builds ``ladder_finest``.
-        This process builds INLINE_ARTIFACTS in order, each with the mesh
-        plans it reads first, then collects the worker's result, or its
-        error with the worker's traceback, and stops the worker.
+        This process builds INLINE_ARTIFACTS in order, each with its own
+        meshes, then collects the worker's result, or its error with the
+        worker's traceback, and stops the worker.
         """
         if _usable_cpus() < 2:
             return
@@ -205,16 +164,11 @@ class AcceptanceContext:
         fork = multiprocessing.get_context("fork")
         with concurrent.futures.ProcessPoolExecutor(1, fork, initializer=_adopt, initargs=(self,)) as worker:
             future = worker.submit(_build_adopted, "ladder_finest")
-            # Every mesh plan is built here, the ladder too: perfbench's fingerprint and
-            # audit see only this process's meshes, so the worker's ladder is a second
-            # build until the trace carries each mesh's hash (ROADMAP item 2).
             for key in INLINE_ARTIFACTS:
                 self._cache[key], self.build_seconds[key] = self._build(key)
-                self._drop_read_plans()
             error = future.exception()
             finest = (error, 0.0) if error is not None else future.result()
         self._cache["ladder_finest"], self.build_seconds["ladder_finest"] = finest
-        self._drop_read_plans()
 
     def sweep(self, order: int):
         """Records and per-gap failures of the quadratic (2) or quartic (4) sweep."""
@@ -251,26 +205,6 @@ class AcceptanceContext:
         return self._get("b0_dir")
 
 
-def _built(build) -> list:
-    """Every item of the plan ``build()``; an error that building raised
-    takes the place of the items it stopped."""
-    items = []
-    try:
-        for item in build():
-            items.append(item)
-    except Exception as exc:  # raised again where the plan is taken
-        items.append(exc)
-    return items
-
-
-def _raising(items: list):
-    """The items of a built plan; a kept error is raised where it stands."""
-    for item in items:
-        if isinstance(item, Exception):
-            raise item
-        yield item
-
-
 def _identity_numbers(op: fem.StiffnessOperator, phi: BoundaryData) -> dict:
     """The numbers C3 checks, on the solve of ``phi`` with ``op``: flux
     reciprocity and a11 against the energy (relative), the decomposition
@@ -305,13 +239,13 @@ def _degeneracy_numbers(meshes, op: fem.StiffnessOperator) -> dict:
     return {"constant": constant, "odd_level_gap": abs(bundle.c1 - bundle.c2)}
 
 
-def _truncated_cusp_factor(meshes, phi: BoundaryData) -> tuple[float, float]:
-    """Truncated-cusp factor and its uncertainty, which includes the change
-    under two more levels of far-field refinement (the second half of the
-    ``cusp`` plan)."""
-    meshes = iter(meshes)
-    base, finer = (solve_touching(itertools.islice(meshes, len(CUSP_CUTS)), phi) for _ in range(2))
-    return base.b0, base.b0_uncertainty + abs(base.b0 - finer.b0)
+def _truncated_cusp_factor(pair: InclusionPair, phi: BoundaryData, params: MeshParams) -> tuple[float, float]:
+    """Truncated-cusp factor of the touching ``pair`` and its uncertainty,
+    which includes the change under two more levels of far-field
+    refinement."""
+    finer = replace(params, refinement=params.refinement + 2)
+    base, fine = (solve_limit_direct(pair, phi, CUSP_CUTS, p) for p in (params, finer))
+    return base.b0, base.b0_uncertainty + abs(base.b0 - fine.b0)
 
 
 _adopted: AcceptanceContext | None = None  # in a prefetch worker, the context it builds for

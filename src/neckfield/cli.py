@@ -248,13 +248,16 @@ def _cmd_sweep(args) -> int:
 def _render_plots(outdir: Path, records) -> list[str]:
     outputs = []
     grad_points = [(r.eps, r.max_grad_u_neck) for r in records]
-    fit = fit_rate(records, "max_grad_u_neck")
+    line = None  # a rate needs four records, as in the summary
+    if len(records) >= 4:
+        fit = fit_rate(records, "max_grad_u_neck")
+        line = (fit.slope, fit.intercept)
     svg = render_loglog(
         grad_points,
         title="neck gradient vs gap",
         xlabel="gap",
         ylabel="max |grad u| in neck",
-        fit=(fit.slope, fit.intercept),
+        fit=line,
     )
     path = outdir / "gradient_vs_eps.svg"
     path.write_text(svg)

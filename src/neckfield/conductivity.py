@@ -32,8 +32,6 @@ __all__ = [
     "neck_interpolant",
     "neck_remainder",
     "solve_limit_direct",
-    "touching_meshes",
-    "solve_touching",
 ]
 
 
@@ -234,26 +232,16 @@ def solve_limit_direct(
     the upper part.  The sequence over shrinking r_cut is Aitken
     extrapolated; the uncertainty is the extrapolation's own correction.
     """
-    return solve_touching(touching_meshes(pair, r_cuts, params), phi)
-
-
-def touching_meshes(pair: InclusionPair, r_cuts: list[float], params: MeshParams):
-    """The excised-cusp meshes of ``solve_limit_direct``, largest cut radius
-    first, each built as it is taken."""
     if pair.eps != 0.0:
         pair = pair.with_gap(0.0)
     cuts = sorted(r_cuts, reverse=True)
     if len(cuts) < 2:
         raise ValueError("need at least two cut radii")
-    return (generate_touching(pair, r_cut, params) for r_cut in cuts)
-
-
-def solve_touching(meshes, phi: BoundaryData) -> LimitBundle:
-    """``solve_limit_direct`` on ``touching_meshes``."""
     b_vals = []
     c_vals = []
     fields = None
-    for mesh in meshes:
+    for r_cut in cuts:
+        mesh = generate_touching(pair, r_cut, params)
         op = fem.assemble(mesh)
         u1, u0 = op.solve_dirichlet(
             [{INCLUSION1: 1.0, INCLUSION2: 1.0, OUTER: 0.0}, {INCLUSION1: 0.0, INCLUSION2: 0.0, OUTER: phi.evaluate}]

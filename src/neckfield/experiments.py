@@ -34,8 +34,6 @@ __all__ = [
     "LeadingTermReport",
     "ConvergenceReport",
     "run_sweep",
-    "sweep_meshes",
-    "solve_sweep",
     "sweep_gaps",
     "sweep_record",
     "fit_line",
@@ -214,15 +212,6 @@ def sweep_record(
 _GAP_ERRORS = (MeshError, fem.SolverError, GeometryError, QuadratureError)
 
 
-def _gap_mesh(pair: InclusionPair, eps: float, params: MeshParams) -> tuple[float, InclusionPair | None, Mesh | str]:
-    """(eps, pair at eps, its mesh), or (eps, None, error text)."""
-    try:
-        p = pair.with_gap(eps)
-        return eps, p, generate(p, params)
-    except _GAP_ERRORS as exc:
-        return eps, None, f"{type(exc).__name__}: {exc}"
-
-
 def sweep_gaps(eps_list: list[float]) -> list[float]:
     """The distinct gaps of a sweep, largest first; raises ValueError
     unless there are at least four of them spanning two decades."""
@@ -241,26 +230,12 @@ def run_sweep(
     params: MeshParams,
 ) -> tuple[list[SweepRecord], dict[float, str]]:
     """One record per gap, largest gap first; per-gap failures collected."""
-    return solve_sweep(sweep_meshes(pair, eps_list, params), phi)
-
-
-def sweep_meshes(pair: InclusionPair, eps_list: list[float], params: MeshParams):
-    """The meshes of a sweep, largest gap first, each built as it is taken:
-    (eps, pair at eps, mesh) or, where building failed, (eps, None, error
-    text).  ``solve_sweep`` of these is ``run_sweep``."""
-    return (_gap_mesh(pair, eps, params) for eps in sweep_gaps(eps_list))
-
-
-def solve_sweep(meshes, phi: BoundaryData) -> tuple[list[SweepRecord], dict[float, str]]:
-    """``run_sweep``'s records and failures, from ``sweep_meshes``."""
     records: list[SweepRecord] = []
     failures: dict[float, str] = {}
-    for eps, p, mesh in meshes:
-        if p is None:
-            failures[eps] = mesh  # the error text of its mesh
-            continue
+    for eps in sweep_gaps(eps_list):
         try:
-            records.append(sweep_record(p, mesh, phi)[0])
+            p = pair.with_gap(eps)
+            records.append(sweep_record(p, generate(p, params), phi)[0])
         except _GAP_ERRORS as exc:
             failures[eps] = f"{type(exc).__name__}: {exc}"
     if not records:

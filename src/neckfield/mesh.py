@@ -503,7 +503,18 @@ def _refine_polygon(chains: list[_Chain], size_fn, h: float) -> _Piece:
         a, b = boundary[seg_a], boundary[seg_b]
         mid = 0.5 * (a + b)
         rad2 = np.sum((a - mid) ** 2, axis=1)
-        accepted, split = _screen_candidates(cands, _points_inside(poly, cands), pts, mid, rad2, seg_prot, size_fn)
+        inside = _points_inside(poly, cands)
+        accepted, split = _screen_candidates(cands, inside, pts, mid, rad2, seg_prot, size_fn)
+        thin = too_thin[bad]
+        if not len(accepted) and not len(split) and thin.any():
+            # Stalled on thin triangles smaller than their local size, as where
+            # a fiber of short segments meets a coarser far field.  Their
+            # circumcenters take at most the distance to the nearest point,
+            # their circumradius, as local size, so only their spacing screens them.
+            tree = spatial.cKDTree(pts)
+            accepted, split = _screen_candidates(
+                cands[thin], inside[thin], pts, mid, rad2, seg_prot, lambda p: np.minimum(size_fn(p), tree.query(p)[0])
+            )
 
         # Segment order is (chain, position) order; split from the back so
         # positions ahead stay valid.

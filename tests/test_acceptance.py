@@ -16,6 +16,7 @@ import sys
 import time
 import weakref
 from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 
@@ -121,16 +122,28 @@ def _lines(results):
     return lines
 
 
+class Made(NamedTuple):
+    """A mesh that one of the mesh producers returned in this process."""
+
+    digest: str
+    vertices: int
+    ref: weakref.ref
+    start: float
+    end: float
+
+
 def _record_meshes(monkeypatch):
-    """Hash of every mesh this process's mesh producers return, in call
-    order; the producers are rebound wherever they were imported."""
+    """Every mesh this process's mesh producers return, in call order; the
+    producers are rebound wherever they were imported."""
     made = []
     for name in ("generate", "generate_touching", "refine_quadrisect"):
         original = getattr(mesh_module, name)
 
         def recorded(*args, _original=original, **kwargs):
+            t0 = time.perf_counter()
             mesh = _original(*args, **kwargs)
-            made.append(hashlib.sha256(mesh.vertices.tobytes() + mesh.triangles.tobytes()).hexdigest())
+            digest = hashlib.sha256(mesh.vertices.tobytes() + mesh.triangles.tobytes()).hexdigest()
+            made.append(Made(digest, mesh.vertex_count, weakref.ref(mesh), t0, time.perf_counter()))
             return mesh
 
         for module in [m for n, m in sys.modules.items() if n.startswith("neckfield.") and m is not None]:
@@ -139,41 +152,62 @@ def _record_meshes(monkeypatch):
     return made
 
 
+def _record_builds(monkeypatch):
+    """(key, start, end) of each artifact build in this process, nested
+    builds included."""
+    builds = []
+    original = acceptance.AcceptanceContext._build
+
+    def timed(self, key):
+        t0 = time.perf_counter()
+        out = original(self, key)
+        builds.append((key, t0, time.perf_counter()))
+        return out
+
+    monkeypatch.setattr(acceptance.AcceptanceContext, "_build", timed)
+    return builds
+
+
+def _inside(made, start, end):
+    return [m for m in made if start <= m.start and m.end <= end]
+
+
 def test_worker_gate_equals_inline_gate(monkeypatch):
-    # Same lines, and the same meshes in the same order, all made in this
-    # process; the worker's second build of the ladder, in its own process,
-    # is not among them.
-    made = _record_meshes(monkeypatch)
+    # Same lines.  The gate's process makes the meshes of a one-process run,
+    # in the same order, but for the four the finest ladder build makes:
+    # the worker builds those, in its own process.
+    made, builds = _record_meshes(monkeypatch), _record_builds(monkeypatch)
     inline = _lines(_run_all(monkeypatch, 1))
     inline_meshes = made[:]
+    (start, end), = [(a, b) for key, a, b in builds if key == "ladder_finest"]
+    finest = _inside(inline_meshes, start, end)
     made.clear()
     forked = _lines(_run_all(monkeypatch, 2))
     assert forked == inline
     assert sum(line.endswith(": PASS ") for line in forked) == 9
-    assert made == inline_meshes and len(made) == 26
+    assert len(inline_meshes) == 29 and len(finest) == 4 and len(made) == 25
+    assert [m.digest for m in made] == [m.digest for m in inline_meshes if m not in finest]
+    assert max(m.vertices for m in made) <= 100_000 < max(m.vertices for m in finest)
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_each_mesh_plan_is_built_once_and_dropped(monkeypatch, cpus):
-    plans = acceptance.AcceptanceContext._mesh_plans
-    built, contexts = [], []
-
-    def counted(self):
-        return {name: lambda make=make, name=name: built.append(name) or make() for name, make in plans(self).items()}
-
+def test_no_mesh_outlives_its_artifact(monkeypatch, cpus):
+    # After the run, the only mesh still alive in the gate's process is the
+    # one of the operator that C3 and C6 share.
+    made, contexts = _record_meshes(monkeypatch), []
     prefetch = acceptance.AcceptanceContext.prefetch
 
     def kept(self):
         contexts.append(self)
         prefetch(self)
 
-    monkeypatch.setattr(acceptance.AcceptanceContext, "_mesh_plans", counted)
     monkeypatch.setattr(acceptance.AcceptanceContext, "prefetch", kept)
     results = _run_all(monkeypatch, cpus)
     assert all(result.passed for result in results)
-    assert sorted(built) == sorted(acceptance.PLAN_READERS)
-    assert contexts[0]._meshes == {}
+    assert len(made) == (29 if cpus == 1 else 25)
+    alive = [m.ref() for m in made if m.ref() is not None]
+    assert len(alive) == 1 and alive[0] is contexts[0].default_operator().mesh
 
 
 def test_worker_programming_error_crashes(monkeypatch):
@@ -182,7 +216,7 @@ def test_worker_programming_error_crashes(monkeypatch):
 
     # The truncated-cusp factor, built in the gate's process while the
     # worker solves the finest ladder level.
-    monkeypatch.setattr(acceptance, "solve_touching", broken)
+    monkeypatch.setattr(acceptance, "solve_limit_direct", broken)
     with pytest.raises(TypeError, match="not a gate failure"):
         _run_all(monkeypatch, 2)
     assert multiprocessing.active_children() == []
@@ -259,41 +293,32 @@ def test_worker_dropped_gap_fails_the_sweep_criteria(monkeypatch):
 
 def test_runtime_budgets_count_prefetched_work(monkeypatch):
     # What prefetch built before the criteria ran is on the budgets of C3,
-    # C4 and C6: their solves, and their meshes, each mesh plan built inside
-    # the timed build of the artifact that reads it first.
+    # C4 and C6: their solves, and their meshes, each made inside the timed
+    # build of the artifact that solves on it.
     monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
-    spans = {}  # (method, plan or artifact) -> (start, end) of its first call in this process
-
-    def spanned(name):
-        original = getattr(acceptance.AcceptanceContext, name)
-
-        def wrapper(self, key):
-            t0 = time.perf_counter()
-            out = original(self, key)
-            spans.setdefault((name, key), (t0, time.perf_counter()))
-            return out
-
-        monkeypatch.setattr(acceptance.AcceptanceContext, name, wrapper)
-
-    spanned("meshes")
-    spanned("_build")
+    made, builds = _record_meshes(monkeypatch), _record_builds(monkeypatch)
     fresh = acceptance.AcceptanceContext()
     fresh.prefetch()
     assert multiprocessing.active_children() == []
+    spans = {key: (a, b) for key, a, b in builds}
     results = {r.name.split()[0]: r for r in (criterion(fresh) for criterion in acceptance.CRITERIA[2:6])}
-    for name, keys, plans in (
-        ("C3", ["identities"], {"op_m2": "identities"}),
-        ("C4", ["sweep_m2", "sweep_m4"], {"sweep_m2": "sweep_m2", "sweep_m4": "sweep_m4"}),
-        ("C6", ["degeneracy"], {"constant_data": "degeneracy"}),
+    for name, keys, meshes in (
+        ("C3", ["identities"], {"op_m2": 1}),
+        ("C4", ["sweep_m2", "sweep_m4"], {"sweep_m2": 6, "sweep_m4": 6}),
+        ("C6", ["degeneracy"], {"degeneracy": 3}),  # and op_m2's, which C3 made
     ):
         assert all(fresh.build_seconds[key] > 0.0 for key in keys)
-        for plan, reader in plans.items():
-            (start, end), (first, last) = spans["_build", reader], spans["meshes", plan]
-            assert start <= first <= last <= end
+        for key, count in meshes.items():
+            assert len(_inside(made, *spans[key])) == count
         spent = sum(fresh.build_seconds[key] for key in keys)
         assert results[name].runtime >= spent
         for budget in [d for d in results[name].details if "runtime" in d]:  # C6 prints none
             assert float(re.search(r"runtime ([\d.]+)s", budget).group(1)) >= float(f"{spent:.1f}")
+    (start, end), = [(a, b) for key, a, b in builds if key == "identities"]
+    assert start <= spans["op_m2"][0] and spans["op_m2"][1] <= end  # C3's operator is made inside C3's build
+    # Every mesh of this process was made inside one of its builds.
+    tops = [spans[key] for key in acceptance.INLINE_ARTIFACTS]
+    assert all(any(a <= m.start and m.end <= b for a, b in tops) for m in made) and len(made) == 25
 
 
 @pytest.mark.parametrize(
@@ -332,7 +357,7 @@ def test_prefetch_forks_only_with_two_cpus(monkeypatch, cpus):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
     monkeypatch.setattr(acceptance, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(acceptance.AcceptanceContext, "_mesh_plans", lambda self: {})
+    monkeypatch.setattr(acceptance.AcceptanceContext, "_builders", lambda self: {})  # no artifact, no mesh
     fresh = acceptance.AcceptanceContext()
     if cpus == 1:
         fresh.prefetch()
@@ -344,16 +369,17 @@ def test_prefetch_forks_only_with_two_cpus(monkeypatch, cpus):
 
 
 def test_worker_is_forked_before_any_mesh(monkeypatch):
-    # The stand-in executor starts no process.  It records the mesh plans
-    # built when the worker would be forked, and what the worker is given.
+    # The stand-in executor starts no process.  It records the meshes and
+    # artifacts built when the worker would be forked, and what the worker
+    # is given.
     import concurrent.futures
 
     fresh = acceptance.AcceptanceContext()
-    seen = []
+    made, seen = _record_meshes(monkeypatch), []
 
     class Executor:
         def __init__(self, *args, **kwargs):
-            seen.append(dict(fresh._meshes))
+            seen.append((len(made), dict(fresh._cache)))
 
         def __enter__(self):
             return self
@@ -369,7 +395,7 @@ def test_worker_is_forked_before_any_mesh(monkeypatch):
     monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
     with pytest.raises(_NoProcess):
         fresh.prefetch()
-    assert seen == [{}, ("ladder_finest",)]
+    assert seen == [(0, {}), ("ladder_finest",)]
 
 
 def test_context_needs_no_cycle_collector():
@@ -379,7 +405,6 @@ def test_context_needs_no_cycle_collector():
     try:
         ctx = acceptance.AcceptanceContext()
         ctx._builders()
-        ctx._mesh_plans()
         ref = weakref.ref(ctx)
         del ctx
         assert ref() is None

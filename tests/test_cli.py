@@ -213,6 +213,31 @@ class TestCommands:
         assert "energy_v1" in out
         assert (outdir / "report_gradient.svg").exists()
 
+    def test_sweep_plots_with_three_surviving_gaps(self, tmp_path, capsys, monkeypatch):
+        # The smallest gap fails; three records cannot fit a rate, so the
+        # gradient plot is drawn without its fitted line.
+        from neckfield import experiments
+        from neckfield.mesh import MeshError
+
+        real = experiments.generate
+
+        def flaky(pair, params):
+            if pair.eps < 2e-4:
+                raise MeshError("forced failure")
+            return real(pair, params)
+
+        monkeypatch.setattr(experiments, "generate", flaky)
+        path = tmp_path / "fast.cfg"
+        path.write_text(FAST_CONFIG.format(outdir=tmp_path / "out"))
+        assert main(["sweep", "--config", str(path), "--plots"]) == 0
+        assert "(3 records, 1 failures)" in capsys.readouterr().out
+        outdir = tmp_path / "out"
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        for name in ("gradient_vs_eps.svg", "energy_vs_invrate.svg"):
+            assert name in manifest["outputs"] and (outdir / name).exists()
+        svg = (outdir / "gradient_vs_eps.svg").read_text()
+        assert svg.count("<circle") == 3 and "stroke-dasharray" not in svg
+
     def test_sweep_bytes_reproducible(self, tmp_path):
         path = tmp_path / "fast.cfg"
         path.write_text(FAST_CONFIG.format(outdir=tmp_path / "o1"))

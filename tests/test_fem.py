@@ -515,6 +515,16 @@ def finest_op(pair, ladder_op):
     return fem.assemble(refine_quadrisect(ladder_op.mesh, pair))
 
 
+def test_finest_ladder_level_passes_the_audit(finest_op):
+    # Ladder level 3 (V = 124,471), which a two-process gate builds only in
+    # its worker: the full audit, its mirror included.
+    mesh = finest_op.mesh
+    report = audit(mesh)
+    assert mesh.vertex_count > 100_000 and mesh.mirror is not None
+    assert report.passed, report.failures
+    assert report.far_min_angle_deg >= 20.0
+
+
 def _even_block(op):
     rows = op._unknowns["even"]
     return op._block(rows), op._points[rows]
