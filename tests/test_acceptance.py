@@ -314,8 +314,8 @@ def test_runtime_budgets_count_prefetched_work(monkeypatch):
         assert results[name].runtime >= spent
         for budget in [d for d in results[name].details if "runtime" in d]:  # C6 prints none
             assert float(re.search(r"runtime ([\d.]+)s", budget).group(1)) >= float(f"{spent:.1f}")
-    (start, end), = [(a, b) for key, a, b in builds if key == "identities"]
-    assert start <= spans["op_m2"][0] and spans["op_m2"][1] <= end  # C3's operator is made inside C3's build
+    (start, end), (first, last) = spans["identities"], spans["op_m2"]
+    assert start <= first and last <= end  # C3's operator is made inside C3's build
     # Every mesh of this process was made inside one of its builds.
     tops = [spans[key] for key in acceptance.INLINE_ARTIFACTS]
     assert all(any(a <= m.start and m.end <= b for a, b in tops) for m in made) and len(made) == 25
