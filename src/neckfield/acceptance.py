@@ -234,7 +234,7 @@ def _degeneracy_numbers(meshes, op: fem.StiffnessOperator) -> dict:
     for mesh in meshes:
         bundle = solve_bundle(mesh, CONSTANT_DATA)
         level = max(abs(bundle.c1 - CONSTANT_DATA.value), abs(bundle.c2 - CONSTANT_DATA.value))
-        constant.append((abs(bundle.b_factor), level, fem.max_gradient(bundle.u, "neck")[0]))
+        constant.append((abs(bundle.b_factor), level, fem.max_gradient(bundle.u)[0]))
     bundle = solve_bundle(op.mesh, ODD_DATA, op=op)
     return {"constant": constant, "odd_level_gap": abs(bundle.c1 - bundle.c2)}
 

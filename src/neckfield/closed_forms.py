@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, InclusionPair, ProfileKind
+from .geometry import GeometryError, InclusionPair
 from .quadrature import adaptive_integral, integral_to_infinity
 
 __all__ = [
     "AsymptoticParams",
     "ConstantsReport",
     "ProfileConstant",
-    "LeadingGradient",
     "gap_rate_m",
     "curvature_energy_constant",
     "sphere_surface_measure",
@@ -36,8 +35,6 @@ __all__ = [
     "energy_limit_constant",
     "printed_energy_constant",
     "neck_potential",
-    "neck_potential_gradient",
-    "leading_gradient",
     "energy_error_scale_m",
     "constants_report",
 ]
@@ -248,7 +245,7 @@ def _strip_rows(pair: InclusionPair, x) -> tuple[np.ndarray, np.ndarray]:
     limit = 2.0 * pair.neck_radius
     far = rho > limit + 1e-12
     rel = np.full(len(pts), np.nan)
-    rel[~far] = _relative_rows(pair.profile, xp[~far])
+    rel[~far] = pair.profile.relative(xp[~far])
     s1, s2 = pair.profile.split
     h1, h2 = s1 * rel, -s2 * rel
     tol = 1e-12 * np.maximum(1.0, np.abs(xn))
@@ -260,34 +257,6 @@ def _strip_rows(pair: InclusionPair, x) -> tuple[np.ndarray, np.ndarray]:
             raise GeometryError(f"|x'| = {rho[i]:.6g} outside the neck range {limit}")
         raise GeometryError(f"point {pts[i]} lies outside the gap strip")
     return pts, rel
-
-
-def _relative_rows(prof, xp: np.ndarray) -> np.ndarray:
-    """``prof.relative`` at each row of xp, with the same bits."""
-    if prof.kind is ProfileKind.QUADRATIC:
-        return 0.5 * np.sum(np.asarray(prof.curvatures, dtype=float) * xp * xp, axis=1)
-    # Python's float power, not np.power: the two differ in the last bit.
-    r = np.sqrt(np.sum(xp * xp, axis=1))
-    return np.array([prof.coefficient * ri**prof.order for ri in r.tolist()], dtype=float)
-
-
-def _require_in_neck_formulas(pair: InclusionPair, x) -> tuple[np.ndarray, float]:
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (pair.dimension,):
-        raise GeometryError(f"point must have {pair.dimension} components, got shape {arr.shape}")
-    _strip_rows(pair, arr)
-    return arr[:-1], float(arr[-1])
-
-
-def _relative_gradient(pair: InclusionPair, xp: np.ndarray) -> np.ndarray:
-    prof = pair.profile
-    if prof.kind is ProfileKind.QUADRATIC:
-        lams = np.asarray(prof.curvatures, dtype=float)
-        return lams * xp
-    r = float(np.sqrt(np.sum(xp * xp)))
-    if r == 0.0:
-        return np.zeros_like(xp)
-    return prof.coefficient * prof.order * r ** (prof.order - 2.0) * xp
 
 
 def neck_potential(pair: InclusionPair, x):
@@ -303,54 +272,6 @@ def neck_potential(pair: InclusionPair, x):
     h2 = -pair.profile.split[1] * rel
     values = (pts[:, -1] - h2) / delta
     return values if np.ndim(x) == 2 else float(values[0])
-
-
-def neck_potential_gradient(pair: InclusionPair, x) -> np.ndarray:
-    """Exact gradient of the explicit neck potential."""
-    xp, xn = _require_in_neck_formulas(pair, x)
-    _, h2 = pair.profile.heights(xp)
-    delta = pair.eps + pair.profile.relative(xp)
-    if delta <= 0.0:
-        raise GeometryError("degenerate gap at the evaluation point")
-    grad_rel = _relative_gradient(pair, xp)
-    s2 = pair.profile.split[1]
-    transverse = grad_rel * (s2 * delta - (xn - h2)) / (delta * delta)
-    return np.concatenate([transverse, [1.0 / delta]])
-
-
-@dataclass(frozen=True)
-class LeadingGradient:
-    """Leading-term gradient with both constant normalizations."""
-
-    oracle: np.ndarray
-    printed: np.ndarray
-    coefficient_oracle: float
-    coefficient_printed: float
-
-
-def leading_gradient(pair: InclusionPair, blowup_factor: float, x) -> LeadingGradient:
-    """Predicted leading gradient: coefficient * grad of the neck potential.
-
-    The coefficient is blowup_factor * rate / constant, reported with the
-    constant taken from the gap-integral oracle and, separately, as
-    printed in the asymptotic statements.
-    """
-    m, lam = pair.profile.power_equivalent()
-    if blowup_factor == 0.0:
-        zero = np.zeros(pair.dimension)
-        return LeadingGradient(zero, zero.copy(), 0.0, 0.0)
-    rate = gap_rate_m(pair.eps, pair.dimension, m)
-    grad = neck_potential_gradient(pair, x)
-    a_oracle = energy_limit_constant(pair.dimension, m, lam)
-    a_printed = printed_energy_constant(pair.dimension, m, lam)
-    c_oracle = blowup_factor * rate / a_oracle
-    c_printed = blowup_factor * rate / a_printed
-    return LeadingGradient(
-        oracle=c_oracle * grad,
-        printed=c_printed * grad,
-        coefficient_oracle=c_oracle,
-        coefficient_printed=c_printed,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ canonical form whose reparse compares equal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .conductivity import BoundaryData
 from .experiments import sweep_gaps
@@ -112,10 +112,6 @@ class ExperimentConfig:
     output_dir: str = "out"
 
 
-def _parse_float(s: str) -> float:
-    return float(s)
-
-
 def _parse_int(s: str) -> int:
     value = float(s)
     if value != int(value):
@@ -127,51 +123,19 @@ def _parse_floats(s: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in s.split())
 
 
-def _parse_str(s: str) -> str:
-    return s
-
-
+# Each section's keys are its dataclass's fields, parsed after the type of
+# their defaults.
+_SECTIONS = {
+    "geometry": GeometryConfig,
+    "boundary": BoundaryConfig,
+    "sweep": SweepConfig,
+    "mesh": MeshParams,
+    "tolerances": ToleranceConfig,
+}
+_PARSERS = {int: _parse_int, float: float, tuple: _parse_floats, str: str}
 _SCHEMA: dict[str, dict[str, object]] = {
-    "geometry": {
-        "dimension": _parse_int,
-        "profile": _parse_str,
-        "curvatures": _parse_floats,
-        "order": _parse_float,
-        "coefficient": _parse_float,
-        "split": _parse_floats,
-        "neck_radius": _parse_float,
-        "outer_radius": _parse_float,
-        "separation": _parse_float,
-    },
-    "boundary": {
-        "kind": _parse_str,
-        "value": _parse_float,
-        "cos": _parse_floats,
-        "sin": _parse_floats,
-    },
-    "sweep": {
-        "epsilons": _parse_floats,
-        "start": _parse_float,
-        "factor": _parse_float,
-        "count": _parse_int,
-    },
-    "mesh": {
-        "layers": _parse_int,
-        "h_far": _parse_float,
-        "grading_exponent": _parse_float,
-        "neck_step_factor": _parse_float,
-        "refinement": _parse_int,
-    },
-    "tolerances": {
-        "rate_slope": _parse_float,
-        "cauchy_slope": _parse_float,
-        "energy_constant_rel": _parse_float,
-        "offset_stability": _parse_float,
-        "leading_ratio": _parse_float,
-    },
-    "output": {
-        "directory": _parse_str,
-    },
+    **{name: {f.name: _PARSERS[type(f.default)] for f in fields(cls)} for name, cls in _SECTIONS.items()},
+    "output": {"directory": str},
 }
 
 
@@ -344,15 +308,14 @@ def emit_config(cfg: ExperimentConfig) -> str:
     Every key of the schema is written except empty optional lists, and
     the sweep writes either its explicit gaps or its geometric sequence.
     """
-    g, b, s, m, t = cfg.geometry, cfg.boundary, cfg.sweep, cfg.mesh, cfg.tolerances
     lines = []
-    for name, values in (("geometry", g), ("boundary", b), ("sweep", s), ("mesh", m), ("tolerances", t)):
+    for name in _SECTIONS:
         lines.append(f"[{name}]")
         for key in _SCHEMA[name]:
-            value = getattr(values, key)
+            value = getattr(getattr(cfg, name), key)
             if key in ("cos", "sin", "epsilons") and not value:
                 continue
-            if name == "sweep" and s.epsilons and key != "epsilons":
+            if name == "sweep" and cfg.sweep.epsilons and key != "epsilons":
                 continue
             lines.append(f"{key} = {_fmt(value)}")
         lines.append("")

@@ -166,9 +166,9 @@ def sweep_record(
     bundle = solve_bundle(mesh, phi)
     ramp = neck_interpolant(pair, mesh)
     w = neck_remainder(bundle, ramp)
-    mg_u, _ = fem.max_gradient(bundle.u, "neck")
-    mg_v1, _ = fem.max_gradient(bundle.v1, "neck")
-    mg_w, _ = fem.max_gradient(w, "neck")
+    mg_u, _ = fem.max_gradient(bundle.u)
+    mg_v1, _ = fem.max_gradient(bundle.v1)
+    mg_w, _ = fem.max_gradient(w)
     profile = vb_station_profile(bundle)
     xs = np.array([p[0] for p in profile])
     vs = np.array([p[1] for p in profile])

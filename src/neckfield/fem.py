@@ -414,19 +414,9 @@ def element_gradients(f: ScalarField, rows: np.ndarray | None = None) -> np.ndar
     return np.einsum("ti,tid->td", v, rot) / area2[:, None]
 
 
-def max_gradient(f: ScalarField, region: str = "all") -> tuple[float, np.ndarray]:
-    """Largest |grad| over triangles in the region and its centroid."""
-    if region == "neck":
-        mask = f.mesh.neck
-    elif region == "far":
-        mask = ~f.mesh.neck
-    elif region == "all":
-        mask = np.ones(f.mesh.triangle_count, dtype=bool)
-    else:
-        raise ValueError(f"unknown region {region!r}")
-    if not mask.any():
-        raise ValueError(f"region {region!r} contains no triangles")
-    idx = np.flatnonzero(mask)
+def max_gradient(f: ScalarField) -> tuple[float, np.ndarray]:
+    """Largest |grad| over the neck triangles and its centroid."""
+    idx = np.flatnonzero(f.mesh.neck)
     grads = element_gradients(f, idx)
     norms = np.hypot(grads[:, 0], grads[:, 1])
     best = int(np.argmax(norms))

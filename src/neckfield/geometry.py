@@ -83,28 +83,22 @@ class NeckProfile:
 
     # -- evaluation ---------------------------------------------------------
 
-    def relative(self, xp) -> float:
-        """Relative profile (h1 - h2)(x'), exact for the model shapes."""
-        arr = np.atleast_1d(np.asarray(xp, dtype=float))
-        if self.kind is ProfileKind.QUADRATIC:
-            lams = np.asarray(self.curvatures, dtype=float)
-            if arr.shape != lams.shape:
-                raise GeometryError(
-                    f"coordinate shape {arr.shape} does not match {lams.shape[0]} curvature(s)"
-                )
-            return float(0.5 * np.sum(lams * arr * arr))
-        r = float(np.sqrt(np.sum(arr * arr)))
-        return float(self.coefficient * r**self.order)
+    def relative(self, xp):
+        """Relative profile (h1 - h2)(x'), exact for the model shapes.
 
-    def relative_line(self, x) -> np.ndarray:
-        """``relative([t])`` at each entry t of the array x, bit for bit: the
-        profile of one transverse variable along the neck."""
-        x = np.asarray(x, dtype=float)
+        ``xp`` is one point, shape (n-1,), giving a float, or N points,
+        shape (N, n-1), giving an array of N values with the same bits.
+        """
+        arr = np.atleast_1d(np.asarray(xp, dtype=float))
+        if arr.ndim > 2 or (self.kind is ProfileKind.QUADRATIC and arr.shape[-1] != len(self.curvatures)):
+            raise GeometryError(f"coordinate shape {arr.shape} is neither (n-1,) nor (N, n-1) for this profile")
         if self.kind is ProfileKind.QUADRATIC:
-            (lam,) = self.curvatures
-            return 0.5 * (float(lam) * x * x)
-        # Python's float power, as in ``relative``: numpy's may round otherwise.
-        return self.coefficient * np.array([r**self.order for r in np.sqrt(x * x).tolist()])
+            rel = 0.5 * np.sum(np.asarray(self.curvatures, dtype=float) * arr * arr, axis=-1)
+        else:
+            # Python's float power, not np.power: the two differ in the last bit.
+            r = np.sqrt(np.sum(arr * arr, axis=-1)).reshape(-1).tolist()
+            rel = np.array([self.coefficient * ri**self.order for ri in r], dtype=float)
+        return rel.item() if arr.ndim == 1 else rel
 
     def relative_radial(self, r: float) -> float:
         """Relative profile at radius ``r`` (isotropic profiles only)."""

@@ -221,7 +221,7 @@ def _fibers(pair: InclusionPair, xs, layers: int) -> np.ndarray:
     top: rows at fixed fractions of the local gap, the top row exactly on
     the upper graph."""
     xs = np.asarray(xs, dtype=float)
-    rel = pair.profile.relative_line(xs)
+    rel = pair.profile.relative(xs[:, None])
     s1, s2 = pair.profile.split
     y = -s2 * rel[:, None] + (np.arange(layers + 1) / layers) * (pair.eps + rel)[:, None]
     y[:, -1] = pair.eps + s1 * rel
@@ -526,12 +526,7 @@ def _refine_polygon(chains: list[_Chain], size_fn, h: float) -> _Piece:
     else:
         raise MeshError(f"far-field refinement did not settle within the iteration budget of {max_iter}")
 
-    pts = np.concatenate([np.asarray(coords), *free])
-    tri = spatial.Delaunay(pts)
-    poly = _polygon_points(chains)
-    cells = tri.simplices
-    keep = _points_inside(poly, pts[cells].mean(axis=1))
-    cells = cells[keep]
+    # Both exits leave the points as the last pass triangulated them.
     segments: list[tuple[int, int, int]] = []
     for ch, ids in zip(chains, chain_ids):
         if ch.tag is None:
@@ -1117,7 +1112,7 @@ def _project_midpoints(mesh: Mesh, pair: InclusionPair, a: np.ndarray, b: np.nda
         return np.array(list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())))
 
     def graph(x: np.ndarray, up: np.ndarray) -> np.ndarray:
-        rel = pair.profile.relative_line(x)
+        rel = pair.profile.relative(x[:, None])
         s1, s2 = pair.profile.split
         return np.where(up, pair.eps + s1 * rel, -s2 * rel)
 

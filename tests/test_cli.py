@@ -1,8 +1,10 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+from neckfield import config
 from neckfield.cli import main
 from neckfield.config import (
     ConfigError,
@@ -33,6 +35,19 @@ class TestConfig:
         cfg = parse_config(default_config_text())
         assert parse_config(emit_config(cfg)) == cfg
         assert cfg == ExperimentConfig()
+
+    def test_readme_block_parses_and_sets_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```\n(\[geometry\].*?\[output\].*?)```", readme, re.S)
+        parse_config(block)
+        written, section = set(), None
+        for line in block.splitlines():
+            body = line.split("#", 1)[0].strip()
+            if body.startswith("["):
+                section = body[1:-1]
+            elif body:
+                written.add((section, body.split("=", 1)[0].strip()))
+        assert written == {(sec, key) for sec, keys in config._SCHEMA.items() for key in keys}
 
     def test_unknown_key_is_error(self):
         with pytest.raises(ConfigError) as err:

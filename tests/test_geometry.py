@@ -40,6 +40,66 @@ class TestProfileHeights:
             pair.heights([1.5])
 
 
+def _former_relative_line(prof, x):
+    """The former ``NeckProfile.relative_line``: one transverse variable."""
+    if prof.kind is ProfileKind.QUADRATIC:
+        (lam,) = prof.curvatures
+        return 0.5 * (float(lam) * x * x)
+    return prof.coefficient * np.array([r**prof.order for r in np.sqrt(x * x).tolist()])
+
+
+def _former_relative_rows(prof, xp):
+    """The former ``closed_forms._relative_rows``: one point per row."""
+    if prof.kind is ProfileKind.QUADRATIC:
+        return 0.5 * np.sum(np.asarray(prof.curvatures, dtype=float) * xp * xp, axis=1)
+    r = np.sqrt(np.sum(xp * xp, axis=1))
+    return np.array([prof.coefficient * ri**prof.order for ri in r.tolist()], dtype=float)
+
+
+LINE_PROFILES = [quad_profile(2.0), quad_profile(3.7), power_profile(4.0, 4.0), power_profile(3.3, 1.7)]
+
+
+class TestRelativeRows:
+    @pytest.fixture
+    def line(self):
+        rng = np.random.default_rng(20261019)
+        return np.concatenate([[0.0, 1e-300, 0.5, -0.5, 1.0, -1.0], rng.uniform(-1.0, 1.0, 4000)])
+
+    @pytest.mark.parametrize("prof", LINE_PROFILES, ids=["quad2", "quad3.7", "power4", "power3.3"])
+    def test_rows_equal_former_formulas_bitwise(self, prof, line):
+        got = prof.relative(line[:, None])
+        assert got.shape == line.shape
+        assert got.tobytes() == _former_relative_line(prof, line).tobytes()
+        assert got.tobytes() == _former_relative_rows(prof, line[:, None]).tobytes()
+        assert [prof.relative([t]) for t in line.tolist()] == got.tolist()
+        assert [prof.relative_radial(abs(t)) for t in line.tolist()] == got.tolist()
+
+    @pytest.mark.parametrize(
+        "prof",
+        [NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=(1.5, 2.5)), power_profile(3.3, 1.7)],
+        ids=["quad-two-curvatures", "power"],
+    )
+    def test_plane_rows_equal_former_formula_bitwise(self, prof):
+        xp = np.random.default_rng(7).uniform(-0.7, 0.7, size=(3000, 2))
+        got = prof.relative(xp)
+        assert got.tobytes() == _former_relative_rows(prof, xp).tobytes()
+        assert [prof.relative(row) for row in xp] == got.tolist()
+
+    def test_single_point_gives_a_float(self):
+        assert type(quad_profile().relative([0.3])) is float
+        assert type(power_profile(4.0, 4.0).relative(0.3)) is float
+        assert type(NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=(1.5, 2.5)).relative([0.1, 0.2])) is float
+        assert type(power_profile(3.3, 1.7).relative(np.array([0.1, 0.2]))) is float
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(GeometryError, match="neither"):
+            quad_profile().relative([0.1, 0.2])
+        with pytest.raises(GeometryError, match="neither"):
+            quad_profile().relative(np.zeros((3, 2)))
+        with pytest.raises(GeometryError, match="neither"):
+            power_profile(4.0, 4.0).relative(np.zeros((2, 2, 1)))
+
+
 class TestGap:
     def test_gap_at_origin_is_eps(self):
         pair = InclusionPair(2, power_profile(2.0, 1.0), 1e-3)

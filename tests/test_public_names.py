@@ -1,10 +1,12 @@
-"""Names that code outside the package reaches for must keep resolving.
+"""Names that code outside the package reaches for must keep resolving,
+and every public name must have a caller.
 
 ``perfbench/spans.py`` wraps package functions by name for its per-layer
 timings, so deleting or renaming one of them breaks every traced run.
-This test only reads that file.
+These tests only read the files of ``src/`` and ``perfbench/``.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -14,7 +16,8 @@ import pytest
 
 import neckfield
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(neckfield.__path__))
 
 
@@ -44,3 +47,33 @@ def test_all_names_exist(module):
     mod = importlib.import_module(f"neckfield.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing
+
+
+# Public names with no caller yet, each with the reason it stays.
+UNCALLED = {
+    "verify_leading_term": "C10, ROADMAP item 1",
+}
+
+
+def _referenced_names() -> set[str]:
+    """Every name the code of ``src/`` and ``perfbench/`` reads, as a name
+    or an attribute; perfbench also names package functions in strings.
+    A definition or an ``__all__`` entry is not a reference."""
+    names = set()
+    for folder, strings in (("src/neckfield", False), ("perfbench", True)):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    referenced = _referenced_names()
+    public = {name for m in MODULES for name in getattr(importlib.import_module(f"neckfield.{m}"), "__all__", ())}
+    assert sorted(public - referenced - set(UNCALLED)) == []
+    assert sorted(set(UNCALLED) - (public - referenced)) == []
