@@ -104,12 +104,21 @@ def _cmd_constants(args) -> int:
     return 0
 
 
+def _gap(args, cfg: ExperimentConfig) -> float:
+    """The --epsilon override, else the sweep's first gap; like the [sweep]
+    gaps, it must lie in (0, 1)."""
+    eps = args.epsilon if args.epsilon is not None else cfg.sweep.eps_list()[0]
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"--epsilon: gap {eps:g} outside (0, 1)")
+    return eps
+
+
 def _cmd_mesh(args) -> int:
     cfg, _ = _load_config(args.config)
     if cfg.geometry.dimension != 2:
         print("meshing is implemented for dimension 2 only", file=sys.stderr)
         return 2
-    eps = args.epsilon if args.epsilon is not None else cfg.sweep.eps_list()[0]
+    eps = _gap(args, cfg)
     t0 = time.perf_counter()
     pair = cfg.geometry.pair(eps)
     mesh = generate(pair, cfg.mesh)
@@ -137,7 +146,7 @@ def _cmd_solve(args) -> int:
     if cfg.geometry.dimension != 2:
         print("solves are implemented for dimension 2 only", file=sys.stderr)
         return 2
-    eps = args.epsilon if args.epsilon is not None else cfg.sweep.eps_list()[0]
+    eps = _gap(args, cfg)
     t0 = time.perf_counter()
     pair = cfg.geometry.pair(eps)
     phi = cfg.boundary.data()

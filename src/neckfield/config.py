@@ -99,7 +99,6 @@ class ToleranceConfig:
     cauchy_slope: float = 0.15
     energy_constant_rel: float = 0.02
     offset_stability: float = 0.10
-    leading_ratio: float = 0.05
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,15 @@ The neck strip |x| <= R0 is a structured grid: graded stations along x,
 width, quads split into triangles.  The far field is meshed by Delaunay
 refinement (repeated scipy Delaunay builds with circumcenter insertion and
 encroachment-driven boundary splits) on the half domain x >= 0 and then
-mirrored, so the final mesh is exactly symmetric under x -> -x.  The strip
-and the far field share the vertical fiber of vertices at x = R0, so the
-glued mesh is vertex-conforming.  The far field is refined once per
-geometry at gap 0, cached, and moved to each gap by a harmonic vertical
-displacement; a gap whose moved far field misses the minimum angle gets
-one refined at that gap.
+mirrored, so the final mesh is exactly symmetric under x -> -x.  The
+refiner keeps its boundary as flat arrays, as Shewchuk keeps a planar
+straight-line graph: one coordinate array, a cyclic loop of vertex ids and
+the chain that owns each loop segment.  The strip and the far field share
+the vertical fiber of vertices at x = R0, so the glued mesh is
+vertex-conforming.  The far field is refined once per geometry at gap 0,
+cached, and moved to each gap by a harmonic vertical displacement; a gap
+whose moved far field misses the minimum angle gets one refined at that
+gap.
 
 Boundary edge tags: OUTER, INCLUSION1 (upper), INCLUSION2 (lower).
 
@@ -25,7 +28,7 @@ import functools
 import importlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -230,11 +233,17 @@ def _fibers(pair: InclusionPair, xs, layers: int) -> np.ndarray:
 
 @dataclass
 class _Piece:
+    """Triangles counterclockwise; ``segments`` the read-only (S, 3) rows
+    (start, end, tag) of the tagged boundary edges."""
+
     vertices: np.ndarray
     triangles: np.ndarray
-    segments: list[tuple[int, int, int]] = field(default_factory=list)
+    segments: np.ndarray
     neck: np.ndarray | None = None
     column_x: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        self.segments.setflags(write=False)
 
 
 def _strip_piece(pair: InclusionPair, params: MeshParams, x_start: float, bridge: bool) -> tuple[_Piece, np.ndarray, np.ndarray]:
@@ -269,7 +278,7 @@ def _strip_piece(pair: InclusionPair, params: MeshParams, x_start: float, bridge
     piece = _Piece(
         vertices=verts,
         triangles=tris,
-        segments=segments.tolist(),
+        segments=segments,
         neck=np.ones(len(tris), dtype=bool),
         column_x=np.repeat(0.5 * (xs[:-1] + xs[1:]), 2 * nl),
     )
@@ -281,12 +290,17 @@ def _strip_piece(pair: InclusionPair, params: MeshParams, x_start: float, bridge
 # far-field half domain
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Chain:
-    points: list[np.ndarray]
-    tag: int | None
+    """Boundary curve through ``points``: an arc of the circle of ``center``
+    and ``radius`` where the radius is positive, else straight.  An
+    untagged chain has tag INTERIOR; a protected one is never split."""
+
+    points: np.ndarray
+    tag: int
     protected: bool = False
-    projector: object | None = None
+    center: np.ndarray | tuple[float, float] = (0.0, 0.0)
+    radius: float = 0.0
 
 
 def _graded_positions(length: float, s_start: float, s_end: float) -> np.ndarray:
@@ -305,51 +319,23 @@ def _graded_positions(length: float, s_start: float, s_end: float) -> np.ndarray
     return np.concatenate([[0.0], np.cumsum(steps) / total])
 
 
-def _arc_chain(
-    center: np.ndarray,
-    radius: float,
-    th0: float,
-    th1: float,
-    sizes: tuple[float, float],
-    tag: int | None,
-    p_start: np.ndarray,
-    p_end: np.ndarray,
-) -> _Chain:
-    # Endpoints are snapped to the shared corner coordinates so consecutive
-    # chains meet bitwise exactly.
+def _arc_chain(center, radius: float, th0: float, th1: float, sizes, tag: int, p_start, p_end) -> _Chain:
+    """Arc of the circle from angle th0 to th1, its point spacing grading
+    from sizes[0] to sizes[1].  The ends are snapped to the shared corners
+    p_start and p_end, so consecutive chains meet bitwise exactly."""
     length = abs(th1 - th0) * radius
     positions = _graded_positions(length, sizes[0], sizes[1])
     thetas = th0 + (th1 - th0) * positions
-    pts = [center + radius * np.array([math.cos(t), math.sin(t)]) for t in thetas]
-    pts[0] = np.asarray(p_start, dtype=float)
-    pts[-1] = np.asarray(p_end, dtype=float)
-
-    def project(p: np.ndarray) -> np.ndarray:
-        d = p - center
-        return center + radius * d / math.hypot(d[0], d[1])
-
-    return _Chain(points=pts, tag=tag, projector=project)
+    pts = center + radius * np.array([[math.cos(t), math.sin(t)] for t in thetas])
+    pts[0], pts[-1] = p_start, p_end
+    return _Chain(points=pts, tag=tag, center=center, radius=radius)
 
 
-def _segment_chain(a: np.ndarray, b: np.ndarray, size: float, tag: int | None) -> _Chain:
-    length = math.hypot(*(b - a))
-    count = max(1, int(math.ceil(length / size)))
-    pts = [a + (b - a) * (k / count) for k in range(count + 1)]
-    pts[0] = np.asarray(a, dtype=float)
-    pts[-1] = np.asarray(b, dtype=float)
+def _segment_chain(a: np.ndarray, b: np.ndarray, size: float, tag: int) -> _Chain:
+    count = max(1, int(math.ceil(math.hypot(*(b - a)) / size)))
+    pts = a + (b - a) * (np.arange(count + 1) / count)[:, None]
+    pts[0], pts[-1] = a, b
     return _Chain(points=pts, tag=tag)
-
-
-def _fiber_chain(fiber: np.ndarray) -> _Chain:
-    # Bottom-to-top fiber shared verbatim with the strip; never split.
-    return _Chain(points=[fiber[j].copy() for j in range(fiber.shape[0])], tag=None, protected=True)
-
-
-def _polygon_points(chains: list[_Chain]) -> np.ndarray:
-    pts = []
-    for chain in chains:
-        pts.extend(chain.points[:-1])
-    return np.asarray(pts)
 
 
 def _area2(poly: np.ndarray) -> float:
@@ -385,8 +371,8 @@ def _points_inside(poly: np.ndarray, query: np.ndarray) -> np.ndarray:
     return crossings % 2 == 1
 
 
-def _tri_min_angles(p: np.ndarray) -> np.ndarray:
-    """Min interior angle (radians) per triangle, p of shape (T,3,2)."""
+def _tri_quality(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min interior angle (radians) and longest edge per triangle, p of shape (T,3,2)."""
     a = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
     b = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
     c = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
@@ -394,7 +380,13 @@ def _tri_min_angles(p: np.ndarray) -> np.ndarray:
     for k, (opp, s1, s2) in enumerate(((a, b, c), (b, a, c), (c, a, b))):
         cosv = (s1**2 + s2**2 - opp**2) / np.maximum(2.0 * s1 * s2, 1e-300)
         angles[:, k] = np.arccos(np.clip(cosv, -1.0, 1.0))
-    return angles.min(axis=1)
+    return angles.min(axis=1), np.maximum(np.maximum(a, b), c)
+
+
+def _hypot(d: np.ndarray) -> np.ndarray:
+    """Row lengths of the (N, 2) array d by ``math.hypot``, which numpy's
+    hypot need not match bit for bit."""
+    return np.array(list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())))
 
 
 def _circumcenters(p: np.ndarray) -> np.ndarray:
@@ -424,48 +416,49 @@ def _expected_points(area: float, h: float) -> int:
 
 
 def _refine_polygon(chains: list[_Chain], size_fn, h: float) -> _Piece:
-    """Delaunay refinement of the region bounded by the chain loop, with
-    target edge length ``size_fn`` (at most ``h``)."""
-    # Global vertex store; chains index into it.
-    coords: list[np.ndarray] = []
-    index: dict[tuple[float, float], int] = {}
+    """Delaunay refinement of the region bounded by the closed loop of
+    ``chains``, each starting where the one before it ends, with target
+    edge length ``size_fn`` (at most ``h``).
 
-    def intern(p: np.ndarray) -> int:
-        key = (float(p[0]), float(p[1]))
-        got = index.get(key)
-        if got is None:
-            got = len(coords)
-            index[key] = got
-            coords.append(np.asarray(p, dtype=float))
-        return got
-
-    chain_ids: list[list[int]] = [[intern(p) for p in ch.points] for ch in chains]
-    area = 0.5 * abs(_area2(_polygon_points(chains)))
+    The boundary is the array ``coords`` of its vertices by id and the
+    cyclic ``loop`` of their ids, first the chains' points in chain order;
+    loop segment s runs from ``loop[s]`` to ``loop[s + 1]`` on chain
+    ``owner[s]``.  Boundary splits append their midpoints to ``coords``
+    and insert their ids in the loop.  The mesh vertices are ``coords``
+    followed by the interior points in order of insertion.  Returns the
+    piece with counterclockwise triangles and the segments of the tagged
+    chains in loop order.
+    """
+    coords = np.concatenate([ch.points[:-1] for ch in chains])
+    owner = np.repeat(np.arange(len(chains)), [len(ch.points) - 1 for ch in chains])
+    loop = np.arange(len(coords))
+    protected = np.array([ch.protected for ch in chains])
+    area = 0.5 * abs(_area2(coords))
     # Each pass inserts at most _BATCH_LIMIT points and some passes only
     # split boundary segments, hence the factor 2 and the margin.
     max_iter = max(_MIN_ITER, 2 * math.ceil(_expected_points(area, h) / _BATCH_LIMIT) + 20)
-    free: list[np.ndarray] = []
+    free = np.zeros((0, 2))
 
     for _ in range(max_iter):
-        boundary = np.asarray(coords)
-        pts = np.concatenate([boundary, *free])
+        pts = np.concatenate([coords, free])
         if len(pts) > _MAX_POINTS:
             raise MeshError(f"refinement exceeded {_MAX_POINTS} points")
         try:
             tri = spatial.Delaunay(pts)
         except spatial.QhullError as exc:
             raise MeshError(f"Delaunay triangulation failed: {exc}") from exc
-        seg_a, seg_b, seg_prot, seg_ci, seg_k = _segment_arrays(chains, chain_ids)
-        poly = boundary[seg_a]
+        seg_a, seg_b = loop, np.roll(loop, -1)
+        seg_prot = protected[owner]
+        poly = coords[loop]
         cells = tri.simplices
         cent = pts[cells].mean(axis=1)
         keep = _points_inside(poly, cent)
         cells = cells[keep]
 
-        # Conformity: every chain segment must be a triangulation edge.
+        # Conformity: every loop segment must be a triangulation edge.
         # Boundary vertices come first in pts, so only edges between two
-        # of them can be chain segments.
-        nb = len(boundary)
+        # of them can be loop segments.
+        nb = len(coords)
         lo = np.minimum(cells, np.roll(cells, -1, axis=1)).ravel()
         hi = np.maximum(cells, np.roll(cells, -1, axis=1)).ravel()
         on_boundary = hi < nb
@@ -474,21 +467,11 @@ def _refine_polygon(chains: list[_Chain], size_fn, h: float) -> _Piece:
         if len(missing):
             if seg_prot[missing].any():
                 raise MeshError("protected interface segment lost Delaunay conformity")
-            for s in missing[::-1]:
-                _split_chain_segment(chains[seg_ci[s]], chain_ids[seg_ci[s]], seg_k[s], coords, index)
+            coords, loop, owner = _split_segments(chains, coords, loop, owner, missing)
             continue
 
         pcoords = pts[cells]
-        min_ang = _tri_min_angles(pcoords)
-        lengths = np.stack(
-            [
-                np.linalg.norm(pcoords[:, 0] - pcoords[:, 1], axis=1),
-                np.linalg.norm(pcoords[:, 1] - pcoords[:, 2], axis=1),
-                np.linalg.norm(pcoords[:, 2] - pcoords[:, 0], axis=1),
-            ],
-            axis=1,
-        )
-        longest = lengths.max(axis=1)
+        min_ang, longest = _tri_quality(pcoords)
         target = size_fn(cent[keep])
         too_big = longest > _SIZE_SLACK * target
         too_thin = min_ang < math.radians(_MIN_ANGLE_DEG)
@@ -500,7 +483,7 @@ def _refine_polygon(chains: list[_Chain], size_fn, h: float) -> _Piece:
         order = np.lexsort((bad, -ratio))
         bad = bad[order][:_BATCH_LIMIT]
         cands = _circumcenters(pcoords[bad])
-        a, b = boundary[seg_a], boundary[seg_b]
+        a, b = coords[seg_a], coords[seg_b]
         mid = 0.5 * (a + b)
         rad2 = np.sum((a - mid) ** 2, axis=1)
         inside = _points_inside(poly, cands)
@@ -516,24 +499,19 @@ def _refine_polygon(chains: list[_Chain], size_fn, h: float) -> _Piece:
                 cands[thin], inside[thin], pts, mid, rad2, seg_prot, lambda p: np.minimum(size_fn(p), tree.query(p)[0])
             )
 
-        # Segment order is (chain, position) order; split from the back so
-        # positions ahead stay valid.
-        for s in split[::-1]:
-            _split_chain_segment(chains[seg_ci[s]], chain_ids[seg_ci[s]], seg_k[s], coords, index)
-        free.append(accepted)
         if not len(accepted) and not len(split):
             break
+        coords, loop, owner = _split_segments(chains, coords, loop, owner, split)
+        free = np.concatenate([free, accepted])
     else:
         raise MeshError(f"far-field refinement did not settle within the iteration budget of {max_iter}")
 
     # Both exits leave the points as the last pass triangulated them.
-    segments: list[tuple[int, int, int]] = []
-    for ch, ids in zip(chains, chain_ids):
-        if ch.tag is None:
-            continue
-        for k in range(len(ids) - 1):
-            segments.append((ids[k], ids[k + 1], ch.tag))
-    return _Piece(vertices=pts, triangles=np.asarray(cells, dtype=np.int64), segments=segments)
+    cells = cells.astype(np.int64)
+    cells = np.where((_signed_area2(pts[cells]) < 0.0)[:, None], cells[:, ::-1], cells)
+    tag = np.array([ch.tag for ch in chains])[owner]
+    segments = np.column_stack([loop, np.roll(loop, -1), tag])[tag != INTERIOR]
+    return _Piece(vertices=pts, triangles=cells, segments=segments)
 
 
 def _screen_candidates(cands, inside, pts, mid, rad2, seg_prot, size_fn) -> tuple[np.ndarray, np.ndarray]:
@@ -595,40 +573,25 @@ def _ball_pairs(points: np.ndarray, queries: np.ndarray, radii: np.ndarray) -> t
     return q, p
 
 
-def _segment_arrays(chains, chain_ids):
-    a, b, prot, ci_list, k_list = [], [], [], [], []
-    for ci, ids in enumerate(chain_ids):
-        for k in range(len(ids) - 1):
-            a.append(ids[k])
-            b.append(ids[k + 1])
-            prot.append(chains[ci].protected)
-            ci_list.append(ci)
-            k_list.append(k)
-    return (
-        np.asarray(a, dtype=np.int64),
-        np.asarray(b, dtype=np.int64),
-        np.asarray(prot, dtype=bool),
-        np.asarray(ci_list),
-        np.asarray(k_list),
-    )
-
-
-def _split_chain_segment(chain: _Chain, ids: list[int], k: int, coords, index) -> None:
-    if chain.protected:
+def _split_segments(chains: list[_Chain], coords: np.ndarray, loop: np.ndarray, owner: np.ndarray, split: np.ndarray):
+    """Split the loop segments at the ascending positions ``split`` at their
+    midpoints, projected onto their chain's circle if it has one.  The
+    midpoints take ids after ``coords``, numbered from the last split
+    segment to the first.  Returns the new ``coords``, ``loop`` and ``owner``."""
+    ch = owner[split]
+    if any(chains[c].protected for c in ch):
         raise MeshError("attempted to split a protected interface segment")
-    a = coords[ids[k]]
-    b = coords[ids[k + 1]]
-    mid = 0.5 * (a + b)
-    if chain.projector is not None:
-        mid = chain.projector(mid)
-    key = (float(mid[0]), float(mid[1]))
-    if key in index:
+    mid = 0.5 * (coords[loop[split]] + coords[np.roll(loop, -1)[split]])
+    center = np.array([c.center for c in chains], dtype=float)[ch]
+    radius = np.array([c.radius for c in chains])[ch]
+    arc = radius > 0.0
+    d = mid[arc] - center[arc]
+    mid[arc] = center[arc] + radius[arc][:, None] * d / _hypot(d)[:, None]
+    coords = np.concatenate([coords, mid[::-1]])
+    if len(np.unique(coords + 0.0, axis=0)) < len(coords):  # -0.0 meets 0.0
         raise MeshError("boundary split produced a duplicate vertex")
-    new_id = len(coords)
-    index[key] = new_id
-    coords.append(np.asarray(mid, dtype=float))
-    chain.points.insert(k + 1, mid)
-    ids.insert(k + 1, new_id)
+    ids = len(coords) - 1 - np.arange(len(split))
+    return coords, np.insert(loop, split + 1, ids), np.insert(owner, split + 1, ch)
 
 
 # ---------------------------------------------------------------------------
@@ -655,22 +618,17 @@ def _refine_far_half(pair: InclusionPair, params: MeshParams, end_fiber: np.ndar
     top_rd = np.array([0.0, rd])
     bot_rd = np.array([0.0, -rd])
 
+    # Down the axis over the caps and the fiber, then back up the outer
+    # circle: counterclockwise, interior on the left.  The fiber is shared
+    # verbatim with the strip and never split.
     chains = [
-        _segment_chain(top_rd, top1, h_far, tag=None),
+        _segment_chain(top_rd, top1, h_far, INTERIOR),
         _arc_chain(c1, cap1.radius, math.pi / 2.0, theta1, (h_far, s_jun), INCLUSION1, top1, jun1),
-        _fiber_chain(end_fiber[::-1]),
+        _Chain(points=end_fiber[::-1], tag=INTERIOR, protected=True),
         _arc_chain(c2, cap2.radius, theta2, -math.pi / 2.0, (s_jun, h_far), INCLUSION2, jun2, bot2),
-        _segment_chain(bot2, bot_rd, h_far, tag=None),
+        _segment_chain(bot2, bot_rd, h_far, INTERIOR),
         _arc_chain(np.zeros(2), rd, -math.pi / 2.0, math.pi / 2.0, (h_far, h_far), OUTER, bot_rd, top_rd),
     ]
-    # The loop above runs clockwise in angle on the caps but the overall
-    # traversal keeps the interior on the left; fix orientation by area.
-    if _area2(_polygon_points(chains)) < 0.0:
-        chains = [
-            _Chain(points=list(reversed(ch.points)), tag=ch.tag, protected=ch.protected, projector=ch.projector)
-            for ch in reversed(chains)
-        ]
-
     junctions = np.stack([jun1, jun2])
 
     def size_fn(pts: np.ndarray) -> np.ndarray:
@@ -689,7 +647,7 @@ class _FarReference:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    segments: tuple[tuple[int, int, int], ...]
+    segments: np.ndarray
     fiber: np.ndarray
     lift: np.ndarray
 
@@ -710,16 +668,13 @@ def _far_reference(pair: InclusionPair, params: MeshParams) -> _FarReference:
 
     end_fiber = _fibers(pair, [pair.neck_radius], params.layers)[0]
     piece = _refine_far_half(pair, params, end_fiber)
-    verts = piece.vertices
-    tris = piece.triangles
-    tris = np.where((_signed_area2(verts[tris]) < 0.0)[:, None], tris[:, ::-1], tris)
+    verts, tris, seg = piece.vertices, piece.triangles, piece.segments
     vid, row = np.nonzero(np.all(verts[:, None, :] == end_fiber[None, :, :], axis=2))
     fiber = vid[np.argsort(row)]
 
     lift = np.zeros(len(verts))
     if pair.eps == 0.0:
         value = np.full(len(verts), np.nan)
-        seg = np.asarray(piece.segments, dtype=np.int64)
         value[seg[:, :2]] = (seg[:, 2] == INCLUSION1)[:, None]
         value[fiber] = np.arange(params.layers + 1) / params.layers
         fixed = np.flatnonzero(~np.isnan(value))
@@ -730,7 +685,7 @@ def _far_reference(pair: InclusionPair, params: MeshParams) -> _FarReference:
 
     for a in (verts, tris, fiber, lift):
         a.setflags(write=False)
-    return _FarReference(verts, tris, tuple(piece.segments), fiber, lift)
+    return _FarReference(verts, tris, seg, fiber, lift)
 
 
 def _far_half_piece(pair: InclusionPair, params: MeshParams, end_fiber: np.ndarray) -> tuple[_Piece, float]:
@@ -750,9 +705,9 @@ def _far_half_piece(pair: InclusionPair, params: MeshParams, end_fiber: np.ndarr
         if eps_ref == pair.eps:
             break
         p = verts[ref.triangles]
-        if np.all(_signed_area2(p) > 0.0) and _tri_min_angles(p).min() >= math.radians(_MIN_ANGLE_DEG):
+        if np.all(_signed_area2(p) > 0.0) and _tri_quality(p)[0].min() >= math.radians(_MIN_ANGLE_DEG):
             break
-    return _Piece(vertices=verts, triangles=ref.triangles, segments=list(ref.segments)), eps_ref
+    return _Piece(vertices=verts, triangles=ref.triangles, segments=ref.segments), eps_ref
 
 
 def _mirror_piece(piece: _Piece) -> _Piece:
@@ -763,7 +718,7 @@ def _mirror_piece(piece: _Piece) -> _Piece:
     return _Piece(
         vertices=verts,
         triangles=tris,
-        segments=list(piece.segments),
+        segments=piece.segments,
         neck=None if piece.neck is None else piece.neck.copy(),
         column_x=col,
     )
@@ -796,8 +751,7 @@ def _merge_pieces(pieces: list[_Piece], mirrored: bool = False) -> tuple:
         local = ids[offset : offset + len(piece.vertices)]
         offset += len(piece.vertices)
         tris.append(local[piece.triangles])
-        seg = np.asarray(piece.segments, dtype=np.int64).reshape(-1, 3)
-        segs.append(np.column_stack([local[seg[:, 0]], local[seg[:, 1]], seg[:, 2]]))
+        segs.append(np.column_stack([local[piece.segments[:, :2]], piece.segments[:, 2]]))
         count = len(piece.triangles)
         if piece.neck is None:
             neck_flags.append(np.zeros(count, dtype=bool))
@@ -822,9 +776,8 @@ def _finalize(pair_stations: np.ndarray, layers: int, merged) -> Mesh:
     area2 = _signed_area2(verts[tris])
     if np.any(area2 == 0.0):
         raise MeshError("degenerate triangle produced during merge")
-    flip = area2 < 0.0
-    tris = tris.copy()
-    tris[flip] = tris[flip][:, ::-1]
+    if np.any(area2 < 0.0):
+        raise MeshError("clockwise triangle produced during merge")
 
     n = len(verts)
     seg_keys = np.minimum(segs[:, 0], segs[:, 1]) * n + np.maximum(segs[:, 0], segs[:, 1])
@@ -974,16 +927,8 @@ def audit(mesh: Mesh) -> MeshAudit:
     far = ~mesh.neck
     if far.any():
         p = mesh.vertices[mesh.triangles[far]]
-        min_angle = math.degrees(float(_tri_min_angles(p).min()))
-        lengths = np.stack(
-            [
-                np.linalg.norm(p[:, 0] - p[:, 1], axis=1),
-                np.linalg.norm(p[:, 1] - p[:, 2], axis=1),
-                np.linalg.norm(p[:, 2] - p[:, 0], axis=1),
-            ],
-            axis=1,
-        )
-        longest = lengths.max(axis=1)
+        min_ang, longest = _tri_quality(p)
+        min_angle = math.degrees(float(min_ang.min()))
         aspect = float((longest**2 / (2.0 * np.abs(areas[far]))).max())
     else:
         min_angle = float("nan")
@@ -1101,15 +1046,11 @@ def _project_midpoints(mesh: Mesh, pair: InclusionPair, a: np.ndarray, b: np.nda
     """The midpoints ``mid`` of the boundary edges (a, b) of ``mesh``, in
     the order of ``mesh.boundary_tags``, projected onto their curves: the
     outer circle, the profile graph where both ends lie on it, else the
-    cap circle.  Midpoints of vertical excision fibers stay put.  Lengths
-    come from ``math.hypot``, which numpy's hypot need not match."""
+    cap circle.  Midpoints of vertical excision fibers stay put."""
     tags = mesh.boundary_tags
     pa, pb = mesh.vertices[a], mesh.vertices[b]
     out = mid.copy()
     upper = tags == INCLUSION1
-
-    def hypot(d: np.ndarray) -> np.ndarray:
-        return np.array(list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())))
 
     def graph(x: np.ndarray, up: np.ndarray) -> np.ndarray:
         rel = pair.profile.relative(x[:, None])
@@ -1122,7 +1063,7 @@ def _project_midpoints(mesh: Mesh, pair: InclusionPair, a: np.ndarray, b: np.nda
         return near & (np.abs(p[:, 1] - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
 
     outer = tags == OUTER
-    out[outer] = mid[outer] * (pair.outer_radius / hypot(mid[outer]))[:, None]
+    out[outer] = mid[outer] * (pair.outer_radius / _hypot(mid[outer]))[:, None]
     curved = ~outer & (np.abs(pa[:, 0] - pb[:, 0]) > 1e-14)
     up = upper[curved]
     on = on_graph(pa[curved], up) & on_graph(pb[curved], up)
@@ -1132,7 +1073,7 @@ def _project_midpoints(mesh: Mesh, pair: InclusionPair, a: np.ndarray, b: np.nda
     cap1, cap2 = pair.caps()
     center = np.column_stack([np.zeros(len(cap)), np.where(upper[cap], cap1.center_height, cap2.center_height)])
     d = mid[cap] - center
-    out[cap] = center + d * (np.where(upper[cap], cap1.radius, cap2.radius) / hypot(d))[:, None]
+    out[cap] = center + d * (np.where(upper[cap], cap1.radius, cap2.radius) / _hypot(d))[:, None]
     return out
 
 

@@ -54,6 +54,12 @@ class TestConfig:
             parse_config("[geometry]\nwarp = 9\n")
         assert any(key == "warp" for _, key, _ in err.value.problems)
 
+    def test_leading_ratio_is_an_unknown_key(self):
+        # No criterion reads it, so it is refused rather than silently ignored.
+        with pytest.raises(ConfigError) as err:
+            parse_config("[tolerances]\nleading_ratio = 0.05\n")
+        assert any(key == "leading_ratio" for _, key, _ in err.value.problems)
+
     def test_duplicate_key_located(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[mesh]\nlayers = 6\nlayers = 8\n")
@@ -198,6 +204,15 @@ class TestCommands:
         path.write_text(f"[geometry]\nsplit = {split}\n[output]\ndirectory = {tmp_path / 'out'}\n")
         assert main(["sweep", "--config", str(path)]) == 2
         assert "[split]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["mesh", "solve"])
+    @pytest.mark.parametrize("eps", ["0", "2", "1", "nan"])
+    def test_gap_outside_unit_interval_exit_two(self, tmp_path, capsys, command, eps):
+        path = tmp_path / "fast.cfg"
+        path.write_text(FAST_CONFIG.format(outdir=tmp_path / "out"))
+        assert main([command, "--config", str(path), "--epsilon", eps]) == 2
+        assert f"gap {float(eps):g} outside (0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_short_sweep_exit_two(self, tmp_path, capsys):

@@ -248,9 +248,9 @@ class TestEdgeIndex:
 _SQUARE_RIM = [(0, 1, OUTER), (1, 2, OUTER), (2, 3, OUTER), (3, 0, OUTER)]
 
 
-def _square(segments):
+def _square(segments, triangles=((0, 1, 2), (0, 2, 3))):
     verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
-    return mesh_module._Piece(vertices=verts, triangles=np.array([[0, 1, 2], [0, 2, 3]]), segments=segments)
+    return mesh_module._Piece(vertices=verts, triangles=np.array(triangles), segments=np.array(segments))
 
 
 def _glue(*pieces):
@@ -262,10 +262,15 @@ class TestMergeFinalize:
         piece = mesh_module._Piece(
             vertices=np.array([[0, 0], [1, 0], [2, 0]], float),
             triangles=np.array([[0, 1, 2]]),
-            segments=[(0, 1, OUTER), (1, 2, OUTER), (2, 0, OUTER)],
+            segments=np.array([(0, 1, OUTER), (1, 2, OUTER), (2, 0, OUTER)]),
         )
         with pytest.raises(MeshError, match=r"^degenerate triangle produced during merge$"):
             _glue(piece)
+
+    def test_clockwise_triangle(self):
+        # Every piece comes counterclockwise; a clockwise triangle is an error, not flipped.
+        with pytest.raises(MeshError, match=r"^clockwise triangle produced during merge$"):
+            _glue(_square(_SQUARE_RIM, triangles=((0, 1, 2), (0, 3, 2))))
 
     def test_conflicting_tags(self):
         with pytest.raises(MeshError, match=r"^conflicting tags on boundary edge \(0, 1\)$"):
@@ -292,12 +297,12 @@ class TestMergeFinalize:
         left = mesh_module._Piece(
             vertices=np.array([[-1.0, 0.0], [-0.0, 0.0], [-0.0, 1.0]]),
             triangles=np.array([[0, 1, 2]]),
-            segments=[(0, 1, OUTER), (2, 0, OUTER)],
+            segments=np.array([(0, 1, OUTER), (2, 0, OUTER)]),
         )
         right = mesh_module._Piece(
             vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             triangles=np.array([[0, 1, 2]]),
-            segments=[(0, 1, OUTER), (1, 2, OUTER)],
+            segments=np.array([(0, 1, OUTER), (1, 2, OUTER)]),
         )
         mesh = _glue(left, right)
         assert mesh.vertex_count == 4
@@ -354,6 +359,13 @@ class TestPinnedBytes:
         touching = pair.with_gap(0.0)
         fine = refine_quadrisect(generate_touching(touching, 0.05, MeshParams()), touching)
         assert _sha256(fine) == "e9d8303cfebacf75d03e0acfa5f414cd509337277c2205990682dcd373146fbb"
+
+    def test_touching_through_the_stall_screen(self, cold_far_field):
+        # The 10.8 degree stall example of the touching property test: its
+        # far field is refined through the stall screen three times.
+        pair = _wide_pair(0, 0.0, 0.5, 0.6, 0.3, 5.0)
+        mesh = generate_touching(pair, pair.neck_radius / 10.0, MeshParams(layers=8, h_far=0.5))
+        assert _sha256(mesh) == "fdbbb65fe03299f85903c8b51b59ce51e80a47d6bc8a06b7095435e843f56dcb"
 
 
 def _reference_gap(pair, params):
@@ -425,7 +437,7 @@ class TestMovedFarField:
 
     def test_cached_arrays_are_read_only(self, pair):
         ref = mesh_module._far_reference(pair.with_gap(0.0), MeshParams())
-        for a in (ref.vertices, ref.triangles, ref.fiber, ref.lift):
+        for a in (ref.vertices, ref.triangles, ref.segments, ref.fiber, ref.lift):
             assert not a.flags.writeable
         before = ref.vertices.tobytes()
         generate(pair.with_gap(0.05), MeshParams())
@@ -640,6 +652,101 @@ class TestArrayKernels:
         assert len(ref_accepted) > 10 and len(ref_split) > 5
         assert np.array_equal(accepted, ref_accepted)
         assert split.tolist() == ref_split
+
+
+def _square_loop(**chain):
+    # The unit square as one chain of four segments, numbered around the loop.
+    points = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], float)
+    chains = [mesh_module._Chain(points=points, tag=OUTER, **chain)]
+    return chains, points[:-1], np.arange(4), np.zeros(4, dtype=np.int64)
+
+
+def _split_loop(chains, coords, loop, owner, split):
+    # Reference: the former splits, one segment at a time from the back.
+    coords, loop, owner = list(coords), loop.tolist(), owner.tolist()
+    for s in split[::-1].tolist():
+        chain = chains[owner[s]]
+        mid = 0.5 * (coords[loop[s]] + coords[loop[(s + 1) % len(loop)]])
+        if chain.radius > 0.0:
+            d = mid - chain.center
+            mid = chain.center + chain.radius * d / math.hypot(d[0], d[1])
+        coords.append(mid)
+        loop.insert(s + 1, len(coords) - 1)
+        owner.insert(s + 1, owner[s])
+    return np.array(coords), np.array(loop), np.array(owner)
+
+
+class TestSplitSegments:
+    """The boundary splits that conformity and encroachment share."""
+
+    def test_matches_one_segment_at_a_time(self):
+        # A half disk: an arc of graded points, closed by its chord.
+        rng = np.random.default_rng(5)
+        center, radius = np.array([0.1, -0.2]), 1.3
+        theta = np.sort(rng.uniform(0.0, np.pi, 40))
+        arc = center + radius * np.column_stack([np.cos(theta), np.sin(theta)])
+        chains = [
+            mesh_module._Chain(points=arc, tag=OUTER, center=center, radius=radius),
+            mesh_module._segment_chain(arc[-1], arc[0], 0.1, INTERIOR),
+        ]
+        coords = np.concatenate([ch.points[:-1] for ch in chains])
+        loop = np.arange(len(coords))
+        owner = np.repeat([0, 1], [len(ch.points) - 1 for ch in chains])
+        for _ in range(3):
+            split = np.flatnonzero(rng.random(len(loop)) < 0.4)
+            want = _split_loop(chains, coords, loop, owner, split)
+            coords, loop, owner = mesh_module._split_segments(chains, coords, loop, owner, split)
+            for got, ref in zip((coords, loop, owner), want):
+                assert got.tobytes() == ref.tobytes()
+
+    def test_new_ids_run_from_the_last_segment_to_the_first(self):
+        chains, coords, loop, owner = _square_loop()
+        coords, loop, owner = mesh_module._split_segments(chains, coords, loop, owner, np.array([0, 3]))
+        assert loop.tolist() == [0, 5, 1, 2, 3, 4]
+        assert coords[4:].tolist() == [[0.0, 0.5], [0.5, 0.0]]
+        assert owner.tolist() == [0] * 6
+
+    def test_arc_midpoint_lies_on_its_circle(self):
+        center, radius = np.array([0.5, -0.25]), 1.25
+        chains, coords, loop, owner = _square_loop(center=center, radius=radius)
+        coords, loop, owner = mesh_module._split_segments(chains, coords, loop, owner, np.array([1, 2]))
+        d = coords[4:] - center
+        assert np.abs(np.hypot(d[:, 0], d[:, 1]) - radius).max() <= 1e-15
+        assert loop.tolist() == [0, 1, 5, 2, 4, 3]
+
+    def test_protected_segment_raises(self):
+        chains, coords, loop, owner = _square_loop(protected=True)
+        with pytest.raises(MeshError, match="^attempted to split a protected interface segment$"):
+            mesh_module._split_segments(chains, coords, loop, owner, np.array([2]))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_duplicate_midpoint_raises(self, zero):
+        # The midpoint of segment 0 is (0.5, 0); a loop vertex already sits there.
+        chains, coords, loop, owner = _square_loop()
+        coords = np.concatenate([coords, [[0.5, zero]]])
+        loop, owner = np.arange(5), np.zeros(5, dtype=np.int64)
+        with pytest.raises(MeshError, match="^boundary split produced a duplicate vertex$"):
+            mesh_module._split_segments(chains, coords, loop, owner, np.array([0]))
+
+    def test_refiner_splits_a_segment_missing_from_the_triangulation(self):
+        # A slot over a thin floor: the floor vertex (2, -0.05) lies in every
+        # circle through the ends of the slot's bottom edge that excludes
+        # the slot's top corners, so that edge is no Delaunay edge.
+        from scipy.spatial import Delaunay
+
+        corners = np.array([(0, 0), (4, 0), (4, 2), (5, 2), (5, -1), (2, -0.05), (-1, -1), (-1, 2), (0, 2)], float)
+        simplices = Delaunay(corners).simplices
+        assert not any({0, 1} <= set(t) for t in simplices.tolist())
+        chains = [mesh_module._segment_chain(corners[k], corners[(k + 1) % 9], 10.0, OUTER) for k in range(9)]
+        piece = mesh_module._refine_polygon(chains, lambda p: np.full(len(p), 1.0), 1.0)
+        assert np.all(mesh_module._signed_area2(piece.vertices[piece.triangles]) > 0.0)
+        count = len(piece.triangles)
+        piece.neck, piece.column_x = np.zeros(count, dtype=bool), np.full(count, np.nan)
+        mesh = mesh_module._finalize(np.asarray([]), 4, mesh_module._merge_pieces([piece]))
+        report = audit(mesh)
+        assert report.passed, report.failures
+        assert report.boundary_loop_count == 1 and report.far_min_angle_deg >= 20.0
+        assert [2.0, 0.0] in mesh.vertices.tolist()
 
 
 def _strip_loop(pair, params, x_start, bridge):
