@@ -7,7 +7,9 @@ per level) on the default quadratic pair (curvature 2) at eps = 1e-3 at
 refinement levels 0, 2, 3, 4, 5 and 6: the first (cold) call of the
 process, then the median of further (warm) calls of the same gap, with
 vertex and triangle counts and the sha256 of the vertex and triangle
-arrays, and whether the warm mesh has the cold one's bytes.  At levels 0,
+arrays, and whether the warm mesh has the cold one's bytes.  Each such
+process imports the scipy modules the mesher defers before its first
+clock starts, and records that import's seconds apart.  At levels 0,
 2 and 4 it also times the six-gap sequence 1e-2 * 4**-k, k = 0..5, of the
 default sweep, from a fresh interpreter: seconds and V/T per gap and one
 sha256 over the six meshes.  A level that raises records the error and the
@@ -41,6 +43,10 @@ from neckfield.mesh import MeshParams, generate
 pair = InclusionPair(2, NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=(2.0,)), 1e-3)
 level, repeats, mode = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 params = MeshParams(refinement=level)
+# The mesher's deferred scipy modules, imported before any clock starts.
+t0 = time.perf_counter()
+import scipy.sparse.linalg, scipy.spatial
+scipy_import_seconds = time.perf_counter() - t0
 
 
 def sha256(meshes):
@@ -85,6 +91,7 @@ try:
         }
 except Exception as exc:
     out = {"error": f"{type(exc).__name__}: {exc}", "seconds": time.perf_counter() - t_start}
+out["scipy_import_seconds"] = scipy_import_seconds
 print(json.dumps(out))
 """
 QUADRISECT_LEVELS = 3

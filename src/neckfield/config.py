@@ -236,6 +236,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"need {geometry.dimension - 1} curvature(s) in dimension {geometry.dimension}",
             )
         )
+    for key in ("neck_radius", "outer_radius", "separation"):
+        if not math.isfinite(getattr(geometry, key)):
+            problems.append((where("geometry", key), key, f"{key} must be finite, got {getattr(geometry, key)}"))
     if len(geometry.split) != 2:
         problems.append((where("geometry", "split"), "split", "split takes exactly two fractions"))
     if boundary.kind not in ("constant", "linear_xn", "linear_x1", "fourier"):

@@ -20,19 +20,21 @@ solve starts with the even block; the odd block is factored and solved
 only when the residual of the full system is still above the 1e-10
 bound, i.e. for data with an odd part.  A mesh without a mirror is
 assembled whole, and its even solve is the full solve.  Several boundary
-data given at once share each LU solve.
+data given at once share each block solve.
 
 A block of at least ``_DISSECTION_MIN`` unknowns is factored in a
 geometric nested-dissection order (George, SIAM J. Numer. Anal. 10,
 1973; ``_dissection``), which gives O(N log N) fill on a planar mesh.
 SuperLU then factors without reordering or pivoting, which the symmetric
-positive definite blocks allow.  Smaller blocks keep SuperLU's COLAMD
-ordering: the two break even at a few thousand unknowns, and the
-ordering wins from about 15,000 on (BENCH_7.json has the figures per
-ladder level).
+positive definite blocks allow.  A smaller block is ordered by reverse
+Cuthill-McKee and factored by LAPACK's banded Cholesky (George and Liu,
+1981; ``_banded_cholesky``), in 0.3-0.6 of SuperLU's time at a sweep's
+thousand unknowns; from about 10,000 on, where the band is often too
+wide, the dissection wins (BENCH_17.json has the figures per block).
 
-``sp`` and ``spla`` are deferred stand-ins for ``scipy.sparse`` and
-``scipy.sparse.linalg`` (``mesh._Deferred``): the first assembly or
+``sp``, ``spla``, ``csgraph`` and ``linalg`` are deferred stand-ins for
+``scipy.sparse``, ``scipy.sparse.linalg``, ``scipy.sparse.csgraph`` and
+``scipy.linalg`` (``mesh._Deferred``): the first assembly or
 solve imports them, so commands that never solve load no scipy.
 """
 
@@ -47,6 +49,8 @@ from .mesh import INTERIOR, Mesh, _Deferred
 
 sp = _Deferred("scipy.sparse")
 spla = _Deferred("scipy.sparse.linalg")
+csgraph = _Deferred("scipy.sparse.csgraph")
+linalg = _Deferred("scipy.linalg")
 
 __all__ = [
     "SolverError",
@@ -60,8 +64,9 @@ __all__ = [
 
 
 _RESIDUAL_BOUND = 1e-10
-# Blocks from this many unknowns up are ordered by nested dissection,
-# and the dissection stops at cells of at most _DISSECTION_LEAF unknowns.
+# Blocks from this many unknowns up are ordered by nested dissection and
+# LU-factored, smaller ones get a banded Cholesky factor; the dissection
+# stops at cells of at most _DISSECTION_LEAF unknowns.
 _DISSECTION_MIN = 10_000
 _DISSECTION_LEAF = 32
 
@@ -151,33 +156,37 @@ class StiffnessOperator:
         return sp.csc_matrix((block.data, block.indices, block.indptr), shape=block.shape)
 
     def _factor(self, part: str):
-        """Unknowns and LU of the even or odd block, factored on first use.
+        """Unknowns and factor of the even or odd block, factored on first use.
 
-        A block of at least ``_DISSECTION_MIN`` unknowns is factored with
-        its unknowns in nested-dissection order, a smaller one in COLAMD's;
-        the unknowns are returned in the order of the factor's rows.
+        A block of at least ``_DISSECTION_MIN`` unknowns gets SuperLU's LU
+        with its unknowns in nested-dissection order, a smaller one the band
+        of its Cholesky factor in reverse Cuthill-McKee order
+        (``_banded_cholesky``); the unknowns are returned in the order of
+        the factor's rows.
         """
         if part not in self._factors:
             rows = self._unknowns[part]
             block = self._block(rows)
             if block.shape[0] < _DISSECTION_MIN:
-                self._factors[part] = rows, spla.splu(block)
+                perm, factor = _banded_cholesky(block)
             else:
                 perm = _dissection(block, self._points[rows])
-                lu = spla.splu(
+                factor = spla.splu(
                     block[perm][:, perm],
                     permc_spec="NATURAL",
                     diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True},
                 )
-                self._factors[part] = rows[perm], lu
+            self._factors[part] = rows[perm], factor
         return self._factors[part]
 
     def _lu(self, part: str, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The even or odd block's unknowns and their correction for a
-        residual over the rows of K_h, by its LU."""
-        rows, lu = self._factor(part)
-        return rows, lu.solve(-residual[rows])
+        residual over the rows of K_h, by its factor."""
+        rows, factor = self._factor(part)
+        if isinstance(factor, np.ndarray):
+            return rows, linalg.cho_solve_banded((factor, True), -residual[rows])
+        return rows, factor.solve(-residual[rows])
 
     def _cg(self, part: str, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_lu`` by Jacobi preconditioned conjugate gradients, one column
@@ -228,7 +237,7 @@ class StiffnessOperator:
 
         ``data`` maps every boundary tag present in the mesh to a constant
         or to a callable taking an (N, 2) coordinate array.  A list of such
-        maps is solved at once, each LU solve taking every right-hand side,
+        maps is solved at once, each block solve taking every right-hand side,
         and gives the list of fields.  The residual of each constrained
         system is verified to 1e-10 relative.
         """
@@ -278,6 +287,24 @@ class StiffnessOperator:
             values = values + f.values[self._image]
         kf = self._half @ values
         return {tag: float(kf[rows].sum()) for tag, rows in self._tag_rows.items()}
+
+
+def _banded_cholesky(block: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse Cuthill-McKee order of a symmetric positive definite CSC block
+    (``perm[k]`` is the unknown numbered k) and the lower band of its
+    Cholesky factor in that order, the band filled from the block's own
+    arrays.  SolverError, which the CG fallback catches, if not definite."""
+    perm = csgraph.reverse_cuthill_mckee(block, symmetric_mode=True)
+    number = np.argsort(perm)
+    i, j = number[block.indices], np.repeat(number, np.diff(block.indptr))
+    offset = i - j
+    lower = offset >= 0
+    band = np.zeros((int(offset.max(initial=0)) + 1, block.shape[0]))
+    band[offset[lower], j[lower]] = block.data[lower]
+    try:
+        return perm, linalg.cholesky_banded(band, overwrite_ab=True, lower=True)
+    except linalg.LinAlgError as exc:
+        raise SolverError(f"banded Cholesky failed: {exc}") from exc
 
 
 def _bit_length(a: np.ndarray) -> np.ndarray:

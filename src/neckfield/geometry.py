@@ -65,17 +65,17 @@ class NeckProfile:
         if self.kind is ProfileKind.QUADRATIC:
             if not self.curvatures:
                 raise GeometryError("quadratic profile needs at least one curvature")
-            if any(lam <= 0.0 for lam in self.curvatures):
-                raise GeometryError(f"relative curvatures must be positive, got {self.curvatures}")
+            if not all(0.0 < lam < math.inf for lam in self.curvatures):
+                raise GeometryError(f"relative curvatures must be positive and finite, got {self.curvatures}")
             if self.order is not None or self.coefficient is not None:
                 raise GeometryError("quadratic profile takes no order/coefficient")
         elif self.kind is ProfileKind.POWER_LAW:
             if self.order is None or self.coefficient is None:
                 raise GeometryError("power-law profile needs order and coefficient")
-            if self.order < 2.0:
-                raise GeometryError(f"power-law order must be >= 2, got {self.order}")
-            if self.coefficient <= 0.0:
-                raise GeometryError(f"power-law coefficient must be positive, got {self.coefficient}")
+            if not 2.0 <= self.order < math.inf:
+                raise GeometryError(f"power-law order must be finite and >= 2, got {self.order}")
+            if not 0.0 < self.coefficient < math.inf:
+                raise GeometryError(f"power-law coefficient must be positive and finite, got {self.coefficient}")
             if self.curvatures is not None:
                 raise GeometryError("power-law profile takes no curvature list")
         else:  # pragma: no cover - enum is closed
@@ -197,6 +197,9 @@ class InclusionPair:
     def __post_init__(self) -> None:
         if self.dimension not in (2, 3):
             raise GeometryError(f"dimension must be 2 or 3, got {self.dimension}")
+        for name in ("eps", "neck_radius", "outer_radius", "separation"):
+            if not math.isfinite(getattr(self, name)):
+                raise GeometryError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eps < 0.0:
             raise GeometryError(f"gap must be nonnegative, got {self.eps}")
         if not (0.0 < self.neck_radius < 1.0):

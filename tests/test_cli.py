@@ -215,6 +215,14 @@ class TestCommands:
         assert f"gap {float(eps):g} outside (0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key,value", [("separation", "nan"), ("outer_radius", "inf"), ("neck_radius", "nan")])
+    def test_non_finite_length_exit_two(self, tmp_path, capsys, key, value):
+        path = tmp_path / "length.cfg"
+        path.write_text(f"[geometry]\n{key} = {value}\n[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert f"line 2: [{key}] {key} must be finite, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_short_sweep_exit_two(self, tmp_path, capsys):
         path = tmp_path / "short.cfg"
         path.write_text(f"[sweep]\ncount = 3\n[output]\ndirectory = {tmp_path / 'out'}\n")

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded
+from scipy.sparse import csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -167,20 +169,52 @@ class TestSolve:
         assert np.abs(direct - iterative).max() <= 1e-7 * scale
 
     def test_lu_failure_falls_back_to_cg(self, op, monkeypatch):
+        # The small-block factor gets each block negated, which is not
+        # positive definite: its SolverError must reach the fallback, and
+        # CG then solves the true blocks.
         data = {INCLUSION1: 1.0, INCLUSION2: 0.0, OUTER: BoundaryData(kind="linear_x1").evaluate}
         want = fem.assemble(op.mesh).solve_dirichlet(data)
+        banded = fem._banded_cholesky
+        monkeypatch.setattr(fem, "_banded_cholesky", lambda block: banded(-block))
+        parts = _log_cg(monkeypatch)
+        got = fem.assemble(op.mesh).solve_dirichlet(data)
+        assert parts == ["even", "odd"]
+        assert np.abs(got.values - want.values).max() <= 1e-7
+
+    def test_dissection_lu_failure_falls_back_to_cg(self, ladder_op, monkeypatch):
+        data = {INCLUSION1: 1.0, INCLUSION2: 0.0, OUTER: 0.0}
+        want = ladder_op.solve_dirichlet(data)
 
         def failing(*args, **kwargs):
             raise MemoryError("forced LU failure")
 
-        monkeypatch.setattr(fem, "spla", _SpluLog(failing))
-        got = fem.assemble(op.mesh).solve_dirichlet(data)
+        log = _SpluLog(failing)
+        monkeypatch.setattr(fem, "spla", log)
+        parts = _log_cg(monkeypatch)
+        got = fem.assemble(ladder_op.mesh).solve_dirichlet(data)
+        assert [size for size, _ in log.calls] == [len(ladder_op._unknowns["even"])]
+        assert parts == ["even"]
         assert np.abs(got.values - want.values).max() <= 1e-7
+
+
+def _log_cg(monkeypatch):
+    """Record the part of every ``_cg`` call of the operators built from
+    now on."""
+    parts = []
+    cg = fem.StiffnessOperator._cg
+
+    def logged(self, part, residual):
+        parts.append(part)
+        return cg(self, part, residual)
+
+    monkeypatch.setattr(fem.StiffnessOperator, "_cg", logged)
+    return parts
 
 
 class _FullOperator:
     """The full-K operator: K assembled from every triangle, and K_ii
-    factored whole with COLAMD."""
+    factored whole, by ``fem._banded_cholesky`` below ``fem._DISSECTION_MIN``
+    unknowns and by SuperLU's COLAMD order from there on."""
 
     def __init__(self, mesh):
         self.mesh = mesh
@@ -191,7 +225,11 @@ class _FullOperator:
         rows = self.matrix[self.interior]
         self.k_ii = rows[:, self.interior].tocsc()
         self.k_ib = rows[:, self.boundary]
-        self.lu = spla.splu(self.k_ii)
+        if self.k_ii.shape[0] < fem._DISSECTION_MIN:
+            perm, band = fem._banded_cholesky(self.k_ii)
+            self.order, self.solve = self.interior[perm], lambda rhs: cho_solve_banded((band, True), rhs[perm])
+        else:
+            self.order, self.solve = self.interior, spla.splu(self.k_ii).solve
 
     def solve_dirichlet(self, data):
         if isinstance(data, list):
@@ -201,7 +239,7 @@ class _FullOperator:
         for tag, value in data.items():
             idx = np.flatnonzero(tags == tag)
             u[idx] = np.asarray(value(self.mesh.vertices[idx]), dtype=float) if callable(value) else float(value)
-        u[self.interior] = self.lu.solve(-self.k_ib @ u[self.boundary])
+        u[self.order] = self.solve(-self.k_ib @ u[self.boundary])
         return fem.ScalarField(self.mesh, u)
 
     def energy(self, f):
@@ -626,13 +664,29 @@ class TestDissection:
             for name in ("data", "indices", "indptr"):
                 assert getattr(got, name).tobytes() == getattr(half, name).tobytes(), name
 
-    def test_small_block_keeps_colamd(self, op, monkeypatch):
+    def test_small_block_is_banded(self, op, monkeypatch):
+        # No splu call; each block's unknowns in reverse Cuthill-McKee order
+        # and the band of its Cholesky factor.
         log = _SpluLog()
         monkeypatch.setattr(fem, "spla", log)
         fresh = fem.StiffnessOperator(op.mesh)
-        fresh.solve_dirichlet({INCLUSION1: 1.0, INCLUSION2: 0.0, OUTER: 0.0})
-        assert log.calls == [(len(fresh._unknowns["even"]), {})]
-        assert len(fresh._unknowns["even"]) < fem._DISSECTION_MIN
+        u = np.zeros((fresh.mesh.vertex_count, 1))
+        boundary = np.flatnonzero(fresh.mesh.vertex_tags != INTERIOR)
+        u[boundary, 0] = np.random.default_rng(20261019).standard_normal(len(boundary))
+        assert fresh._solve(u, fresh._lu) <= 1e-10
+        assert log.calls == []
+        assert sorted(fresh._factors) == ["even", "odd"]
+        for part in ("even", "odd"):
+            want = fresh._unknowns[part]
+            block = fresh._block(want)
+            assert block.shape[0] < fem._DISSECTION_MIN
+            rows, band = fresh._factor(part)
+            assert np.array_equal(rows, want[csgraph.reverse_cuthill_mckee(block, symmetric_mode=True)])
+            factor = np.linalg.cholesky(fresh._half[rows][:, rows].toarray())
+            n = len(rows)
+            for k in range(band.shape[0]):
+                assert np.allclose(band[k, : n - k], np.diagonal(factor, -k), rtol=0.0, atol=1e-12 * band[0].max())
+            assert not np.tril(factor, -band.shape[0]).any()
 
 
 class TestSides:

@@ -193,6 +193,26 @@ class TestValidation:
         with pytest.raises(GeometryError):
             InclusionPair(2, quad_profile(), -1e-3)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("eps", float("nan")), ("eps", float("inf")), ("outer_radius", float("inf")),
+         ("separation", float("nan")), ("neck_radius", float("nan"))],
+    )
+    def test_non_finite_length_rejected(self, field, value):
+        lengths = {"eps": 1e-3, field: value}
+        with pytest.raises(GeometryError, match=f"{field} must be finite, got {value}"):
+            InclusionPair(2, quad_profile(), **lengths)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [lambda: quad_profile(lam=float("nan")), lambda: quad_profile(lam=float("inf")),
+         lambda: power_profile(float("nan"), 4.0), lambda: power_profile(4.0, float("nan"))],
+        ids=["curvature-nan", "curvature-inf", "order-nan", "coefficient-nan"],
+    )
+    def test_non_finite_profile_rejected(self, profile):
+        with pytest.raises(GeometryError, match="finite"):
+            profile()
+
     def test_dimension3_needs_isotropy(self):
         prof = NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=(1.0, 2.0))
         with pytest.raises(GeometryError):
