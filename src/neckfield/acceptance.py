@@ -26,10 +26,8 @@ import time
 from dataclasses import dataclass, replace
 from itertools import islice
 
-import numpy as np
-
+from . import _Deferred, fem
 from . import closed_forms as cf
-from . import fem
 from .conductivity import BoundaryData, solve_bundle, solve_limit_direct
 from .config import ExperimentConfig
 from .experiments import (
@@ -44,6 +42,8 @@ from .experiments import (
 )
 from .geometry import InclusionPair, NeckProfile, ProfileKind
 from .mesh import INCLUSION1, INCLUSION2, OUTER, MeshParams, generate
+
+np = _Deferred("numpy")
 
 __all__ = ["CriterionResult", "AcceptanceContext", "run_all", "CRITERIA"]
 

@@ -15,15 +15,14 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, fem
 from .acceptance import run_all
-from .closed_forms import AsymptoticParams, constants_report, energy_error_scale_m
+from .closed_forms import MAX_ORDER, AsymptoticParams, constants_report, energy_error_scale_m
 from .config import ConfigError, ExperimentConfig, default_config_text, emit_config, parse_config
 from .experiments import (
     SWEEP_CSV_HEADER,
@@ -40,6 +39,8 @@ from .quadrature import QuadratureError
 from .svgplot import render_loglog
 
 RANDOM_SEED = 20260810  # sampling checks are seeded and recorded
+# Sized when numpy loads; the gate's two processes take one thread each.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def _load_config(path: str | None) -> tuple[ExperimentConfig, str]:
@@ -51,6 +52,7 @@ def _load_config(path: str | None) -> tuple[ExperimentConfig, str]:
 
 
 def _write_manifest(outdir: Path, cfg: ExperimentConfig, timings: dict[str, float], outputs: list[str]) -> None:
+    import numpy
     import scipy
 
     canonical = emit_config(cfg)
@@ -58,7 +60,7 @@ def _write_manifest(outdir: Path, cfg: ExperimentConfig, timings: dict[str, floa
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "package": f"neckfield {__version__}",
         "python": sys.version.split()[0],
-        "numpy": np.__version__,
+        "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "seed": RANDOM_SEED,
         "timings_s": {k: round(v, 3) for k, v in timings.items()},
@@ -82,18 +84,29 @@ def _cmd_init_config(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    # Each flag is checked, and named if out of range, before any quadrature.
+    n, m, r0 = args.dimension, args.order, args.neck_radius
     curvatures = tuple(args.curvature) if args.curvature else None
+    coefficient = args.coefficient
     if curvatures is not None:
-        if args.order != 2.0:
-            print("curvatures imply order 2", file=sys.stderr)
-            return 2
-        coefficient = math.sqrt(math.prod(curvatures)) / 2.0
-    else:
-        coefficient = args.coefficient
-    params = AsymptoticParams(
-        n=args.dimension, m=args.order, coefficient=coefficient, eps=args.eps, curvatures=curvatures
-    )
-    report = constants_report(params, neck_radius=args.neck_radius)
+        positive = all(0.0 < c < math.inf for c in curvatures)
+        coefficient = math.sqrt(math.prod(curvatures)) / 2.0 if positive else math.nan
+    min_order = 2.0 if n == 2 else n - 1.0
+    for flag, admissible, need, value in (
+        ("--dimension", 2 <= n <= MAX_ORDER + 1, f"in [2, {MAX_ORDER + 1:g}]", n),
+        ("--order", min_order <= m <= MAX_ORDER, f"in [{min_order:g}, {MAX_ORDER:g}] in dimension {n}", m),
+        ("--order", curvatures is None or m == 2.0, "2 when curvatures are given", m),
+        ("--coefficient", 0.0 < args.coefficient < math.inf, "positive and finite", args.coefficient),
+        ("--curvature", 0.0 < coefficient < math.inf, "positive, with a finite nonzero product", curvatures),
+        ("--eps", 0.0 < args.eps < 1.0, "in (0, 1)", args.eps),
+        # The gap integrand forms r**m out to the neck radius.
+        ("--neck-radius", 0.0 < r0 < math.inf and m * math.log(r0) < math.log(sys.float_info.max),
+         f"positive, with neck_radius**{m:g} finite", r0),
+    ):
+        if not admissible:
+            raise ValueError(f"{flag} must be {need}, got {value}")
+    params = AsymptoticParams(n=n, m=m, coefficient=coefficient, eps=args.eps, curvatures=curvatures)
+    report = constants_report(params, neck_radius=r0)
     width = max(len(k) for k, _ in report.rows())
     for key, value in report.rows():
         print(f"{key:<{width}}  {value}")
@@ -327,6 +340,9 @@ def _cmd_report(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:  # a value set in the environment wins
+        for var in THREAD_VARS:
+            os.environ.setdefault(var, "1")
     parser = argparse.ArgumentParser(
         prog="neckfield",
         description="Field concentration between nearly touching perfect conductors",

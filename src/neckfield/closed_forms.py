@@ -15,12 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _Deferred
 from .geometry import GeometryError, InclusionPair
 from .quadrature import adaptive_integral, integral_to_infinity
 
+np = _Deferred("numpy")
+
 __all__ = [
+    "MAX_ORDER",
     "AsymptoticParams",
     "ConstantsReport",
     "ProfileConstant",
@@ -38,6 +40,11 @@ __all__ = [
     "energy_error_scale_m",
     "constants_report",
 ]
+
+# The largest order the oracle takes: its order-m tail integral samples
+# r = 4 / (1 - 0.9914554) = 468.1 (t = 1/r at the outermost Kronrod node of
+# the first bisection), and r**m is finite for m < log(DBL_MAX) / log(468.1) = 115.4.
+MAX_ORDER = 100.0
 
 
 def _check_eps(eps: float) -> None:

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import fem
+from . import _Deferred, fem
 from .closed_forms import neck_potential
 from .geometry import InclusionPair
 from .mesh import INCLUSION1, INCLUSION2, OUTER, Mesh, MeshParams, generate_touching
+
+np = _Deferred("numpy")
 
 __all__ = [
     "BoundaryData",

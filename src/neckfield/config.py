@@ -260,8 +260,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if not problems:
         try:
             mesh = MeshParams(**given("mesh"))
-        except Exception as exc:  # noqa: BLE001 - report, do not crash
-            problems.append((where("mesh", "layers"), "mesh", str(exc)))
+        except MeshError as exc:
+            problems.append((where("mesh", exc.key), exc.key, str(exc)))
         else:
             try:
                 mesh.check_budget(geometry.outer_radius)

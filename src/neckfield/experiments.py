@@ -17,14 +17,14 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import fem
+from . import _Deferred, fem
 from .closed_forms import energy_limit_constant, gap_rate_m, printed_energy_constant
 from .conductivity import BoundaryData, SolveBundle, neck_interpolant, neck_remainder, solve_bundle
 from .geometry import GeometryError, InclusionPair
 from .mesh import Mesh, MeshError, MeshParams, generate, refine_quadrisect
 from .quadrature import QuadratureError
+
+np = _Deferred("numpy")
 
 __all__ = [
     "SweepRecord",

@@ -32,10 +32,11 @@ Cuthill-McKee and factored by LAPACK's banded Cholesky (George and Liu,
 thousand unknowns; from about 10,000 on, where the band is often too
 wide, the dissection wins (BENCH_17.json has the figures per block).
 
-``sp``, ``spla``, ``csgraph`` and ``linalg`` are deferred stand-ins for
-``scipy.sparse``, ``scipy.sparse.linalg``, ``scipy.sparse.csgraph`` and
-``scipy.linalg`` (``mesh._Deferred``): the first assembly or
-solve imports them, so commands that never solve load no scipy.
+``np``, ``sp``, ``spla``, ``csgraph`` and ``linalg`` are deferred
+stand-ins for numpy, ``scipy.sparse``, ``scipy.sparse.linalg``,
+``scipy.sparse.csgraph`` and ``scipy.linalg`` (``neckfield._Deferred``):
+the first assembly or solve imports them, so commands that never solve
+load neither numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from . import _Deferred
+from .mesh import INTERIOR, Mesh
 
-from .mesh import INTERIOR, Mesh, _Deferred
-
+np = _Deferred("numpy")
 sp = _Deferred("scipy.sparse")
 spla = _Deferred("scipy.sparse.linalg")
 csgraph = _Deferred("scipy.sparse.csgraph")

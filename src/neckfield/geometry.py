@@ -15,7 +15,9 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
+from . import _Deferred
+
+np = _Deferred("numpy")
 
 __all__ = [
     "GeometryError",

@@ -17,34 +17,22 @@ gap.
 
 Boundary edge tags: OUTER, INCLUSION1 (upper), INCLUSION2 (lower).
 
-``spatial`` and ``spla`` are deferred stand-ins for ``scipy.spatial`` and
-``scipy.sparse.linalg``, each imported at its first use (the first
-far-field mesh), so importing the package loads no scipy.
+``np``, ``spatial`` and ``spla`` are deferred stand-ins for numpy,
+``scipy.spatial`` and ``scipy.sparse.linalg`` (``neckfield._Deferred``),
+each imported at its first use, so importing the package loads neither.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib
 import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _Deferred
 from .geometry import InclusionPair
 
-
-class _Deferred:
-    """Stands in for a module and imports it at the first attribute access."""
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __getattr__(self, attr: str):
-        return getattr(importlib.import_module(self._name), attr)
-
-
+np = _Deferred("numpy")
 spla = _Deferred("scipy.sparse.linalg")
 spatial = _Deferred("scipy.spatial")
 
@@ -83,7 +71,12 @@ _PAIR_CHUNK = 1 << 16
 
 
 class MeshError(RuntimeError):
-    """Mesh generation failed or produced an inconsistent triangulation."""
+    """Mesh generation failed or produced an inconsistent triangulation;
+    ``key`` names the ``MeshParams`` field at fault, if one is."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -103,16 +96,15 @@ class MeshParams:
     refinement: int = 0
 
     def __post_init__(self) -> None:
-        if self.layers < 4:
-            raise MeshError(f"need at least 4 layers across the gap, got {self.layers}")
-        if self.h_far <= 0.0:
-            raise MeshError(f"far-field edge length must be positive, got {self.h_far}")
-        if not (0.0 < self.grading_exponent <= 1.0):
-            raise MeshError(f"grading exponent must lie in (0, 1], got {self.grading_exponent}")
-        if self.neck_step_factor <= 0.0:
-            raise MeshError("neck step factor must be positive")
-        if self.refinement < 0:
-            raise MeshError("refinement level must be nonnegative")
+        for key, admissible, need in (
+            ("layers", self.layers >= 4, "at least 4 (rows across the gap)"),
+            ("h_far", 0.0 < self.h_far < math.inf, "positive and finite"),
+            ("grading_exponent", 0.0 < self.grading_exponent <= 1.0, "in (0, 1]"),
+            ("neck_step_factor", 0.0 < self.neck_step_factor < math.inf, "positive and finite"),
+            ("refinement", self.refinement >= 0, "nonnegative"),
+        ):
+            if not admissible:
+                raise MeshError(f"{key} must be {need}, got {getattr(self, key)!r}", key)
 
     def scaled(self) -> tuple[float, float]:
         """(effective neck factor, effective far size) after refinement."""

@@ -89,6 +89,30 @@ class TestConfig:
         assert (line, key) == (2, "refinement")
         assert "241275 points" in msg and "budget of 200000" in msg
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("h_far", "nan"), ("h_far", "inf"), ("neck_step_factor", "nan"), ("neck_step_factor", "inf")],
+    )
+    def test_non_finite_mesh_value_located(self, key, value):
+        # NaN passed the sign test and hung the neck stations; inf gave a
+        # one-column strip or a raw conversion error.
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[mesh]\nlayers = 6\n{key} = {value}\n")
+        (line, where, msg), = err.value.problems
+        assert (line, where) == (3, key)
+        assert msg.startswith(f"{key} must be positive and finite, got {value}")
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("layers", "3"), ("h_far", "0"), ("grading_exponent", "1.5"), ("neck_step_factor", "-1"), ("refinement", "-1")],
+    )
+    def test_mesh_error_on_the_line_of_its_key(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[sweep]\ncount = 6\n[mesh]\n{key} = {value}\n")
+        (line, where, msg), = err.value.problems
+        assert (line, where) == (4, key)
+        assert msg.startswith(f"{key} must be")
+
     @pytest.mark.parametrize("split,margin", [("0.7 0.3", "0.518"), ("0.75 0.25", "-0.124")])
     def test_inadmissible_split_located(self, split, margin):
         # the caps of a lopsided split reach the outer boundary
@@ -159,6 +183,46 @@ class TestCommands:
         assert main(["constants", "-n", "2", "-m", "2"]) == 0
         out = capsys.readouterr().out
         assert "oracle limit" in out
+
+    @pytest.mark.parametrize(
+        "flags,flag",
+        [
+            (["--coefficient", "nan"], "--coefficient"),
+            (["--coefficient", "inf"], "--coefficient"),
+            (["--curvature", "nan"], "--curvature"),
+            (["--curvature", "inf"], "--curvature"),
+            (["--curvature", "-1"], "--curvature"),
+            (["--order", "inf"], "--order"),
+            (["--order", "1e6"], "--order"),
+            (["--order", "nan"], "--order"),
+            (["--neck-radius", "-1"], "--neck-radius"),
+            (["--neck-radius", "nan"], "--neck-radius"),
+            (["--order", "40", "--neck-radius", "1e10"], "--neck-radius"),
+            (["--dimension", "400"], "--dimension"),
+            (["--eps", "nan"], "--eps"),
+        ],
+    )
+    def test_constants_bad_flag_is_one_line_exit_2(self, flags, flag, capsys, monkeypatch):
+        # These ran into tracebacks, printed nan, or exited 3 as a solver failure.
+        from neckfield import cli
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("the flags are checked before any quadrature")
+
+        monkeypatch.setattr(cli, "constants_report", no_quadrature)
+        assert main(["constants", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {flag} must be")
+
+    def test_constants_order_range(self, capsys):
+        from neckfield.closed_forms import MAX_ORDER
+
+        assert main(["constants", "--order", repr(MAX_ORDER)]) == 0
+        assert main(["constants", "--order", repr(MAX_ORDER + 0.5)]) == 2
+        assert main(["constants", "-n", "3", "--order", "1.5"]) == 2
+        assert "--order must be in [2, 100] in dimension 3" in capsys.readouterr().err
 
     def test_constants_json(self, tmp_path, capsys):
         out = tmp_path / "constants.json"
