@@ -45,8 +45,9 @@ after each; the parts of an existing OUT that it does not run are kept:
   the wall time of the whole process, its own peak RSS and the largest
   peak RSS of its children (the worker).
 - ``pairs``: for each workload, PAIRS alternating perfbench pairs (seeds
-  1..PAIRS, ``run_seconds`` from ``BENCHMARK.json``), as in
-  ``benchmarks/symmetry.py``.
+  1..PAIRS, ``run_seconds`` from ``BENCHMARK.json``): each run's
+  end-to-end metrics, each side's median and quartiles, and the pairs the
+  change won (lower reads better; ties count for neither).
 - ``holdout``: one more parent/change pair of the sweep workload at seed
   HOLDOUT.  The gate pins its own geometries, so a seed does not change it.
 """
@@ -55,19 +56,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-from concurrency import ONE_CPU, _fingerprint
-from startup import _alternate
-from symmetry import TRACED_METRICS, TRACED_SECONDS, WORKLOADS, _env, _python, pairs, perfbench
+from pairs import HOST, ONE_CPU, RECORD, WORKLOADS, alternate, compare, pairs, perfbench, python
 
+TRACED_SECONDS = 20.0
+TRACED_METRICS = ("fem.lu_s", "fem.lu_nnz", "fem.lu_calls", "fem.solve_dirichlet_s")
 LADDER_REPEATS = 3
 LADDER_CODE = """
 import json, statistics, sys, time
@@ -302,46 +299,34 @@ def _median(values: list):
 
 def _timeline(parent: Path, change: Path, runs: int) -> dict:
     """RUNS alternating processes of TIMELINE_CODE per checkout."""
-    passes = {"parent": [], "change": []}
-    for i in range(1, runs + 1):
-        order = ("parent", "change") if i % 2 else ("change", "parent")
-        for side in order:
-            passes[side] += json.loads(_python(parent if side == "parent" else change, TIMELINE_CODE, str(PASSES))[-1])
-        print(f"timeline run {i}: " + ", ".join(
-            f"{side} {statistics.median(p['wall_s'] for p in passes[side][-PASSES:]):.3f} s" for side in order),
-            flush=True)
+    per_run = alternate(parent, change, runs, lambda root, _: json.loads(python(root, TIMELINE_CODE, str(PASSES))[-1]),
+                        "timeline", lambda rows: f"{statistics.median(p['wall_s'] for p in rows):.3f} s")
+    passes = {side: [row for rows in side_runs for row in rows] for side, side_runs in per_run.items()}
     return {side: {"median": _median(rows), "passes": rows} for side, rows in passes.items()}
 
 
 def _ladder(parent: Path, change: Path, runs: int) -> dict:
     """RUNS alternating processes of LADDER_CODE per checkout; per level,
     the medians over the processes' medians."""
-    rows = {"parent": [], "change": []}
-    for i in range(1, runs + 1):
-        order = ("parent", "change") if i % 2 else ("change", "parent")
-        for side in order:
-            root = parent if side == "parent" else change
-            rows[side].append([json.loads(line) for line in _python(root, LADDER_CODE, str(LADDER_REPEATS))])
-        print(f"ladder run {i}: " + ", ".join(
-            f"{side} level 3 {rows[side][-1][-1]['lu_s'] + rows[side][-1][-1]['setup_s']:.3f} s" for side in order),
-            flush=True)
+    rows = alternate(parent, change, runs,
+                     lambda root, _: [json.loads(line) for line in python(root, LADDER_CODE, str(LADDER_REPEATS))],
+                     "ladder", lambda levels: f"level 3 {levels[-1]['lu_s'] + levels[-1]['setup_s']:.3f} s")
     return {side: [{key: (statistics.median(r[key] for r in level) if key.endswith("_s") else level[0][key])
                     for key in level[0]}
                    for level in zip(*runs_of_side)]
             for side, runs_of_side in rows.items()}
 
 
-def _verify(root: Path, prefix: tuple[str, ...] = ()) -> dict:
+def _verify(root: Path, prefix: tuple[str, ...]) -> dict:
     """Wall time of one fresh ``neckfield verify`` process on the default
     config, and its peak RSS and its children's."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text(f"[output]\ndirectory = {Path(tmp) / 'out'}\n")
         t0 = time.perf_counter()
-        out = subprocess.run([*prefix, sys.executable, "-c", VERIFY_CODE, str(cfg)],
-                             cwd=root, env=_env(root), capture_output=True, text=True, check=True)
+        last = python(root, VERIFY_CODE, str(cfg), prefix=prefix)[-1]
         wall = time.perf_counter() - t0
-    return {"wall_s": wall, **json.loads(out.stdout.splitlines()[-1])}
+    return {"wall_s": wall, **json.loads(last)}
 
 
 def _traced(root: Path, workload: str, seconds: float) -> dict:
@@ -371,7 +356,7 @@ def main() -> None:
     sides = (("parent", parent), ("change", change))
     seconds = float(json.loads((change / "BENCHMARK.json").read_text())["run_seconds"])
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["host"] = f"{platform.machine()}, {os.cpu_count()} cores, Python {platform.python_version()}"
+    doc["host"] = HOST
 
     def save() -> None:
         args.out.write_text(json.dumps(doc, indent=2) + "\n")
@@ -388,9 +373,10 @@ def main() -> None:
             print(f"timeline {side}: {json.dumps(doc['timeline'][side]['median'])}", flush=True)
         save()
     if "fingerprints" in parts:
-        doc["fingerprints"] = {f"{side}_{workload}": _fingerprint(root, (), workload)
+        doc["fingerprints"] = {f"{side}_{workload}": perfbench(root, workload, 0, 1)["fingerprints"]
                                for side, root in sides for workload in WORKLOADS}
-        doc["fingerprints"].update({f"{side}_gate_one_cpu": _fingerprint(root, ONE_CPU) for side, root in sides})
+        doc["fingerprints"].update({f"{side}_gate_one_cpu": perfbench(root, "gate", 0, 1, prefix=ONE_CPU)["fingerprints"]
+                                    for side, root in sides})
         print(f"fingerprints {doc['fingerprints']}", flush=True)
         save()
     if "traced" in parts:
@@ -398,10 +384,10 @@ def main() -> None:
         print(f"traced gate {doc['traced_gate']}", flush=True)
         save()
     if "verify" in parts:
-        doc["verify"] = {
-            "two_cpus": _alternate(parent, change, args.pairs, _verify, "two-CPU verify"),
-            "one_cpu": _alternate(parent, change, args.pairs, lambda root: _verify(root, ONE_CPU), "one-CPU verify"),
-        }
+        doc["verify"] = {}
+        for name, prefix, label in (("two_cpus", (), "two-CPU verify"), ("one_cpu", ONE_CPU, "one-CPU verify")):
+            runs = alternate(parent, change, args.pairs, lambda root, _: _verify(root, prefix), label)
+            doc["verify"][name] = {"runs": runs, "metrics": compare(runs)}
         save()
     if "pairs" in parts:
         doc["pairs"] = {}
@@ -409,8 +395,8 @@ def main() -> None:
             doc["pairs"][workload] = pairs(parent, change, workload, args.pairs, seconds)
             save()
     if "holdout" in parts:
-        doc["holdout"] = {"seed": args.holdout,
-                          "sweep": {side: perfbench(root, "sweep", args.holdout, seconds) for side, root in sides}}
+        runs = {side: perfbench(root, "sweep", args.holdout, seconds) for side, root in sides}
+        doc["holdout"] = {"seed": args.holdout, "sweep": {side: {k: run[k] for k in RECORD} for side, run in runs.items()}}
         print("holdout sweep: " + ", ".join(
             f"{side} {doc['holdout']['sweep'][side]['metrics'].get('wall_s', float('nan')):.3f} s"
             for side, _ in sides), flush=True)

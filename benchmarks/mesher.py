@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import subprocess
-import sys
 from pathlib import Path
+
+from pairs import HOST, perfbench, python
 
 LEVELS = (0, 2, 3, 4, 5, 6)
 SEQUENCE_LEVELS = (0, 2, 4)
@@ -128,52 +127,19 @@ for level in range(levels):
 """
 
 
-def _env(root: Path) -> dict[str, str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(root / "src")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    return env
-
-
 def time_generate(root: Path, level: int, mode: str = "single") -> dict:
     repeats = 5 if level <= 2 else 1
-    out = subprocess.run(
-        [sys.executable, "-c", GENERATE_CODE, str(level), str(repeats), mode],
-        env=_env(root),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(python(root, GENERATE_CODE, str(level), str(repeats), mode)[-1])
 
 
 def time_quadrisect(root: Path) -> dict:
-    out = subprocess.run(
-        [sys.executable, "-c", QUADRISECT_CODE, str(QUADRISECT_LEVELS), str(QUADRISECT_REPEATS)],
-        env=_env(root),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    rows = [json.loads(line) for line in out.stdout.strip().splitlines()]
+    rows = [json.loads(line) for line in python(root, QUADRISECT_CODE, str(QUADRISECT_LEVELS), str(QUADRISECT_REPEATS))]
     return {str(row.pop("level")): row for row in rows}
 
 
 def run_workload(root: Path, name: str) -> dict:
-    out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", name, "--seed", "0", "--seconds", str(SECONDS)],
-        cwd=root,
-        env=_env(root),
-        capture_output=True,
-        text=True,
-    )
-    lines = out.stdout.strip().splitlines()
-    return {
-        "exit_code": out.returncode,
-        "meshes_match_reference": any("meshes match the seed-0 reference" in line for line in lines),
-        "metrics": json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None,
-    }
+    run = perfbench(root, name, 0, SECONDS)
+    return {"exit_code": run["exit_code"], "meshes_match_reference": run["meshes_match_reference"], "metrics": run["doc"]}
 
 
 def main() -> None:
@@ -198,7 +164,7 @@ def main() -> None:
         entry["workloads"][name] = run_workload(root, name)
         print(f"{name}: {entry['workloads'][name]}", flush=True)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("host", f"{platform.machine()}, {os.cpu_count()} cores, Python {platform.python_version()}")
+    doc.setdefault("host", HOST)
     doc[args.label] = entry
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
 

@@ -260,41 +260,11 @@ def _cmd_sweep(args) -> int:
     outputs.append(summary_path.name)
 
     if args.plots:
-        outputs += _render_plots(outdir, records)
+        outputs += [path.name for path in _plot_sweep(outdir, *_read_sweep(outdir))]
     _write_manifest(outdir, cfg, {"sweep": t_sweep}, outputs)
     print(f"wrote {csv_path} ({len(records)} records, {len(failures)} failures)")
     print(f"wrote {summary_path}")
     return 0
-
-
-def _render_plots(outdir: Path, records) -> list[str]:
-    outputs = []
-    grad_points = [(r.eps, r.max_grad_u_neck) for r in records]
-    line = None  # a rate needs four records, as in the summary
-    if len(records) >= 4:
-        fit = fit_rate(records, "max_grad_u_neck")
-        line = (fit.slope, fit.intercept)
-    svg = render_loglog(
-        grad_points,
-        title="neck gradient vs gap",
-        xlabel="gap",
-        ylabel="max |grad u| in neck",
-        fit=line,
-    )
-    path = outdir / "gradient_vs_eps.svg"
-    path.write_text(svg)
-    outputs.append(path.name)
-    energy_points = [(1.0 / r.rate, r.energy_v1) for r in records]
-    svg = render_loglog(
-        energy_points,
-        title="unit-potential energy vs reciprocal rate",
-        xlabel="1 / rate",
-        ylabel="energy of v1",
-    )
-    path = outdir / "energy_vs_invrate.svg"
-    path.write_text(svg)
-    outputs.append(path.name)
-    return outputs
 
 
 def _cmd_verify(args) -> int:
@@ -305,36 +275,48 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_report(args) -> int:
-    outdir = Path(args.dir)
+def _read_sweep(outdir: Path) -> tuple[list[dict[str, float]], dict]:
+    """The rows of ``sweep.csv`` under OUTDIR, and its ``summary.json`` or
+    an empty dict; ValueError if the CSV is missing or of another schema."""
+    import csv
+
     csv_path = outdir / "sweep.csv"
     if not csv_path.exists():
-        print(f"no sweep.csv under {outdir}", file=sys.stderr)
-        return 2
-    import csv as csvmod
-
+        raise ValueError(f"no sweep.csv under {outdir}")
     lines = csv_path.read_text().splitlines()
     if not lines or not lines[0].startswith("# neckfield-sweep-v1"):
-        print("unrecognized sweep schema", file=sys.stderr)
-        return 2
-    reader = csvmod.DictReader(lines[1:])
-    rows = [{k: float(v) for k, v in row.items()} for row in reader]
+        raise ValueError("unrecognized sweep schema")
+    rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(lines[1:])]
+    summary_path = outdir / "summary.json"
+    summary = json.loads(summary_path.read_text()) if summary_path.exists() else {}
+    return rows, summary
+
+
+def _plot_sweep(outdir: Path, rows: list[dict[str, float]], summary: dict) -> list[Path]:
+    """The two log-log plots of a stored sweep; the gradient plot carries
+    the summary's fitted rate line when the sweep had one."""
+    rate = summary.get("rate_max_grad_u_neck")
+    line = (rate["slope"], rate["intercept"]) if rate else None
+    grad_points = [(row["eps"], row["max_grad_u_neck"]) for row in rows]
+    path = outdir / "report_gradient.svg"
+    path.write_text(render_loglog(grad_points, "neck gradient vs gap", "gap", "max |grad u|", fit=line))
+    energy_points = [(1.0 / row["rate"], row["energy_v1"]) for row in rows]
+    path2 = outdir / "report_energy.svg"
+    path2.write_text(render_loglog(energy_points, "energy vs reciprocal rate", "1/rate", "energy"))
+    return [path, path2]
+
+
+def _cmd_report(args) -> int:
+    outdir = Path(args.dir)
+    rows, summary = _read_sweep(outdir)
     cols = ("eps", "energy_v1", "c1", "c2", "b_factor", "max_grad_u_neck", "max_grad_v1_neck")
     header = "  ".join(f"{c:>16}" for c in cols)
     print(header)
     for row in rows:
         print("  ".join(f"{row[c]:>16.8g}" for c in cols))
-    summary_path = outdir / "summary.json"
-    if summary_path.exists():
-        summary = json.loads(summary_path.read_text())
-        for key in sorted(summary):
-            print(f"{key}: {json.dumps(summary[key], sort_keys=True)}")
-    grad_points = [(row["eps"], row["max_grad_u_neck"]) for row in rows]
-    path = outdir / "report_gradient.svg"
-    path.write_text(render_loglog(grad_points, "neck gradient vs gap", "gap", "max |grad u|"))
-    energy_points = [(1.0 / row["rate"], row["energy_v1"]) for row in rows]
-    path2 = outdir / "report_energy.svg"
-    path2.write_text(render_loglog(energy_points, "energy vs reciprocal rate", "1/rate", "energy"))
+    for key in sorted(summary):
+        print(f"{key}: {json.dumps(summary[key], sort_keys=True)}")
+    path, path2 = _plot_sweep(outdir, rows, summary)
     print(f"wrote {path} and {path2}")
     return 0
 

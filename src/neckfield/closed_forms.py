@@ -100,7 +100,8 @@ def curvature_energy_constant(lam1: float, lam2: float | None = None, *, n: int)
     if n == 3:
         if lam2 is None:
             lam2 = lam1
-        return math.pi / math.sqrt(lam1 * lam2)
+        # Root by root: the product lam1 * lam2 under- or overflows.
+        return math.pi / (math.sqrt(lam1) * math.sqrt(lam2))
     raise ValueError(f"dimension must be 2 or 3, got {n}")
 
 
@@ -115,7 +116,9 @@ def reciprocal_power_tail(a: float, m: float) -> float:
     """Closed form of the integral of r^(a-1)/(1+r^m) over (0, infinity)."""
     if not (0.0 < a < m):
         raise ValueError(f"integral diverges unless 0 < a < m, got a={a}, m={m}")
-    return (math.pi / m) / math.sin(a * math.pi / m)
+    # sin(pi*a/m) = sin(pi*(m-a)/m), and the latter keeps its digits as
+    # a/m -> 1; from m - a = 1 on both are accurate.
+    return (math.pi / m) / math.sin((a if m - a >= 1.0 else m - a) * math.pi / m)
 
 
 @dataclass(frozen=True)
@@ -144,7 +147,19 @@ def profile_energy_constant(m: float, n: int, rel_tol: float = 1e-11) -> Profile
     def integrand(r: float) -> float:
         return r ** (a - 1.0) / (1.0 + r**m)
 
-    quad = scale * integral_to_infinity(integrand, 0.0, rel_tol=rel_tol)
+    delta = m - a
+    if n >= 3 and delta != math.floor(delta):
+        # The folded tail t^(delta-1)/(1 + t^m) over (0, 1) is smooth at
+        # t = 0 only for an integer delta; otherwise the bisection digs
+        # toward t = 1/r = 0 until r**m overflows (below delta = 1 the tail
+        # is singular there).  s = t^delta, 1/(1 + s^k) = 1 - s^k/(1 + s^k)
+        # with k = m/delta, and u = s^k make it 1/delta minus a bounded
+        # integral.
+        head = adaptive_integral(integrand, 0.0, 1.0, rel_tol=rel_tol)
+        rest = adaptive_integral(lambda u: u ** (delta / m) / (1.0 + u), 0.0, 1.0, rel_tol=rel_tol)
+        quad = scale * (head + 1.0 / delta - rest / m)
+    else:
+        quad = scale * integral_to_infinity(integrand, 0.0, rel_tol=rel_tol)
     return ProfileConstant(closed_form=closed, quadrature=quad, difference=quad - closed)
 
 

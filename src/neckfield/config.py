@@ -266,7 +266,8 @@ def parse_config(text: str) -> ExperimentConfig:
             try:
                 mesh.check_budget(geometry.outer_radius)
             except MeshError as exc:
-                problems.append((where("mesh", "refinement"), "refinement", str(exc)))
+                key = exc.key or "refinement"
+                problems.append((where("mesh", key), key, str(exc)))
         try:
             geometry.neck_profile()
         except GeometryError as exc:

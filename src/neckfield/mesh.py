@@ -112,8 +112,13 @@ class MeshParams:
         return self.neck_step_factor * shrink, self.h_far * shrink
 
     def check_budget(self, outer_radius: float) -> None:
-        """Fail at once when the far field of a domain of this outer radius
-        would need more points than the mesher allows at this refinement."""
+        """Fail at once when ``h_far`` exceeds the outer radius (a far field
+        that coarse can leave the outer half-circle one segment, whose
+        midpoint is the centre), or when the far field of a domain of this
+        outer radius would need more points than the mesher allows at this
+        refinement."""
+        if self.h_far > outer_radius:
+            raise MeshError(f"h_far must be at most the outer radius {outer_radius:g}, got {self.h_far!r}", "h_far")
         _expected_points(0.5 * math.pi * outer_radius**2, self.scaled()[1])
 
 
@@ -398,13 +403,14 @@ def _circumcenters(p: np.ndarray) -> np.ndarray:
 def _expected_points(area: float, h: float) -> int:
     """Far-field point count expected for target edge length ``h``; fails
     at once above the point budget."""
-    expected = math.ceil(_POINT_DENSITY * area / h**2)
+    expected = _POINT_DENSITY * area / h / h  # h**2 underflows for a tiny h
     if expected > _MAX_POINTS:
+        about = f"about {math.ceil(expected)}" if math.isfinite(expected) else "more"
         raise MeshError(
-            f"far field at edge length {h:.6g} needs about {expected} points, "
+            f"far field at edge length {h:.6g} needs {about} points, "
             f"above the budget of {_MAX_POINTS}; lower the refinement or raise h_far"
         )
-    return expected
+    return math.ceil(expected)
 
 
 def _refine_polygon(chains: list[_Chain], size_fn, h: float) -> _Piece:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -224,6 +225,37 @@ class TestCommands:
         assert main(["constants", "-n", "3", "--order", "1.5"]) == 2
         assert "--order must be in [2, 100] in dimension 3" in capsys.readouterr().err
 
+    @staticmethod
+    def _constants_rows(out: str) -> dict[str, str]:
+        return dict(re.split(r"\s{2,}", line.strip(), maxsplit=1) for line in out.splitlines())
+
+    @pytest.mark.parametrize("n,order", [("3", "2.05"), ("10", "9.001"), ("50", "50.3")])
+    def test_constants_order_just_above_n_minus_one(self, n, order, capsys):
+        # The folded oracle tail t^(delta-1)/(1 + t^m) is singular at t = 0
+        # below delta = 1, and not smooth there for any non-integer delta;
+        # its bisection drove r**m into an OverflowError.
+        assert main(["constants", "-n", n, "--order", order]) == 0
+        rows = self._constants_rows(capsys.readouterr().out)
+        closed = float(rows["order-m constant (closed form)"])
+        assert math.isfinite(closed) and closed > 0.0
+        assert float(rows["order-m constant (quadrature)"]) == pytest.approx(closed, rel=1e-10)
+        assert float(rows["printed / oracle"]) == 1.0
+
+    @pytest.mark.parametrize("coefficient", [1e-200, 1e200])
+    def test_constants_curvature_constant_at_extreme_coefficients(self, coefficient, capsys):
+        # lam1 * lam2 underflowed into a ZeroDivisionError, or overflowed
+        # into a printed 0.
+        from neckfield.closed_forms import AsymptoticParams, constants_report
+
+        assert main(["constants", "-n", "3", "--coefficient", repr(coefficient)]) == 0
+        rows = self._constants_rows(capsys.readouterr().out)
+        want = math.pi / (2.0 * coefficient)
+        assert float(rows["curvature constant (printed)"]) == pytest.approx(want, rel=1e-11)  # 12 digits
+        assert float(rows["printed / oracle"]) == 0.5
+        report = constants_report(AsymptoticParams(n=3, m=2.0, coefficient=coefficient, eps=1e-8))
+        assert report.curvature_constant == pytest.approx(want, rel=1e-15)
+        assert report.printed_constant == pytest.approx(want, rel=1e-15)
+
     def test_constants_json(self, tmp_path, capsys):
         out = tmp_path / "constants.json"
         assert main(["constants", "-n", "3", "-m", "2", "--json", str(out)]) == 0
@@ -287,6 +319,29 @@ class TestCommands:
         assert f"line 2: [{key}] {key} must be finite, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "h_far,code,err",
+        [
+            ("4", 0, ""),
+            # One outer segment, split at the centre: a NaN vertex for qhull.
+            ("13", 2, "line 2: [h_far] h_far must be at most the outer radius 4, got 13.0"),
+            # An OverflowError from h**2 in the point budget.
+            ("1e300", 2, "line 2: [h_far] h_far must be at most the outer radius 4, got 1e+300"),
+            # A ZeroDivisionError from h**2 underflowing in the point budget.
+            ("1e-200", 2, "[refinement] far field at edge length 1e-200 needs more points, above the budget"),
+        ],
+        ids=["4", "13", "1e300", "1e-200"],
+    )
+    def test_h_far_meshes_or_is_refused(self, tmp_path, capsys, h_far, code, err):
+        path = tmp_path / "coarse.cfg"
+        path.write_text(f"[mesh]\nh_far = {h_far}\n[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main(["mesh", "--config", str(path)]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.out.endswith("audit passed\n")
+        else:
+            assert err in captured.err
+
     def test_short_sweep_exit_two(self, tmp_path, capsys):
         path = tmp_path / "short.cfg"
         path.write_text(f"[sweep]\ncount = 3\n[output]\ndirectory = {tmp_path / 'out'}\n")
@@ -309,11 +364,16 @@ class TestCommands:
         field = (outdir / "field_u.txt").read_text().splitlines()
         idx, value = field[0].split()
         assert idx == "0" and float(value) is not None
+        # --plots draws the summary's fitted line, and report redraws the
+        # same two plots byte for byte.
+        plots = {name: (outdir / name).read_text() for name in ("report_gradient.svg", "report_energy.svg")}
+        assert set(plots) <= set(json.loads((outdir / "manifest.json").read_text())["outputs"])
+        assert "stroke-dasharray" in plots["report_gradient.svg"]
         capsys.readouterr()
         assert main(["report", "--dir", str(outdir)]) == 0
         out = capsys.readouterr().out
         assert "energy_v1" in out
-        assert (outdir / "report_gradient.svg").exists()
+        assert {name: (outdir / name).read_text() for name in plots} == plots
 
     def test_sweep_plots_with_three_surviving_gaps(self, tmp_path, capsys, monkeypatch):
         # The smallest gap fails; three records cannot fit a rate, so the
@@ -335,9 +395,9 @@ class TestCommands:
         assert "(3 records, 1 failures)" in capsys.readouterr().out
         outdir = tmp_path / "out"
         manifest = json.loads((outdir / "manifest.json").read_text())
-        for name in ("gradient_vs_eps.svg", "energy_vs_invrate.svg"):
+        for name in ("report_gradient.svg", "report_energy.svg"):
             assert name in manifest["outputs"] and (outdir / name).exists()
-        svg = (outdir / "gradient_vs_eps.svg").read_text()
+        svg = (outdir / "report_gradient.svg").read_text()
         assert svg.count("<circle") == 3 and "stroke-dasharray" not in svg
 
     def test_sweep_bytes_reproducible(self, tmp_path):

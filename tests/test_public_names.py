@@ -3,13 +3,17 @@ and every public name must have a caller.
 
 ``perfbench/spans.py`` wraps package functions by name for its per-layer
 timings, so deleting or renaming one of them breaks every traced run.
-These tests only read the files of ``src/`` and ``perfbench/``.
+The code that ``benchmarks/critical_path.py`` runs patches private names
+the same way.  These tests read the files of ``src/`` and ``perfbench/``,
+and ask the two benchmark scripts for their help.
 """
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +44,32 @@ def test_probe_patch_points_resolve():
     assert callable(fem.StiffnessOperator._cg)
     assert callable(fem.spla.splu)
     assert acceptance.CRITERIA and all(callable(c) for c in acceptance.CRITERIA)
+
+
+@pytest.mark.parametrize(
+    "module,path",
+    [
+        ("acceptance", "_build_adopted"),
+        ("acceptance", "AcceptanceContext._build"),
+        ("acceptance", "AcceptanceContext.prefetch"),
+        ("fem", "_dissection"),
+        ("fem", "stiffness_matrix"),
+        ("fem", "StiffnessOperator._factor"),
+        ("fem", "spla.splu"),
+    ],
+)
+def test_benchmark_patch_point_resolves(module, path):
+    target = importlib.import_module(f"neckfield.{module}")
+    for attr in path.split("."):
+        target = getattr(target, attr)
+    assert callable(target)
+
+
+@pytest.mark.parametrize("script", ["critical_path.py", "mesher.py"])
+def test_benchmark_script_starts(script):
+    done = subprocess.run([sys.executable, str(ROOT / "benchmarks" / script), "--help"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("module", MODULES)
