@@ -9,6 +9,19 @@ import sys
 __version__ = "0.1.0"
 
 
+class _Keyed(Exception):
+    """Names, in ``keys``, the fields that the failed check reads, the one
+    at fault first."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
+
+
+class InputError(_Keyed, ValueError):
+    """An input outside its admitted range."""
+
+
 class _Deferred:
     """Stands in for numpy or a scipy module, so that importing the package
     loads neither.  The first attribute access imports the module and

@@ -86,19 +86,22 @@ def _cmd_init_config(args) -> int:
 def _cmd_constants(args) -> int:
     # Each flag is checked, and named if out of range, before any quadrature.
     n, m, r0 = args.dimension, args.order, args.neck_radius
+    # Each constant is the coefficient to a power in [-1, 1] times a factor
+    # below 1e15, so in this range every one of them is a finite nonzero double.
+    low, high = 1e-250, 1e250
     curvatures = tuple(args.curvature) if args.curvature else None
     coefficient = args.coefficient
     if curvatures is not None:
-        positive = all(0.0 < c < math.inf for c in curvatures)
-        coefficient = math.sqrt(math.prod(curvatures)) / 2.0 if positive else math.nan
+        inside = all(low <= c <= high for c in curvatures)
+        coefficient = math.sqrt(math.prod(curvatures)) / 2.0 if inside else math.nan
     min_order = 2.0 if n == 2 else n - 1.0
     for flag, admissible, need, value in (
         ("--dimension", 2 <= n <= MAX_ORDER + 1, f"in [2, {MAX_ORDER + 1:g}]", n),
         ("--order", min_order <= m <= MAX_ORDER, f"in [{min_order:g}, {MAX_ORDER:g}] in dimension {n}", m),
         ("--order", curvatures is None or m == 2.0, "2 when curvatures are given", m),
-        ("--coefficient", 0.0 < args.coefficient < math.inf, "positive and finite", args.coefficient),
-        ("--curvature", 0.0 < coefficient < math.inf, "positive, with a finite nonzero product", curvatures),
-        ("--eps", 0.0 < args.eps < 1.0, "in (0, 1)", args.eps),
+        ("--coefficient", low <= args.coefficient <= high, f"in [{low:g}, {high:g}]", args.coefficient),
+        ("--curvature", low <= coefficient <= high, f"in [{low:g}, {high:g}], as is sqrt(product)/2", curvatures),
+        ("--eps", sys.float_info.min <= args.eps < 1.0, f"in [{sys.float_info.min!r}, 1)", args.eps),
         # The gap integrand forms r**m out to the neck radius.
         ("--neck-radius", 0.0 < r0 < math.inf and m * math.log(r0) < math.log(sys.float_info.max),
          f"positive, with neck_radius**{m:g} finite", r0),
@@ -107,6 +110,11 @@ def _cmd_constants(args) -> int:
             raise ValueError(f"{flag} must be {need}, got {value}")
     params = AsymptoticParams(n=n, m=m, coefficient=coefficient, eps=args.eps, curvatures=curvatures)
     report = constants_report(params, neck_radius=r0)
+    # Away from m = 2, printed / oracle goes like coefficient**(2(n-1)/m).
+    if not 0.0 < report.printed_over_oracle < math.inf:
+        raise ValueError(
+            f"--coefficient must be nearer 1 at order {m}, got {coefficient}: printed / oracle out of range"
+        )
     width = max(len(k) for k, _ in report.rows())
     for key, value in report.rows():
         print(f"{key:<{width}}  {value}")

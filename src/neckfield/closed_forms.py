@@ -13,6 +13,7 @@ every capacity-type energy asymptote reduces to exactly this integral.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import _Deferred
@@ -48,8 +49,9 @@ MAX_ORDER = 100.0
 
 
 def _check_eps(eps: float) -> None:
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"gap must lie in (0, 1), got {eps}")
+    # A subnormal gap loses the digits the gap integral needs.
+    if not (sys.float_info.min <= eps < 1.0):
+        raise ValueError(f"gap must lie in [{sys.float_info.min!r}, 1), got {eps}")
 
 
 def _check_admissible(n: int, m: float) -> None:
@@ -214,7 +216,8 @@ def gap_integral_quadratic(
     def integrand(theta: float) -> float:
         c, s = math.cos(theta), math.sin(theta)
         r_theta2 = r0**2 / (2.0 * c * c / lam1 + 2.0 * s * s / lam2)
-        return 0.5 * math.log1p(r_theta2 / eps)
+        ratio = r_theta2 / eps  # overflows at the smallest gaps, where log1p is log
+        return 0.5 * (math.log1p(ratio) if ratio < math.inf else math.log(r_theta2) - math.log(eps))
 
     return jac * adaptive_integral(integrand, 0.0, 2.0 * math.pi, rel_tol=rel_tol)
 

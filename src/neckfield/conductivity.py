@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _Deferred, fem
+from . import InputError, _Deferred, fem
 from .closed_forms import neck_potential
 from .geometry import InclusionPair
 from .mesh import INCLUSION1, INCLUSION2, OUTER, Mesh, MeshParams, generate_touching
@@ -50,9 +50,9 @@ class BoundaryData:
 
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "linear_xn", "linear_x1", "fourier"):
-            raise ValueError(f"unknown boundary data kind {self.kind!r}")
+            raise InputError(f"unknown boundary data kind {self.kind!r}", "kind")
         if self.kind == "fourier" and not (self.cos_coeffs or self.sin_coeffs):
-            raise ValueError("fourier data needs at least one coefficient")
+            raise InputError("fourier data needs at least one coefficient", "kind")
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

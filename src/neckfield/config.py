@@ -2,8 +2,13 @@
 
 Sectioned key = value text; '#' starts a comment.  Unknown sections or
 keys, duplicates and type mismatches are collected as located errors
-(line, key, message) rather than raised one at a time.  emit() produces a
-canonical form whose reparse compares equal.
+(line, key, message) rather than raised one at a time.  Each value is
+then checked once, by the type that owns it (NeckProfile, InclusionPair,
+BoundaryData, SweepConfig, sweep_gaps and MeshParams), and the first
+failure of each section is reported on the line of the key at fault,
+else of the first key the file sets that the check reads, else of the
+section's header.  emit() produces a canonical form whose reparse
+compares equal.
 """
 
 from __future__ import annotations
@@ -11,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+from . import InputError
 from .conductivity import BoundaryData
 from .experiments import sweep_gaps
-from .geometry import GeometryError, InclusionPair, NeckProfile, ProfileKind
+from .geometry import GeometryError, InclusionPair, NeckProfile, ProfileKind, ReachError
 from .mesh import MeshError, MeshParams
 
 __all__ = [
@@ -51,12 +57,13 @@ class GeometryConfig:
     separation: float = 1.0
 
     def neck_profile(self) -> NeckProfile:
-        split = (self.split[0], self.split[1])
         if self.profile == "quadratic":
-            return NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=self.curvatures, split=split)
-        return NeckProfile(
-            kind=ProfileKind.POWER_LAW, order=self.order, coefficient=self.coefficient, split=split
-        )
+            return NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=self.curvatures, split=self.split)
+        if self.profile == "power":
+            return NeckProfile(
+                kind=ProfileKind.POWER_LAW, order=self.order, coefficient=self.coefficient, split=self.split
+            )
+        raise GeometryError(f"profile must be quadratic or power, got {self.profile!r}", "profile")
 
     def pair(self, eps: float) -> InclusionPair:
         return InclusionPair(
@@ -80,12 +87,32 @@ class BoundaryConfig:
         return BoundaryData(kind=self.kind, value=self.value, cos_coeffs=self.cos, sin_coeffs=self.sin)
 
 
+# Every gap of a sweep is a mesh and a solve.
+_MAX_COUNT = 100
+
+
 @dataclass(frozen=True)
 class SweepConfig:
+    """The explicit ``epsilons``, else ``count`` gaps ``start / factor**k``."""
+
     epsilons: tuple[float, ...] = ()
     start: float = 1e-2
     factor: float = 4.0
     count: int = 6
+
+    def __post_init__(self) -> None:
+        if self.count > _MAX_COUNT:
+            raise InputError(f"count must be at most {_MAX_COUNT}, got {self.count}", "count")
+        try:
+            last = self.factor ** max(self.count - 1, 0)
+        except OverflowError:
+            last = math.inf
+        if not (self.factor > 0.0 and 0.0 < last < math.inf):
+            raise InputError(
+                f"factor must be positive with factor**(count - 1) finite and nonzero, got {self.factor!r}",
+                "factor",
+                "count",
+            )
 
     def eps_list(self) -> list[float]:
         if self.epsilons:
@@ -113,7 +140,7 @@ class ExperimentConfig:
 
 def _parse_int(s: str) -> int:
     value = float(s)
-    if value != int(value):
+    if not value.is_integer():
         raise ValueError(f"expected an integer, got {s!r}")
     return int(value)
 
@@ -138,10 +165,10 @@ _SCHEMA: dict[str, dict[str, object]] = {
 }
 
 
-def _smallest_split(geometry: GeometryConfig, eps: float) -> float | None:
-    """Smallest fraction of the thinner inclusion, rounded up to four
+def _split_hint(geometry: GeometryConfig, eps: float) -> str:
+    """The smallest fraction of the thinner inclusion, rounded up to four
     decimals, for which the pair at gap ``eps`` exists with the rest of
-    ``geometry`` as given; None when the even split fails too.  The caps
+    ``geometry`` as given; empty when the even split fails too.  The caps
     reach less far as that fraction grows to 1/2, so bisection finds it."""
     thin_first = geometry.split[0] < geometry.split[1]
 
@@ -154,16 +181,17 @@ def _smallest_split(geometry: GeometryConfig, eps: float) -> float | None:
         return True
 
     if not admissible(0.5):
-        return None
+        return ""
     lo, hi = 0.0, 0.5  # a zero fraction is never admissible
     while hi - lo > 1e-7:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if admissible(mid) else (mid, hi)
-    return math.ceil(hi * 1e4) / 1e4
+    return f"; with the rest as given, the smaller split fraction must be at least {math.ceil(hi * 1e4) / 1e4:.4f}"
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate; raises ConfigError listing every located problem."""
+    """Parse and validate; raises ConfigError listing every located problem:
+    each malformed line, and the first failed check of each section."""
     problems: list[tuple[int, str, str]] = []
     raw: dict[tuple[str, str], object] = {}
     lines_of: dict[tuple[str, str], int] = {}
@@ -205,85 +233,42 @@ def parse_config(text: str) -> ExperimentConfig:
         """The keys set in one section; every other key keeps its default."""
         return {key: value for (sec, key), value in raw.items() if sec == section}
 
-    def where(section: str, key: str) -> int:
-        return lines_of.get((section, key), 0)
+    def report(section: str, keys: tuple[str, ...], message: str, reads: tuple[str, ...] = ()) -> None:
+        """Locate a problem on the first of ``keys`` that the file sets in
+        ``section``, else on the first key it sets in the sections
+        ``reads``, else on the header of ``section``."""
+        found = [(lines_of[(section, key)], key) for key in keys if (section, key) in lines_of]
+        found = found or sorted((ln, key) for (sec, key), ln in lines_of.items() if sec in reads)
+        line, key = found[0] if found else (section_lines[section], section)
+        problems.append((line, key, message))
 
     geometry = GeometryConfig(**given("geometry"))
-    boundary = BoundaryConfig(**given("boundary"))
-    sweep = SweepConfig(**given("sweep"))
     tolerances = ToleranceConfig(**given("tolerances"))
-
-    # Semantic validation with located reports.
-    if geometry.dimension not in (2, 3):
-        problems.append((where("geometry", "dimension"), "dimension", "dimension must be 2 or 3"))
-    if geometry.profile not in ("quadratic", "power"):
-        problems.append((where("geometry", "profile"), "profile", "profile must be quadratic or power"))
-    if geometry.profile == "power":
-        min_order = 2.0 if geometry.dimension == 2 else max(2.0, geometry.dimension - 1.0)
-        if geometry.order < min_order:
-            problems.append(
-                (
-                    where("geometry", "order"),
-                    "order",
-                    f"order {geometry.order:g} inadmissible in dimension {geometry.dimension} (need >= {min_order:g})",
-                )
-            )
-    if geometry.profile == "quadratic" and len(geometry.curvatures) != geometry.dimension - 1:
-        problems.append(
-            (
-                where("geometry", "curvatures"),
-                "curvatures",
-                f"need {geometry.dimension - 1} curvature(s) in dimension {geometry.dimension}",
-            )
-        )
-    for key in ("neck_radius", "outer_radius", "separation"):
-        if not math.isfinite(getattr(geometry, key)):
-            problems.append((where("geometry", key), key, f"{key} must be finite, got {getattr(geometry, key)}"))
-    if len(geometry.split) != 2:
-        problems.append((where("geometry", "split"), "split", "split takes exactly two fractions"))
-    if boundary.kind not in ("constant", "linear_xn", "linear_x1", "fourier"):
-        problems.append((where("boundary", "kind"), "kind", f"unknown boundary kind {boundary.kind!r}"))
-    if boundary.kind == "fourier" and not (boundary.cos or boundary.sin):
-        problems.append((where("boundary", "kind"), "kind", "fourier data needs cos or sin coefficients"))
-    eps_candidates = sweep.eps_list() if not problems else []
-    for eps in eps_candidates:
-        if not (0.0 < eps < 1.0):
-            problems.append((where("sweep", "epsilons"), "epsilons", f"gap {eps:g} outside (0, 1)"))
-            break
-    if not problems:
-        try:
-            sweep_gaps(eps_candidates)
-        except ValueError as exc:
-            problems.append((section_lines.get("sweep", 0), "sweep", str(exc)))
-
-    mesh = None
-    if not problems:
-        try:
-            mesh = MeshParams(**given("mesh"))
-        except MeshError as exc:
-            problems.append((where("mesh", exc.key), exc.key, str(exc)))
-        else:
-            try:
-                mesh.check_budget(geometry.outer_radius)
-            except MeshError as exc:
-                key = exc.key or "refinement"
-                problems.append((where("mesh", key), key, str(exc)))
-        try:
-            geometry.neck_profile()
-        except GeometryError as exc:
-            problems.append((where("geometry", "profile"), "profile", str(exc)))
-        else:
-            # The inclusions reach farthest at the largest gap.
-            eps_max = max(eps_candidates, default=0.0)
-            try:
-                geometry.pair(eps_max)
-            except GeometryError as exc:
-                names = "split, curvatures (or order and coefficient), neck_radius, separation and outer_radius"
-                msg = f"{exc}; the inclusions follow from {names}"
-                bound = _smallest_split(geometry, eps_max)
-                if bound is not None:
-                    msg += f"; with the rest as given, the smaller split fraction must be at least {bound:.4f}"
-                problems.append((where("geometry", "split"), "split", msg))
+    boundary = BoundaryConfig(**given("boundary"))
+    try:
+        boundary.data()
+    except InputError as exc:
+        report("boundary", exc.keys, str(exc))
+    gaps: list[float] = []
+    try:
+        sweep = SweepConfig(**given("sweep"))
+        gaps = sweep_gaps(sweep.eps_list())
+    except InputError as exc:  # a bad count or factor, or a gap outside (0, 1)
+        report("sweep", exc.keys or ("epsilons", "start", "factor", "count"), str(exc))
+    except ValueError as exc:  # too few gaps, or too short a span
+        report("sweep", (), str(exc))
+    pair = None
+    try:
+        pair = geometry.pair(max(gaps, default=0.0))  # the caps reach farthest at the largest gap
+    except GeometryError as exc:
+        hint = _split_hint(geometry, max(gaps, default=0.0)) if isinstance(exc, ReachError) else ""
+        report("geometry", exc.keys, f"{exc}{hint}", ("sweep",))
+    try:
+        mesh = MeshParams(**given("mesh"))
+        if pair is not None:
+            mesh.check_budget(geometry.outer_radius, *(pair.with_gap(eps) for eps in gaps))
+    except MeshError as exc:
+        report("mesh", exc.keys, str(exc), ("geometry", "sweep"))
 
     if problems:
         raise ConfigError(sorted(problems))

@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from . import _Deferred, fem
+from . import InputError, _Deferred, fem
 from .closed_forms import energy_limit_constant, gap_rate_m, printed_energy_constant
 from .conductivity import BoundaryData, SolveBundle, neck_interpolant, neck_remainder, solve_bundle
 from .geometry import GeometryError, InclusionPair
@@ -213,8 +213,12 @@ _GAP_ERRORS = (MeshError, fem.SolverError, GeometryError, QuadratureError)
 
 
 def sweep_gaps(eps_list: list[float]) -> list[float]:
-    """The distinct gaps of a sweep, largest first; raises ValueError
-    unless there are at least four of them spanning two decades."""
+    """The distinct gaps of a sweep, largest first.  Raises InputError on a
+    gap outside (0, 1), and ValueError unless there are at least four of
+    them spanning two decades."""
+    for eps in eps_list:
+        if not 0.0 < eps < 1.0:
+            raise InputError(f"gap {eps:g} outside (0, 1)")
     eps_sorted = sorted(set(eps_list), reverse=True)
     if len(eps_sorted) < 4:
         raise ValueError("a sweep needs at least four distinct gap values")

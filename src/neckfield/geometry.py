@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 
-from . import _Deferred
+from . import InputError, _Deferred
 
 np = _Deferred("numpy")
 
 __all__ = [
     "GeometryError",
+    "ReachError",
     "ProfileKind",
     "NeckProfile",
     "CapArc",
@@ -28,8 +30,13 @@ __all__ = [
 ]
 
 
-class GeometryError(ValueError):
-    """Invalid geometric data or an evaluation outside its domain."""
+class GeometryError(InputError):
+    """Invalid geometric data or an evaluation outside its domain; ``keys``
+    names the ``NeckProfile`` and ``InclusionPair`` fields at fault."""
+
+
+class ReachError(GeometryError):
+    """The inclusions reach too near the outer boundary."""
 
 
 class ProfileKind(enum.Enum):
@@ -59,27 +66,29 @@ class NeckProfile:
     split: tuple[float, float] = (0.5, 0.5)
 
     def __post_init__(self) -> None:
+        if len(self.split) != 2:
+            raise GeometryError(f"split takes exactly two fractions, got {self.split}", "split")
         s1, s2 = self.split
         if not (0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0):
-            raise GeometryError(f"split fractions must lie in [0, 1], got {self.split}")
+            raise GeometryError(f"split fractions must lie in [0, 1], got {self.split}", "split")
         if abs(s1 + s2 - 1.0) > 1e-12:
-            raise GeometryError(f"split fractions must sum to 1, got {self.split}")
+            raise GeometryError(f"split fractions must sum to 1, got {self.split}", "split")
         if self.kind is ProfileKind.QUADRATIC:
             if not self.curvatures:
-                raise GeometryError("quadratic profile needs at least one curvature")
+                raise GeometryError("quadratic profile needs at least one curvature", "curvatures")
             if not all(0.0 < lam < math.inf for lam in self.curvatures):
-                raise GeometryError(f"relative curvatures must be positive and finite, got {self.curvatures}")
+                raise GeometryError(f"curvatures must be positive and finite, got {self.curvatures}", "curvatures")
             if self.order is not None or self.coefficient is not None:
-                raise GeometryError("quadratic profile takes no order/coefficient")
+                raise GeometryError("quadratic profile takes no order/coefficient", "order", "coefficient")
         elif self.kind is ProfileKind.POWER_LAW:
             if self.order is None or self.coefficient is None:
-                raise GeometryError("power-law profile needs order and coefficient")
+                raise GeometryError("power-law profile needs order and coefficient", "order", "coefficient")
             if not 2.0 <= self.order < math.inf:
-                raise GeometryError(f"power-law order must be finite and >= 2, got {self.order}")
+                raise GeometryError(f"power-law order {self.order} inadmissible: must be finite and >= 2", "order")
             if not 0.0 < self.coefficient < math.inf:
-                raise GeometryError(f"power-law coefficient must be positive and finite, got {self.coefficient}")
+                raise GeometryError(f"coefficient must be positive and finite, got {self.coefficient}", "coefficient")
             if self.curvatures is not None:
-                raise GeometryError("power-law profile takes no curvature list")
+                raise GeometryError("power-law profile takes no curvature list", "curvatures")
         else:  # pragma: no cover - enum is closed
             raise GeometryError(f"unknown profile kind {self.kind}")
 
@@ -167,11 +176,11 @@ class CapArc:
     radius: float
 
 
-def _cap_for_graph(height_at_r0: float, slope_at_r0: float, r0: float) -> CapArc:
+def _cap_for_graph(height_at_r0: float, slope_at_r0: float, r0: float, keys: tuple[str, ...]) -> CapArc:
     # Tangent matching: the radius vector at the junction is normal to the
     # graph, so the centre sits at signed distance r0/slope above the join.
     if slope_at_r0 == 0.0:
-        raise GeometryError("flat profile side cannot be closed by a tangent cap")
+        raise GeometryError("flat profile side cannot be closed by a tangent cap", *keys)
     offset = r0 / slope_at_r0
     center = height_at_r0 + offset
     radius = math.hypot(r0, offset)
@@ -198,36 +207,41 @@ class InclusionPair:
 
     def __post_init__(self) -> None:
         if self.dimension not in (2, 3):
-            raise GeometryError(f"dimension must be 2 or 3, got {self.dimension}")
+            raise GeometryError(f"dimension must be 2 or 3, got {self.dimension}", "dimension")
         for name in ("eps", "neck_radius", "outer_radius", "separation"):
             if not math.isfinite(getattr(self, name)):
-                raise GeometryError(f"{name} must be finite, got {getattr(self, name)}")
+                raise GeometryError(f"{name} must be finite, got {getattr(self, name)}", name)
         if self.eps < 0.0:
-            raise GeometryError(f"gap must be nonnegative, got {self.eps}")
-        if not (0.0 < self.neck_radius < 1.0):
-            raise GeometryError(f"neck radius must lie in (0, 1), got {self.neck_radius}")
+            raise GeometryError(f"gap must be nonnegative, got {self.eps}", "eps")
+        if not (sys.float_info.min <= self.neck_radius < 1.0):  # the strip divides by it
+            raise GeometryError(f"neck radius must lie in (0, 1), not subnormal, got {self.neck_radius}", "neck_radius")
         if self.separation < 1.0:
-            raise GeometryError(f"separation bound must be at least 1, got {self.separation}")
+            raise GeometryError(f"separation bound must be at least 1, got {self.separation}", "separation")
         s1, s2 = self.profile.split
         if s1 <= 0.0 or s2 <= 0.0:
-            raise GeometryError("closed inclusions need strictly positive split fractions")
+            raise GeometryError("closed inclusions need strictly positive split fractions", "split")
         if self.dimension == 3 and not self.profile.is_radial():
-            raise GeometryError("dimension 3 needs an isotropic profile (equal curvatures)")
+            raise GeometryError("dimension 3 needs an isotropic profile (equal curvatures)", "curvatures", "dimension")
         if self.profile.kind is ProfileKind.QUADRATIC:
             expected = self.dimension - 1
             if len(self.profile.curvatures) != expected:
                 raise GeometryError(
-                    f"quadratic profile needs {expected} curvature(s) in dimension {self.dimension}"
+                    f"quadratic profile needs {expected} curvature(s) in dimension {self.dimension}",
+                    "curvatures",
+                    "dimension",
                 )
         # Caps exist and the pair stays away from the outer boundary.
-        object.__setattr__(self, "_caps", self._build_caps())
+        shape = ("curvatures",) if self.profile.kind is ProfileKind.QUADRATIC else ("order", "coefficient")
+        object.__setattr__(self, "_caps", self._build_caps((*shape, "neck_radius")))
         cap1, cap2 = self.caps()
         reach = max(abs(cap1.center_height) + cap1.radius, abs(cap2.center_height) + cap2.radius)
         margin = self.outer_radius - reach
         if margin <= self.separation:
-            raise GeometryError(
-                f"inclusions reach within {margin:.3g} of the outer boundary; "
-                f"need more than {self.separation:.3g}"
+            keys = ("split", *shape, "neck_radius", "separation", "outer_radius")
+            raise ReachError(
+                f"inclusions reach within {margin:.3g} of the outer boundary; need more than "
+                f"{self.separation:.3g}; the inclusions follow from {', '.join(keys[:-1])} and {keys[-1]}",
+                *keys,
             )
 
     # -- construction helpers -------------------------------------------------
@@ -235,7 +249,7 @@ class InclusionPair:
     def caps(self) -> tuple[CapArc, CapArc]:
         return self._caps
 
-    def _build_caps(self) -> tuple[CapArc, CapArc]:
+    def _build_caps(self, keys: tuple[str, ...]) -> tuple[CapArc, CapArc]:
         r0 = self.neck_radius
         s1, s2 = self.profile.split
         slope = self.profile.relative_slope_radial(r0) if self.profile.is_radial() else None
@@ -243,8 +257,8 @@ class InclusionPair:
             raise GeometryError("caps need an isotropic profile")
         h1 = s1 * self.profile.relative_radial(r0)
         h2 = -s2 * self.profile.relative_radial(r0)
-        cap1 = _cap_for_graph(self.eps + h1, s1 * slope, r0)
-        cap2 = _cap_for_graph(h2, -s2 * slope, r0)
+        cap1 = _cap_for_graph(self.eps + h1, s1 * slope, r0, keys)
+        cap2 = _cap_for_graph(h2, -s2 * slope, r0, keys)
         return cap1, cap2
 
     def with_gap(self, eps: float) -> "InclusionPair":

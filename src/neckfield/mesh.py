@@ -29,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import _Deferred
+from . import _Deferred, _Keyed
 from .geometry import InclusionPair
 
 np = _Deferred("numpy")
@@ -70,13 +70,10 @@ _POINT_DENSITY = 1.5
 _PAIR_CHUNK = 1 << 16
 
 
-class MeshError(RuntimeError):
+class MeshError(_Keyed, RuntimeError):
     """Mesh generation failed or produced an inconsistent triangulation;
-    ``key`` names the ``MeshParams`` field at fault, if one is."""
-
-    def __init__(self, message: str, key: str | None = None):
-        super().__init__(message)
-        self.key = key
+    ``keys`` names the ``MeshParams`` fields that the failed check reads,
+    if it is a check of them."""
 
 
 @dataclass(frozen=True)
@@ -111,15 +108,18 @@ class MeshParams:
         shrink = 2.0 ** (-0.5 * self.refinement)
         return self.neck_step_factor * shrink, self.h_far * shrink
 
-    def check_budget(self, outer_radius: float) -> None:
+    def check_budget(self, outer_radius: float, *pairs: InclusionPair) -> None:
         """Fail at once when ``h_far`` exceeds the outer radius (a far field
         that coarse can leave the outer half-circle one segment, whose
-        midpoint is the centre), or when the far field of a domain of this
+        midpoint is the centre), when the far field of a domain of this
         outer radius would need more points than the mesher allows at this
-        refinement."""
+        refinement, or when the stations of the neck strip of one of
+        ``pairs`` would fail (see ``_neck_stations``)."""
         if self.h_far > outer_radius:
             raise MeshError(f"h_far must be at most the outer radius {outer_radius:g}, got {self.h_far!r}", "h_far")
-        _expected_points(0.5 * math.pi * outer_radius**2, self.scaled()[1])
+        _expected_points(0.5 * math.pi * outer_radius * outer_radius, self.scaled()[1])
+        for pair in pairs:
+            _neck_stations(pair, self, 0.0)
 
 
 @dataclass
@@ -196,24 +196,44 @@ def _neck_step(pair: InclusionPair, params: MeshParams, x: float, gap0: float) -
     return factor * (pair.gap_radial(x) / scale) ** g * pair.neck_radius ** (1.0 - 2.0 * g)
 
 
-def _neck_stations(pair: InclusionPair, params: MeshParams, x_start: float) -> np.ndarray:
+def _neck_stations(pair: InclusionPair, params: MeshParams, x_start: float) -> list[float]:
+    """Station abscissae from x_start to R0.  Fails at once when the gap
+    is too thin for the layers, when the step vanishes, or when the strip,
+    mirrored, would have more vertices than the point budget."""
     r0 = pair.neck_radius
     gap0 = pair.gap_radial(x_start)
     if gap0 <= 0.0:
         raise MeshError("strip must start at positive gap width")
+    if pair.eps > 0.0 and pair.eps / params.layers < 1e-13:
+        raise MeshError(f"gap {pair.eps:g} too thin for {params.layers} layers at machine precision", "layers")
+    rows = params.layers + 1
     xs = [x_start]
     x = x_start
     while True:
+        if (2 * len(xs) - 1) * rows > _MAX_POINTS:
+            raise MeshError(
+                f"neck strip at gap {pair.eps:g} needs at least {(2 * len(xs) - 1) * rows} points, above the "
+                f"budget of {_MAX_POINTS}; raise neck_step_factor or lower the layers or the refinement",
+                "neck_step_factor",
+                "layers",
+                "refinement",
+                "grading_exponent",
+            )
         step = _neck_step(pair, params, x, gap0)
         if step <= 1e-13 * max(1.0, r0):
-            raise MeshError(f"neck step degenerated to {step:g}; geometry too thin for this grading")
+            raise MeshError(
+                f"neck step at gap {pair.eps:g} degenerated to {step:g}; geometry too thin for this grading",
+                "neck_step_factor",
+                "grading_exponent",
+                "refinement",
+            )
         nxt = x + step
         if nxt >= r0 - 0.5 * step:
             xs.append(r0)
             break
         xs.append(nxt)
         x = nxt
-    return np.asarray(xs)
+    return xs
 
 
 def _fibers(pair: InclusionPair, xs, layers: int) -> np.ndarray:
@@ -251,9 +271,7 @@ def _strip_piece(pair: InclusionPair, params: MeshParams, x_start: float, bridge
     x = x_start is a tagged boundary (touching-limit excision); otherwise
     it is left untagged (interior seam at x = 0).
     """
-    if pair.eps > 0.0 and pair.eps / params.layers < 1e-13:
-        raise MeshError(f"gap {pair.eps:g} too thin for {params.layers} layers at machine precision")
-    xs = _neck_stations(pair, params, x_start)
+    xs = np.asarray(_neck_stations(pair, params, x_start))
     ns, nl = len(xs), params.layers
     rows = nl + 1
     fibers = _fibers(pair, xs, nl)
@@ -403,12 +421,16 @@ def _circumcenters(p: np.ndarray) -> np.ndarray:
 def _expected_points(area: float, h: float) -> int:
     """Far-field point count expected for target edge length ``h``; fails
     at once above the point budget."""
-    expected = _POINT_DENSITY * area / h / h  # h**2 underflows for a tiny h
+    # Divided twice, as h**2 underflows for a tiny h; h itself underflows
+    # to 0 at a refinement above about 2150.
+    expected = _POINT_DENSITY * area / h / h if h > 0.0 else math.inf
     if expected > _MAX_POINTS:
         about = f"about {math.ceil(expected)}" if math.isfinite(expected) else "more"
         raise MeshError(
             f"far field at edge length {h:.6g} needs {about} points, "
-            f"above the budget of {_MAX_POINTS}; lower the refinement or raise h_far"
+            f"above the budget of {_MAX_POINTS}; lower the refinement or raise h_far",
+            "refinement",
+            "h_far",
         )
     return math.ceil(expected)
 

@@ -164,14 +164,17 @@ class TestConfig:
         assert msg in text
 
     def test_inadmissible_pair_rejected_at_parse(self):
-        # any geometry the pair constructor refuses fails before meshing
-        for text, cause in (
-            ("neck_radius = 1.5", "neck radius must lie in (0, 1)"),
-            ("dimension = 3\ncurvatures = 1.0 2.0", "dimension 3 needs an isotropic profile"),
+        # any geometry the pair constructor refuses fails before meshing,
+        # reported on the line of the key at fault
+        for text, cause, at in (
+            ("neck_radius = 1.5", "neck radius must lie in (0, 1)", (2, "neck_radius")),
+            ("dimension = 3\ncurvatures = 1.0 2.0", "dimension 3 needs an isotropic profile", (3, "curvatures")),
         ):
-            with pytest.raises(ConfigError, match=r"\[split\]") as err:
+            with pytest.raises(ConfigError) as err:
                 parse_config(f"[geometry]\n{text}\n")
-            assert cause in str(err.value)
+            (line, key, msg), = err.value.problems
+            assert (line, key) == at
+            assert cause in msg
 
 
 class TestCommands:
@@ -201,6 +204,13 @@ class TestCommands:
             (["--order", "40", "--neck-radius", "1e10"], "--neck-radius"),
             (["--dimension", "400"], "--dimension"),
             (["--eps", "nan"], "--eps"),
+            # A subnormal gap printed an infinite gap integral, or failed
+            # the quadrature with exit 3.
+            (["--eps", "1e-310"], "--eps"),
+            (["-n", "3", "--order", "2", "--eps", "5e-324"], "--eps"),
+            (["--coefficient", "1e300"], "--coefficient"),
+            (["--coefficient", "1e-300"], "--coefficient"),
+            (["-n", "3", "--curvature", "1e200", "--curvature", "1e200"], "--curvature"),
         ],
     )
     def test_constants_bad_flag_is_one_line_exit_2(self, flags, flag, capsys, monkeypatch):
@@ -255,6 +265,18 @@ class TestCommands:
         report = constants_report(AsymptoticParams(n=3, m=2.0, coefficient=coefficient, eps=1e-8))
         assert report.curvature_constant == pytest.approx(want, rel=1e-15)
         assert report.printed_constant == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("coefficient", ["1e200", "1e-200"])
+    def test_constants_printed_over_oracle_out_of_range(self, coefficient, capsys):
+        # Away from m = 2 the quotient goes like coefficient**(2(n-1)/m): it
+        # printed inf, or 0.
+        assert main(["constants", "-n", "3", "--order", "2.000000001", "--coefficient", coefficient]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --coefficient must be nearer 1 at order 2.000000001, got {float(coefficient)}: "
+            "printed / oracle out of range\n"
+        )
 
     def test_constants_json(self, tmp_path, capsys):
         out = tmp_path / "constants.json"
@@ -328,7 +350,7 @@ class TestCommands:
             # An OverflowError from h**2 in the point budget.
             ("1e300", 2, "line 2: [h_far] h_far must be at most the outer radius 4, got 1e+300"),
             # A ZeroDivisionError from h**2 underflowing in the point budget.
-            ("1e-200", 2, "[refinement] far field at edge length 1e-200 needs more points, above the budget"),
+            ("1e-200", 2, "line 2: [h_far] far field at edge length 1e-200 needs more points, above the budget"),
         ],
         ids=["4", "13", "1e300", "1e-200"],
     )

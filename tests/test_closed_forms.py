@@ -37,6 +37,12 @@ class TestRates:
         with pytest.raises(ValueError):
             cf.gap_rate_m(2.0, 2, 2)
 
+    @pytest.mark.parametrize("eps", [1e-310, 5e-324, 0.0, 1.0])
+    def test_gap_below_the_smallest_normal_refused(self, eps):
+        with pytest.raises(ValueError, match=r"gap must lie in \[2.2250738585072014e-308, 1\)"):
+            cf.gap_rate_m(eps, 2, 2.0)
+        assert cf.gap_rate_m(2.2250738585072014e-308, 2, 2.0) > 0.0
+
     def test_inadmissible_order(self):
         with pytest.raises(ValueError):
             cf.gap_rate_m(1e-3, 3, 1.5)

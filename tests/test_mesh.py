@@ -751,7 +751,7 @@ class TestSplitSegments:
 
 def _strip_loop(pair, params, x_start, bridge):
     # The former strip builder: one fiber per station, one quad at a time.
-    xs = mesh_module._neck_stations(pair, params, x_start)
+    xs = np.asarray(mesh_module._neck_stations(pair, params, x_start))
     ns, nl = len(xs), params.layers
     rows = nl + 1
 
