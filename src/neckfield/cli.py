@@ -14,15 +14,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
 from pathlib import Path
 
-from . import __version__, fem
+from . import InputError, __version__, fem
 from .acceptance import run_all
-from .closed_forms import MAX_ORDER, AsymptoticParams, constants_report, energy_error_scale_m
+from .closed_forms import AsymptoticParams, constants_report, energy_error_scale_m
 from .config import ConfigError, ExperimentConfig, default_config_text, emit_config, parse_config
 from .experiments import (
     SWEEP_CSV_HEADER,
@@ -33,7 +32,7 @@ from .experiments import (
     run_sweep,
     sweep_record,
 )
-from .geometry import GeometryError
+from .geometry import InclusionPair
 from .mesh import MeshError, audit, generate, write_mesh_text
 from .quadrature import QuadratureError
 from .svgplot import render_loglog
@@ -84,37 +83,14 @@ def _cmd_init_config(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    # Each flag is checked, and named if out of range, before any quadrature.
-    n, m, r0 = args.dimension, args.order, args.neck_radius
-    # Each constant is the coefficient to a power in [-1, 1] times a factor
-    # below 1e15, so in this range every one of them is a finite nonzero double.
-    low, high = 1e-250, 1e250
     curvatures = tuple(args.curvature) if args.curvature else None
-    coefficient = args.coefficient
-    if curvatures is not None:
-        inside = all(low <= c <= high for c in curvatures)
-        coefficient = math.sqrt(math.prod(curvatures)) / 2.0 if inside else math.nan
-    min_order = 2.0 if n == 2 else n - 1.0
-    for flag, admissible, need, value in (
-        ("--dimension", 2 <= n <= MAX_ORDER + 1, f"in [2, {MAX_ORDER + 1:g}]", n),
-        ("--order", min_order <= m <= MAX_ORDER, f"in [{min_order:g}, {MAX_ORDER:g}] in dimension {n}", m),
-        ("--order", curvatures is None or m == 2.0, "2 when curvatures are given", m),
-        ("--coefficient", low <= args.coefficient <= high, f"in [{low:g}, {high:g}]", args.coefficient),
-        ("--curvature", low <= coefficient <= high, f"in [{low:g}, {high:g}], as is sqrt(product)/2", curvatures),
-        ("--eps", sys.float_info.min <= args.eps < 1.0, f"in [{sys.float_info.min!r}, 1)", args.eps),
-        # The gap integrand forms r**m out to the neck radius.
-        ("--neck-radius", 0.0 < r0 < math.inf and m * math.log(r0) < math.log(sys.float_info.max),
-         f"positive, with neck_radius**{m:g} finite", r0),
-    ):
-        if not admissible:
-            raise ValueError(f"{flag} must be {need}, got {value}")
-    params = AsymptoticParams(n=n, m=m, coefficient=coefficient, eps=args.eps, curvatures=curvatures)
-    report = constants_report(params, neck_radius=r0)
-    # Away from m = 2, printed / oracle goes like coefficient**(2(n-1)/m).
-    if not 0.0 < report.printed_over_oracle < math.inf:
-        raise ValueError(
-            f"--coefficient must be nearer 1 at order {m}, got {coefficient}: printed / oracle out of range"
-        )
+    try:
+        params = AsymptoticParams(args.dimension, args.order, args.coefficient, args.eps, curvatures, args.neck_radius)
+    except InputError as exc:
+        key = exc.keys[0]
+        flag = {"n": "dimension", "m": "order", "curvatures": "curvature", "neck_radius": "neck-radius"}.get(key, key)
+        raise ValueError(f"--{flag} {str(exc).removeprefix(key + ' ')}") from None
+    report = constants_report(params)
     width = max(len(k) for k, _ in report.rows())
     for key, value in report.rows():
         print(f"{key:<{width}}  {value}")
@@ -125,13 +101,20 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _gap(args, cfg: ExperimentConfig) -> float:
-    """The --epsilon override, else the sweep's first gap; like the [sweep]
-    gaps, it must lie in (0, 1)."""
-    eps = args.epsilon if args.epsilon is not None else cfg.sweep.eps_list()[0]
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"--epsilon: gap {eps:g} outside (0, 1)")
-    return eps
+def _pair(args, cfg: ExperimentConfig) -> InclusionPair:
+    """The pair at the --epsilon override, else at the sweep's first gap;
+    like the [sweep] gaps, the override must lie in (0, 1) and fit the
+    strip budget."""
+    if args.epsilon is None:
+        return cfg.geometry.pair(cfg.sweep.eps_list()[0])
+    if not (0.0 < args.epsilon < 1.0):
+        raise ValueError(f"--epsilon: gap {args.epsilon:g} outside (0, 1)")
+    try:
+        pair = cfg.geometry.pair(args.epsilon)
+        cfg.mesh.check_budget(cfg.geometry.outer_radius, pair)
+    except (InputError, MeshError) as exc:
+        raise ValueError(f"--epsilon: {exc}") from None
+    return pair
 
 
 def _cmd_mesh(args) -> int:
@@ -139,9 +122,8 @@ def _cmd_mesh(args) -> int:
     if cfg.geometry.dimension != 2:
         print("meshing is implemented for dimension 2 only", file=sys.stderr)
         return 2
-    eps = _gap(args, cfg)
+    pair = _pair(args, cfg)
     t0 = time.perf_counter()
-    pair = cfg.geometry.pair(eps)
     mesh = generate(pair, cfg.mesh)
     report = audit(mesh)
     outdir = Path(cfg.output_dir)
@@ -167,14 +149,13 @@ def _cmd_solve(args) -> int:
     if cfg.geometry.dimension != 2:
         print("solves are implemented for dimension 2 only", file=sys.stderr)
         return 2
-    eps = _gap(args, cfg)
+    pair = _pair(args, cfg)
     t0 = time.perf_counter()
-    pair = cfg.geometry.pair(eps)
     phi = cfg.boundary.data()
     mesh = generate(pair, cfg.mesh)
     record, bundle, w = sweep_record(pair, mesh, phi)
     doc = {
-        "epsilon": eps,
+        "epsilon": pair.eps,
         "a11": record.a11,
         "a12": record.a12,
         "a21": record.a21,
@@ -392,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MeshError, fem.SolverError, QuadratureError, GeometryError, RuntimeError) as exc:
+    except (MeshError, fem.SolverError, QuadratureError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

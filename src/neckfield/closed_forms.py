@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from . import _Deferred
+from . import InputError, _Deferred
 from .geometry import GeometryError, InclusionPair
 from .quadrature import adaptive_integral, integral_to_infinity
 
@@ -132,19 +132,24 @@ class ProfileConstant:
     difference: float | None
 
 
+def _order_constant(m: float, n: int) -> float:
+    """The closed form of profile_energy_constant."""
+    omega = sphere_surface_measure(n - 1)
+    if n >= 3 and m == n - 1:
+        return omega / m  # defined directly, not by a convergent integral
+    return (1.0 if n == 2 else omega) * reciprocal_power_tail(1.0 if n == 2 else n - 1.0, m)
+
+
 def profile_energy_constant(m: float, n: int, rel_tol: float = 1e-11) -> ProfileConstant:
     """Order-m constant: the tail integral in dimension 2, scaled by the
     sphere measure for n >= 3, and omega/m in the logarithmic case m = n-1.
     """
     _check_admissible(n, m)
-    omega = sphere_surface_measure(n - 1)
+    closed = _order_constant(m, n)
     if n >= 3 and m == n - 1:
-        # Defined directly, not by a convergent integral.
-        value = omega / m
-        return ProfileConstant(closed_form=value, quadrature=None, difference=None)
+        return ProfileConstant(closed_form=closed, quadrature=None, difference=None)
     a = 1.0 if n == 2 else n - 1.0
-    scale = 1.0 if n == 2 else omega
-    closed = scale * reciprocal_power_tail(a, m)
+    scale = 1.0 if n == 2 else sphere_surface_measure(n - 1)
 
     def integrand(r: float) -> float:
         return r ** (a - 1.0) / (1.0 + r**m)
@@ -177,15 +182,31 @@ def gap_integral_radial(
     r0: float,
     rel_tol: float = 1e-10,
 ) -> float:
-    """Integral of 1/(eps + lam*|x'|^m) over the transverse ball |x'| < r0."""
+    """Integral of 1/(eps + lam*|x'|^m) over the transverse ball |x'| < r0.
+
+    The peak at r = 0 has width w = (eps/lam)^(1/m), which at a large lam
+    lies far inside the first quadrature node of [0, r0].  With rho =
+    min(w, r0), r = rho*t gives omega * rho^(n-1)/eps times the integral of
+    t^(n-2)/(1 + (rho*t/w)^m) over (0, 1).  Where the ball reaches past the
+    peak, the rest is the same factor times the integral of t^(n-2)/(1 + t^m)
+    over (1, r0/w); t = 1/s folds it to s^(m-n)/(1 + s^m) over (w/r0, 1),
+    which is s^(m-n), integrated exactly, less the bounded s^(2m-n)/(1 + s^m).
+    Lengths are taken by their logarithms, since eps/lam under- or overflows.
+    """
     if eps <= 0.0:
         raise ValueError("gap integral needs a positive gap")
-    omega = sphere_surface_measure(n - 1)
-
-    def integrand(r: float) -> float:
-        return r ** (n - 2.0) / (eps + coefficient * r**m)
-
-    return omega * adaptive_integral(integrand, 0.0, r0, rel_tol=rel_tol)
+    log_w = (math.log(eps) - math.log(coefficient)) / m
+    log_reach = math.log(r0) - log_w  # log(r0/w)
+    q = math.exp(min(log_reach, 0.0))
+    total = adaptive_integral(lambda t: t ** (n - 2.0) / (1.0 + (q * t) ** m), 0.0, 1.0, rel_tol=rel_tol)
+    lower = math.exp(-max(log_reach, 0.0))  # w/r0, where the ball reaches past the peak
+    if lower < 1.0:
+        delta = m - n + 1.0
+        power = log_reach if delta == 0.0 else -math.expm1(-delta * log_reach) / delta
+        rest = adaptive_integral(lambda s: s ** (2.0 * m - n) / (1.0 + s**m), lower, 1.0, rel_tol=rel_tol)
+        total += power - rest
+    scale = math.exp((n - 1.0) * min(log_w, math.log(r0)) - math.log(eps))
+    return sphere_surface_measure(n - 1) * scale * total
 
 
 def gap_integral(pair: InclusionPair, rel_tol: float = 1e-10) -> float:
@@ -227,12 +248,7 @@ def energy_limit_constant(n: int, m: float, coefficient: float) -> float:
     _check_admissible(n, m)
     if coefficient <= 0.0:
         raise ValueError("profile coefficient must be positive")
-    omega = sphere_surface_measure(n - 1)
-    if n >= 3 and m == n - 1:
-        return omega / (m * coefficient)
-    a = 1.0 if n == 2 else n - 1.0
-    scale = 2.0 if n == 2 else omega
-    return scale * reciprocal_power_tail(a, m) / coefficient ** ((n - 1.0) / m)
+    return (2.0 if n == 2 else 1.0) * _order_constant(m, n) / coefficient ** ((n - 1.0) / m)
 
 
 def printed_energy_constant(n: int, m: float, coefficient: float) -> float:
@@ -248,8 +264,7 @@ def printed_energy_constant(n: int, m: float, coefficient: float) -> float:
     if m == 2.0 and n in (2, 3):
         lam = 2.0 * coefficient
         return curvature_energy_constant(lam, lam if n == 3 else None, n=n)
-    lmn = profile_energy_constant(m, n).closed_form
-    return lmn * coefficient ** ((n - 1.0) / m)
+    return _order_constant(m, n) * coefficient ** ((n - 1.0) / m)
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +335,15 @@ def energy_error_scale_m(eps: float, n: int, m: float) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticParams:
-    """Parameters entering the asymptotic formulas.
+    """The inputs of constants_report, each checked once.
 
-    The relative profile is coefficient * |x'|**m; for quadratic
-    geometries pass curvatures as well so the printed curvature constant
-    can be reported (coefficient then equals sum(curvatures)/len/2 only in
-    the isotropic case; anisotropic reports use the curvatures directly).
+    The relative profile is coefficient * |x'|**m over the neck ball
+    |x'| < neck_radius.  Curvatures, at m = 2 only and at most n - 1 of
+    them, stand for the profile sum(lam_j x_j**2)/2 and replace the
+    coefficient by (prod lam_j)**(1/(n-1))/2, one value standing for all
+    n - 1; two unequal ones make the gap integral the anisotropic one.
+    Each field is checked in order, and the first out of range raises an
+    InputError whose first key is that field.
     """
 
     n: int
@@ -333,17 +351,41 @@ class AsymptoticParams:
     coefficient: float
     eps: float
     curvatures: tuple[float, ...] | None = None
+    neck_radius: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_eps(self.eps)
-        _check_admissible(self.n, self.m)
-        if self.coefficient <= 0.0:
-            raise ValueError("profile coefficient must be positive")
-        if self.curvatures is not None:
-            if self.m != 2.0:
-                raise ValueError("curvatures only make sense for order m = 2")
-            if any(c <= 0.0 for c in self.curvatures):
-                raise ValueError("curvatures must be positive")
+        n, m, c, lams, r0 = self.n, self.m, self.coefficient, self.curvatures, self.neck_radius
+
+        def need(admissible: bool, key: str, what: str, *reads: str) -> None:
+            if not admissible:
+                raise InputError(f"{key} must be {what}", key, *reads)
+
+        # Each constant is the coefficient to a power in [-1, 1] times a factor
+        # below 1e15, so in this range every one of them is a finite nonzero double.
+        low, high = 1e-250, 1e250
+        span = f"in [{low:g}, {high:g}]"
+        min_order = 2.0 if n == 2 else n - 1.0
+        need(2 <= n <= MAX_ORDER + 1, "n", f"in [2, {MAX_ORDER + 1:g}], got {n}")
+        in_range = f"in [{min_order:g}, {MAX_ORDER:g}] in dimension {n}, got {m}"
+        need(min_order <= m <= MAX_ORDER, "m", in_range, "n")
+        need(lams is None or m == 2.0, "m", f"2 when curvatures are given, got {m}", "curvatures")
+        need(low <= c <= high, "coefficient", f"{span}, got {c}")
+        # Away from m = 2, printed / oracle goes like coefficient**(2(n-1)/m).
+        ratio = printed_energy_constant(n, m, c) / energy_limit_constant(n, m, c)
+        nearer = f"nearer 1 at order {m}, got {c}: printed / oracle out of range"
+        need(0.0 < ratio < math.inf, "coefficient", nearer, "m")
+        # A subnormal gap loses the digits the gap integral needs.
+        need(sys.float_info.min <= self.eps < 1.0, "eps", f"in [{sys.float_info.min!r}, 1), got {self.eps}")
+        if lams is not None:  # then n is 2 or 3
+            need(1 <= len(lams) <= n - 1, "curvatures", f"one to n - 1 = {n - 1} values, got {lams}", "n")
+            inside = all(low <= x <= high for x in lams)
+            product = math.prod(lams * (n - 1) if len(lams) == 1 else lams) if inside else math.nan
+            c = (math.sqrt(product) if n == 3 else product) / 2.0
+            need(low <= c <= high, "curvatures", f"{span}, as must the coefficient they give, got {lams}")
+            object.__setattr__(self, "coefficient", c)
+        # The profile grows like neck_radius**m out to the rim of the ball.
+        rim = 0.0 < r0 < math.inf and m * math.log(r0) < math.log(sys.float_info.max)
+        need(rim, "neck_radius", f"positive, with neck_radius**{m:g} finite, got {r0}", "m")
 
 
 @dataclass(frozen=True)
@@ -391,25 +433,21 @@ class ConstantsReport:
         return out
 
 
-def constants_report(params: AsymptoticParams, neck_radius: float = 0.5) -> ConstantsReport:
-    """Evaluate every closed-form constant and adjudicate it against the oracle."""
-    n, m, lam, eps = params.n, params.m, params.coefficient, params.eps
+def constants_report(params: AsymptoticParams) -> ConstantsReport:
+    """Evaluate every closed-form constant and adjudicate it against the
+    oracle; on checked params every value reported is finite."""
+    n, m, lam, eps, lams = params.n, params.m, params.coefficient, params.eps, params.curvatures
     omega = sphere_surface_measure(n - 1)
     prof = profile_energy_constant(m, n)
-    kappa = None
-    if m == 2.0 and n in (2, 3):
-        if params.curvatures is not None:
-            lams = params.curvatures
-            kappa = curvature_energy_constant(lams[0], lams[1] if len(lams) > 1 else None, n=n)
-        else:
-            kappa = printed_energy_constant(n, m, lam)
     oracle = energy_limit_constant(n, m, lam)
     printed = printed_energy_constant(n, m, lam)
-    lams = params.curvatures
+    kappa = None
+    if m == 2.0 and n in (2, 3):
+        kappa = printed if lams is None else curvature_energy_constant(*lams, n=n)
     if lams is not None and len(lams) == 2 and lams[0] != lams[1]:
-        integral = gap_integral_quadratic((lams[0], lams[1]), eps, neck_radius)
+        integral = gap_integral_quadratic((lams[0], lams[1]), eps, params.neck_radius)
     else:
-        integral = gap_integral_radial(n, m, lam, eps, neck_radius)
+        integral = gap_integral_radial(n, m, lam, eps, params.neck_radius)
     product = integral * gap_rate_m(eps, n, m)
     return ConstantsReport(
         n=n,

@@ -17,9 +17,10 @@ gap.
 
 Boundary edge tags: OUTER, INCLUSION1 (upper), INCLUSION2 (lower).
 
-``np``, ``spatial`` and ``spla`` are deferred stand-ins for numpy,
-``scipy.spatial`` and ``scipy.sparse.linalg`` (``neckfield._Deferred``),
-each imported at its first use, so importing the package loads neither.
+``np``, ``sp``, ``spla``, ``csgraph`` and ``spatial`` are deferred stand-ins
+for numpy, ``scipy.sparse``, ``scipy.sparse.linalg``, ``scipy.sparse.csgraph``
+and ``scipy.spatial`` (``neckfield._Deferred``), each imported at its first
+use, so importing the package loads neither numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from . import _Deferred, _Keyed
 from .geometry import InclusionPair
 
 np = _Deferred("numpy")
+sp = _Deferred("scipy.sparse")
 spla = _Deferred("scipy.sparse.linalg")
+csgraph = _Deferred("scipy.sparse.csgraph")
 spatial = _Deferred("scipy.spatial")
 
 __all__ = [
@@ -918,29 +921,19 @@ def audit(mesh: Mesh) -> MeshAudit:
     if not np.array_equal(boundary, declared):
         failures.append("boundary edges do not match declared tagged edges")
 
-    adjacency: dict[int, list[int]] = {}
-    for a, b in boundary.tolist():
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    non_manifold = [v for v, nb in adjacency.items() if len(nb) != 2]
+    n = mesh.vertex_count
+    degree = np.bincount(boundary.ravel(), minlength=n)
+    non_manifold = int(np.sum((degree != 0) & (degree != 2)))
     loops = 0
     if non_manifold:
-        failures.append(f"{len(non_manifold)} non-manifold boundary vertices")
+        failures.append(f"{non_manifold} non-manifold boundary vertices")
     else:
-        seen: set[int] = set()
-        for start in sorted(adjacency):
-            if start in seen:
-                continue
-            loops += 1
-            prev, cur = None, start
-            while True:
-                seen.add(cur)
-                nxt = [w for w in adjacency[cur] if w != prev]
-                prev, cur = cur, nxt[0]
-                if cur == start:
-                    break
+        # Every boundary vertex has two boundary edges, so each component
+        # of the boundary edges is one loop; the other vertices stand alone.
+        graph = sp.coo_matrix((np.ones(len(boundary)), boundary.T), shape=(n, n))
+        loops = csgraph.connected_components(graph, directed=False)[0] - int(np.sum(degree == 0))
 
-    euler = mesh.vertex_count - n_edges + mesh.triangle_count
+    euler = n - n_edges + mesh.triangle_count
     if loops and euler != 2 - loops:
         failures.append(f"Euler characteristic {euler} inconsistent with {loops} boundary loops")
 

@@ -211,6 +211,8 @@ class TestCommands:
             (["--coefficient", "1e300"], "--coefficient"),
             (["--coefficient", "1e-300"], "--coefficient"),
             (["-n", "3", "--curvature", "1e200", "--curvature", "1e200"], "--curvature"),
+            # Two curvatures in dimension 2 printed the 3D anisotropic integral.
+            (["-n", "2", "--curvature", "1", "--curvature", "32"], "--curvature"),
         ],
     )
     def test_constants_bad_flag_is_one_line_exit_2(self, flags, flag, capsys, monkeypatch):
@@ -277,6 +279,28 @@ class TestCommands:
             f"error: --coefficient must be nearer 1 at order 2.000000001, got {float(coefficient)}: "
             "printed / oracle out of range\n"
         )
+
+    @pytest.mark.parametrize(
+        "flags,same",
+        [
+            (["--curvature", "2"], ["--coefficient", "1"]),
+            (["-n", "3", "--curvature", "2"], ["-n", "3", "--curvature", "2", "--curvature", "2"]),
+        ],
+    )
+    def test_constants_curvatures_give_their_coefficient(self, flags, same, capsys):
+        # One curvature stands for all n - 1; it gave sqrt(lam)/2 for lam/2.
+        assert main(["constants", *flags]) == 0
+        out = capsys.readouterr().out
+        assert main(["constants", *same]) == 0
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("order", ["2", "4"])
+    def test_constants_oracle_resolves_a_narrow_peak(self, order, capsys):
+        # The peak of width (eps/coefficient)^(1/m) fell between the nodes:
+        # the ratio printed 8.9e-22 at order 2 and 2.5e-28 at order 4.
+        assert main(["constants", "--order", order, "--coefficient", "1e40"]) == 0
+        rows = self._constants_rows(capsys.readouterr().out)
+        assert float(rows["(gap integral * rate) / oracle"]) == pytest.approx(1.0, abs=1e-9)
 
     def test_constants_json(self, tmp_path, capsys):
         out = tmp_path / "constants.json"

@@ -8,6 +8,8 @@ from neckfield.geometry import GeometryError, InclusionPair, NeckProfile, Profil
 from neckfield.mesh import MeshParams, generate
 from neckfield.quadrature import adaptive_integral
 
+from exact_gap import exact_gap_integral_m2
+
 
 def quad_pair(eps, lam=2.0):
     prof = NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=(lam,))
@@ -132,6 +134,26 @@ class TestGapIntegral:
     def test_touching_integral_rejected(self):
         with pytest.raises(ValueError):
             cf.gap_integral_radial(2, 2.0, 1.0, 0.0, 0.5)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("lam", [1e-250, 1e-100, 1.0, 1e40, 1e100, 1e250])
+    def test_exact_forms_across_the_admitted_range(self, n, lam):
+        # The peak of width (eps/lam)^(1/2) at r = 0 fell between the nodes
+        # of [0, r0]: at lam = 1e40 the 3D integral came out 0.129 of this.
+        for eps in (1e-2, 1e-8, 1e-100, 2.2250738585072014e-308):
+            for r0 in (1e-3, 0.5, 10.0):
+                want = exact_gap_integral_m2(n, lam, eps, r0)
+                assert cf.gap_integral_radial(n, 2.0, lam, eps, r0) == pytest.approx(want, rel=1e-9, abs=0), (eps, r0)
+
+    @pytest.mark.parametrize(
+        "n,m", [(3, 2.0), (3, 2.000000001), (3, 2.05), (3, 2.5), (10, 9.001), (50, 50.3), (101, 100.0)]
+    )
+    def test_finite_near_the_logarithmic_order(self, n, m):
+        # The folded tail keeps s^(m-n), near 1/s here, out of the quadrature.
+        for lam in (1e-250, 1.0, 1e250):
+            for eps in (1e-8, 2.2250738585072014e-308):
+                value = cf.gap_integral_radial(n, m, lam, eps, 0.5)
+                assert math.isfinite(value) and value > 0.0, (lam, eps)
 
     def test_anisotropic_quadratic_vs_nested_quadrature(self):
         lam1, lam2, eps, r0 = 3.0, 1.0, 1e-4, 0.5
@@ -266,3 +288,35 @@ class TestConstantsReport:
             cf.AsymptoticParams(n=3, m=1.5, coefficient=1.0, eps=1e-3)
         with pytest.raises(ValueError):
             cf.AsymptoticParams(n=2, m=4.0, coefficient=1.0, eps=1e-3, curvatures=(1.0,))
+
+    @pytest.mark.parametrize(
+        "fields,key",
+        [
+            (dict(n=1), "n"),
+            (dict(n=3, m=1.5), "m"),
+            (dict(m=4.0, curvatures=(1.0,)), "m"),
+            (dict(coefficient=1e300), "coefficient"),
+            (dict(n=3, m=2.000000001, coefficient=1e200), "coefficient"),
+            (dict(eps=1e-310), "eps"),
+            (dict(curvatures=(1.0, 32.0)), "curvatures"),
+            (dict(n=3, curvatures=()), "curvatures"),
+            (dict(n=3, curvatures=(1e200, 1e200)), "curvatures"),
+            (dict(m=40.0, neck_radius=1e10), "neck_radius"),
+        ],
+    )
+    def test_params_name_the_field_at_fault(self, fields, key):
+        from neckfield import InputError
+
+        with pytest.raises(InputError) as err:
+            cf.AsymptoticParams(**{"n": 2, "m": 2.0, "coefficient": 1.0, "eps": 1e-8, **fields})
+        assert err.value.keys[0] == key
+        assert str(err.value).startswith(f"{key} must be ")
+
+    @pytest.mark.parametrize(
+        "n,curvatures,coefficient",
+        [(2, (2.0,), 1.0), (3, (2.0,), 1.0), (3, (2.0, 2.0), 1.0), (3, (1.0, 2.0), math.sqrt(2.0) / 2.0)],
+    )
+    def test_curvatures_give_the_coefficient(self, n, curvatures, coefficient):
+        # One curvature stands for all n - 1; the profile is sum(lam_j x_j**2)/2.
+        params = cf.AsymptoticParams(n=n, m=2.0, coefficient=7.0, eps=1e-8, curvatures=curvatures)
+        assert params.coefficient == coefficient

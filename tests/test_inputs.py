@@ -2,17 +2,22 @@
 with an error that names it.
 
 One derandomized property test draws configuration files, ``constants``
-command lines and ``init-config`` runs, each value from its key's or
-flag's admitted range and from the extremes of a float.  A configuration
-is only parsed: it gives a config or a ``ConfigError`` whose problems lie
-on lines of the file.  The two commands run in process: exit 0 with finite
-output, or exit 2 with one ``error:`` line that names the flag.
+command lines, ``mesh`` and ``solve`` runs at an ``--epsilon`` override and
+``init-config`` runs, each value from its key's or flag's admitted range
+and from the extremes of a float.  A configuration is only parsed: it gives
+a config or a ``ConfigError`` whose problems lie on lines of the file.  The
+commands run in process: exit 0 with finite output, or exit 2 with one
+``error:`` line that names the flag.  ``mesh`` and ``solve`` stop where the
+mesher would start.  At m = 2 in dimensions 2 and 3 the printed gap
+integral is held to its closed form.
 """
 
 import contextlib
 import io
+import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,7 +25,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from neckfield import config
+from exact_gap import exact_gap_integral_m2
+from neckfield import cli, config
 from neckfield.cli import main
 from neckfield.config import ConfigError, ExperimentConfig, parse_config
 
@@ -116,7 +122,14 @@ def constants_runs(draw) -> tuple[str, tuple[str, ...]]:
     argv = ["constants"]
     argv += [f"{flag}={draw(flags[flag])}" for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True))]
     argv += [f"--curvature={value}" for value in draw(st.lists(_floats(1e-3, 100.0, 1.0), max_size=3))]
+    argv += ["--json"] if draw(st.booleans()) else []  # a path in a temporary directory
     return "constants", tuple(argv)
+
+
+@st.composite
+def epsilon_runs(draw) -> tuple[str, tuple[str, ...]]:
+    command = draw(st.sampled_from(["mesh", "solve"]))
+    return "epsilon", (command, f"--epsilon={draw(_floats(1e-16, 1.0, 1e-12, 1e-13, 1e-300, 1.0))}")
 
 
 def _run(argv) -> tuple[int, str, str]:
@@ -134,18 +147,65 @@ def _check_config(text: str) -> None:
         assert exc.problems and all(1 <= line <= last for line, _, _ in exc.problems), str(exc)
 
 
+def _exact_gap_integral(argv: tuple[str, ...]) -> float | None:
+    """The gap integral in closed form where the run is at m = 2 in
+    dimension 2 or 3 with an isotropic profile, else None."""
+    flags: dict[str, list[float]] = {}
+    for arg in argv[1:]:
+        if arg != "--json":
+            flag, _, value = arg.partition("=")
+            flags.setdefault(flag, []).append(float(value))
+    n, m = int(flags.get("--dimension", [2])[0]), flags.get("--order", [2.0])[0]
+    lams = flags.get("--curvature")
+    if m != 2.0 or n not in (2, 3) or (lams and len(set(lams)) > 1):
+        return None
+    coefficient = lams[0] / 2.0 if lams else flags.get("--coefficient", [1.0])[0]
+    return exact_gap_integral_m2(n, coefficient, flags.get("--eps", [1e-8])[0], flags.get("--neck-radius", [0.5])[0])
+
+
 def _check_constants(argv: tuple[str, ...]) -> None:
-    code, out, err = _run(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "constants.json"
+        code, out, err = _run([f"--json={path}" if arg == "--json" else arg for arg in argv])
+        doc = json.loads(path.read_text()) if path.exists() else None
     if code == 0:
-        for row in out.splitlines():
-            _, value = re.split(r"\s{2,}", row.strip(), maxsplit=1)
-            assert math.isfinite(float(value)), row
+        lines = out.splitlines()
+        if "--json" in argv:
+            assert lines.pop() == f"wrote {path}"
+        rows = dict(re.split(r"\s{2,}", row.strip(), maxsplit=1) for row in lines)
+        for key, value in rows.items():
+            assert math.isfinite(float(value)), (key, value)
+        if "--json" in argv:
+            assert doc == {key.replace(" ", "_"): value for key, value in rows.items()}
+        exact = _exact_gap_integral(argv)
+        if exact is not None:
+            printed = float(rows["gap integral at eps"])
+            assert math.isclose(printed, exact, rel_tol=1e-10, abs_tol=sys.float_info.min), (printed, exact)
         assert err == ""
         return
     assert code == 2, (code, err)
     (line,) = err.splitlines()
     # The flag at fault may be one left at its default, as --order is at -n 4.
     assert re.match(r"error: --(dimension|order|coefficient|curvature|eps|neck-radius) must be ", line), line
+
+
+class _Meshing(Exception):
+    """Raised by the stand-in for the mesher."""
+
+
+def _check_epsilon(argv: tuple[str, ...]) -> None:
+    def mesher(*args):
+        raise _Meshing
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "generate", mesher)
+        try:
+            code, out, err = _run(argv)
+        except _Meshing:
+            return
+    assert (code, out) == (2, ""), (code, err)
+    (line,) = err.splitlines()
+    assert line.startswith("error: --epsilon"), line
 
 
 def _check_init_config(out_file: bool) -> None:
@@ -158,7 +218,9 @@ def _check_init_config(out_file: bool) -> None:
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=st.one_of(config_files(), constants_runs(), st.tuples(st.just("init-config"), st.booleans())))
+@given(
+    case=st.one_of(config_files(), constants_runs(), epsilon_runs(), st.tuples(st.just("init-config"), st.booleans()))
+)
 # Inputs once reported on a wrong line, or that ended in a traceback, a hang
 # or exit 3.
 @example(case=("config", "[geometry]\nneck_radius = 1.5\n"))
@@ -192,9 +254,23 @@ def _check_init_config(out_file: bool) -> None:
 @example(case=("constants", ("constants", "--dimension=3", "--order=2.05")))
 @example(case=("constants", ("constants", "--dimension=3", "--coefficient=1e-200")))
 @example(case=("constants", ("constants", "--dimension=3", "--coefficient=1e200")))
+@example(case=("constants", ("constants", "--curvature=1.0", "--curvature=32.0")))
+@example(case=("constants", ("constants", "--coefficient=1e40")))
+@example(case=("constants", ("constants", "--dimension=3", "--coefficient=1e40", "--json")))
+@example(
+    case=("constants", ("constants", "--eps=2.2250738585072014e-308", "--neck-radius=1e150", "--coefficient=1e-250"))
+)
+@example(case=("epsilon", ("mesh", "--epsilon=1e-13")))
+@example(case=("epsilon", ("solve", "--epsilon=1e-12")))
 def test_every_input_works_or_names_itself(case):
     kind, value = case
-    {"config": _check_config, "constants": _check_constants, "init-config": _check_init_config}[kind](value)
+    checks = {
+        "config": _check_config,
+        "constants": _check_constants,
+        "epsilon": _check_epsilon,
+        "init-config": _check_init_config,
+    }
+    checks[kind](value)
 
 
 @pytest.mark.parametrize(
@@ -266,10 +342,12 @@ def test_owner_types_make_the_checks_the_parser_reports():
 
 def test_strip_budget_holds_at_a_gap_the_file_does_not_set(tmp_path, capsys):
     # The configured gaps fit the strip budget; a smaller --epsilon needs
-    # more stations than it allows and fails before the far field is built.
+    # more stations than it allows and is refused as a bad flag.
     path = tmp_path / "fine.cfg"
     path.write_text(f"[mesh]\nneck_step_factor = 1e-3\n[output]\ndirectory = {tmp_path / 'out'}\n")
     parse_config(path.read_text())
-    assert main(["mesh", "--config", str(path), "--epsilon", "1e-12"]) == 3
+    assert main(["mesh", "--config", str(path), "--epsilon", "1e-12"]) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: neck strip at gap 1e-12 needs at least 200011 points, above the budget of 200000")
+    assert line.startswith(
+        "error: --epsilon: neck strip at gap 1e-12 needs at least 200011 points, above the budget of 200000"
+    )

@@ -137,7 +137,7 @@ def test_no_stand_in_left_after_a_solve(tmp_path):
         "acceptance", "closed_forms", "conductivity", "experiments", "fem", "geometry", "mesh"
     }
     assert set(kinds["fem"]) == {"np", "sp", "spla", "csgraph", "linalg"}
-    assert set(kinds["mesh"]) == {"np", "spla", "spatial"}
+    assert set(kinds["mesh"]) == {"np", "sp", "spla", "csgraph", "spatial"}
     assert kinds["fem"].pop("sp") == "Log"
     assert all(kind == "module" for names in kinds.values() for kind in names.values()), kinds
     assert doc["wrapper_bound"]
