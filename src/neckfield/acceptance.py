@@ -31,6 +31,7 @@ from . import closed_forms as cf
 from .conductivity import BoundaryData, solve_bundle, solve_limit_direct
 from .config import ExperimentConfig
 from .experiments import (
+    SHRINK_FACTOR,
     convergence_report,
     fit_blowup_limit,
     fit_energy_constants,
@@ -499,7 +500,7 @@ def criterion_9_self_convergence(ctx: AcceptanceContext) -> CriterionResult:
     conv = ctx.convergence()
     checks = [
         (
-            f"difference shrink factor {conv.min_shrink:.2f} >= 1.5 per level "
+            f"difference shrink factor {conv.min_shrink:.2f} >= {SHRINK_FACTOR} per level "
             f"(energy, level gap, factor)",
             conv.shrink_ok,
         ),

@@ -310,6 +310,31 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str], float_flags: list[str]) -> list[str]:
+    """argv with each float flag, a long one perhaps abbreviated, joined to
+    a following value that starts with "-", as in ``--eps=-1e-3``: argparse
+    takes a separate -1e-3 or -inf for an option, not for the flag's value."""
+    joined: list[str] = []
+    for token in argv:
+        last = joined[-1] if joined else ""
+        names_float = last in float_flags or (
+            last.startswith("--") and len(last) > 2 and any(flag.startswith(last) for flag in float_flags)
+        )
+        if names_float and token.startswith("-") and _is_number(token):
+            joined[-1] = f"{last}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     if "numpy" not in sys.modules:  # a value set in the environment wins
         for var in THREAD_VARS:
@@ -319,6 +344,10 @@ def main(argv: list[str] | None = None) -> int:
         description="Field concentration between nearly touching perfect conductors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    float_flags: list[str] = []
+
+    def add_float(p, *flags, **kwargs) -> None:
+        float_flags.extend(p.add_argument(*flags, type=float, **kwargs).option_strings)
 
     p = sub.add_parser("init-config", help="print or write the default configuration")
     p.add_argument("--out", help="write to this path instead of stdout")
@@ -326,28 +355,23 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("constants", help="closed-form constants and the quadrature oracle")
     p.add_argument("--dimension", "-n", "--n", type=int, default=2)
-    p.add_argument("--order", "-m", "--m", type=float, default=2.0)
-    p.add_argument("--coefficient", type=float, default=1.0, help="relative profile coefficient")
-    p.add_argument(
-        "--curvature",
-        type=float,
-        action="append",
-        help="relative principal curvature (repeat for dimension 3)",
-    )
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--neck-radius", type=float, default=0.5)
+    add_float(p, "--order", "-m", "--m", default=2.0)
+    add_float(p, "--coefficient", default=1.0, help="relative profile coefficient")
+    add_float(p, "--curvature", action="append", help="relative principal curvature (repeat for dimension 3)")
+    add_float(p, "--eps", default=1e-8)
+    add_float(p, "--neck-radius", default=0.5)
     p.add_argument("--json", help="also write the report as JSON to this path")
     p.set_defaults(handler=_cmd_constants)
 
     p = sub.add_parser("mesh", help="generate, audit and export a mesh")
     p.add_argument("--config", help="configuration file (default: built-in)")
-    p.add_argument("--epsilon", type=float, help="gap override")
+    add_float(p, "--epsilon", help="gap override")
     p.add_argument("--out", help="output path (default: <outdir>/mesh.txt)")
     p.set_defaults(handler=_cmd_mesh)
 
     p = sub.add_parser("solve", help="solve one gap value and emit the flux document")
     p.add_argument("--config", help="configuration file (default: built-in)")
-    p.add_argument("--epsilon", type=float, help="gap override")
+    add_float(p, "--epsilon", help="gap override")
     p.add_argument("--dump-fields", action="store_true", help="also write nodal fields")
     p.set_defaults(handler=_cmd_solve)
 
@@ -364,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--dir", required=True, help="directory holding sweep.csv")
     p.set_defaults(handler=_cmd_report)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv, float_flags))
     try:
         return args.handler(args)
     except ConfigError as exc:

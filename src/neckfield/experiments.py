@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import time
 from dataclasses import dataclass, field
 
 from . import InputError, _Deferred, fem
@@ -48,6 +47,7 @@ __all__ = [
     "vb_station_profile",
     "records_to_csv",
     "SWEEP_CSV_HEADER",
+    "SHRINK_FACTOR",
 ]
 
 
@@ -76,7 +76,6 @@ class SweepRecord:
     centerline_residual: float
     vertex_count: int
     triangle_count: int
-    wall_time: float
     vb_profile: list[tuple[float, float]] = field(default_factory=list)
 
     @property
@@ -162,7 +161,6 @@ def sweep_record(
 ) -> tuple[SweepRecord, SolveBundle, fem.ScalarField]:
     """Solve one gap value and collect its observables; also returns the
     solved bundle and the neck remainder field."""
-    t0 = time.perf_counter()
     bundle = solve_bundle(mesh, phi)
     ramp = neck_interpolant(pair, mesh)
     w = neck_remainder(bundle, ramp)
@@ -202,7 +200,6 @@ def sweep_record(
         centerline_residual=_centerline_residual(bundle, ramp),
         vertex_count=mesh.vertex_count,
         triangle_count=mesh.triangle_count,
-        wall_time=time.perf_counter() - t0,
         vb_profile=profile,
     )
     return record, bundle, w
@@ -406,7 +403,11 @@ def ladder_solves(meshes, phi: BoundaryData) -> list[tuple[float, float, float]]
     return solves
 
 
-def convergence_report(solves: list[tuple[float, float, float]], shrink_factor: float = 1.5) -> ConvergenceReport:
+# The least factor by which each level difference of a ladder must shrink.
+SHRINK_FACTOR = 1.5
+
+
+def convergence_report(solves: list[tuple[float, float, float]]) -> ConvergenceReport:
     """Difference decay over the ``ladder_solves`` of ladder levels 0, 1, 2, ..."""
     energies, c_diffs, b_factors = (list(series) for series in zip(*solves))
     min_shrink = math.inf
@@ -418,7 +419,7 @@ def convergence_report(solves: list[tuple[float, float, float]], shrink_factor: 
         ratios = d[:-1] / d[1:]
         if len(ratios):
             min_shrink = min(min_shrink, float(ratios.min()))
-            if np.any(ratios < shrink_factor):
+            if np.any(ratios < SHRINK_FACTOR):
                 shrink_ok = False
     error_bar = abs(energies[-1] - energies[-2])
     return ConvergenceReport(
@@ -438,7 +439,6 @@ def mesh_convergence(
     phi: BoundaryData,
     params: MeshParams,
     levels: int = 3,
-    shrink_factor: float = 1.5,
 ) -> ConvergenceReport:
     """Solve on a nested quadrisection ladder and check difference decay.
 
@@ -447,7 +447,7 @@ def mesh_convergence(
     """
     if levels < 3:
         raise ValueError("need at least three ladder levels")
-    return convergence_report(ladder_solves(ladder_meshes(pair, params, levels), phi), shrink_factor)
+    return convergence_report(ladder_solves(ladder_meshes(pair, params, levels), phi))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ harmonic field this is exactly compatible with the discrete energy
 identity (flux of the unit-potential field through its own boundary
 equals its energy), which the solver pipeline relies on.
 
-A mesh built mirror symmetric carries its vertex permutation m of
+Every mesh is mirror symmetric and carries its vertex permutation m of
 x -> -x (``Mesh.mirror``), and the operator assembles only the half
 stiffness K_h of the triangles at x >= 0, over the vertices at x >= 0.
 The full stiffness is K f = K_h f + (K_h (f o m)) o m, which gives the
@@ -18,9 +18,8 @@ x > 0, which is the zero Dirichlet condition.  Each block has about half
 the unknowns of the full problem, and its LU is far cheaper.  Every
 solve starts with the even block; the odd block is factored and solved
 only when the residual of the full system is still above the 1e-10
-bound, i.e. for data with an odd part.  A mesh without a mirror is
-assembled whole, and its even solve is the full solve.  Several boundary
-data given at once share each block solve.
+bound, i.e. for data with an odd part.  Several boundary data given at
+once share each block solve.
 
 A block of at least ``_DISSECTION_MIN`` unknowns is factored in a
 geometric nested-dissection order (George, SIAM J. Numer. Anal. 10,
@@ -92,12 +91,11 @@ class ScalarField:
 
 class StiffnessOperator:
     """P1 stiffness of a mesh, assembled on its fundamental domain: the
-    triangles at x >= 0 when the mesh carries a mirror, else all of them.
+    triangles at x >= 0, which must be half of them.
 
-    Rows of the half stiffness K_h are the vertices ``_keep`` of the
-    fundamental domain; ``_image`` holds their mirror images.  K f is
-    K_h f at x > 0, K_h (f o m) at the images and the sum of the two on
-    the axis.
+    Rows of the half stiffness K_h are the vertices ``_keep`` at x >= 0;
+    ``_image`` holds their mirror images.  K f is K_h f at x > 0,
+    K_h (f o m) at the images and the sum of the two on the axis.
     """
 
     def __init__(self, mesh: Mesh):
@@ -106,47 +104,37 @@ class StiffnessOperator:
         self.interior = np.flatnonzero(tags == INTERIOR)
         # The vertex ids of each boundary tag present, in tag order.
         self._tag_ids = {int(tag): np.flatnonzero(tags == tag) for tag in np.unique(tags[tags != INTERIOR])}
-        verts, tris = mesh.vertices, mesh.triangles
-        self._keep, self._image = np.arange(mesh.vertex_count), None
-        if mesh.mirror is not None:
-            x = verts[:, 0]
-            half = np.all(x[tris] >= 0.0, axis=1)
-            if 2 * np.count_nonzero(half) != len(tris):
-                raise SolverError("the mirror does not split the triangles into two halves")
-            self._keep = np.flatnonzero(x >= 0.0)
-            self._image = mesh.mirror[self._keep]
-            local = np.empty(mesh.vertex_count, dtype=np.int64)
-            local[self._keep] = np.arange(len(self._keep))
-            verts, tris = verts[self._keep], local[tris[half]]
-        self._points = verts
-        self._half = stiffness_matrix(verts, tris)
+        x = mesh.vertices[:, 0]
+        half = np.all(x[mesh.triangles] >= 0.0, axis=1)
+        if 2 * np.count_nonzero(half) != mesh.triangle_count:
+            raise SolverError("the mirror does not split the triangles into two halves")
+        self._keep = np.flatnonzero(x >= 0.0)
+        self._image = mesh.mirror[self._keep]
+        local = np.empty(mesh.vertex_count, dtype=np.int64)
+        local[self._keep] = np.arange(len(self._keep))
+        self._points = mesh.vertices[self._keep]
+        self._half = stiffness_matrix(self._points, local[mesh.triangles[half]])
         kept = tags[self._keep]
         self._tag_rows = {tag: np.flatnonzero(kept == tag) for tag in self._tag_ids}
         # The unknowns of each block, as rows of K_h; the odd block leaves
         # out the axis.
-        inner = kept == INTERIOR
-        self._unknowns = {"even": np.flatnonzero(inner)}
-        if self._image is not None:
-            self._unknowns["odd"] = np.flatnonzero(inner & (verts[:, 0] > 0.0))
-            self._axis = np.flatnonzero(inner & (verts[:, 0] == 0.0))
+        inner, off_axis = kept == INTERIOR, self._points[:, 0] > 0.0
+        self._unknowns = {"even": np.flatnonzero(inner), "odd": np.flatnonzero(inner & off_axis)}
+        self._axis = np.flatnonzero(inner & ~off_axis)
         self._factors: dict[str, tuple[np.ndarray, object]] = {}
 
-    def _sides(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """K_h f and K_h (f o m) over the fundamental domain, the second None
-        without a mirror.  Where f o m equals f on the kept rows, the second
-        is the first itself: its product would be the same bits."""
+    def _sides(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """K_h f and K_h (f o m) over the fundamental domain.  Where f o m
+        equals f on the kept rows, the second is the first itself: its
+        product would be the same bits."""
         kept = values[self._keep]
         side = self._half @ kept
-        if self._image is None:
-            return side, None
         mirrored = values[self._image]
         return side, side if np.array_equal(kept, mirrored) else self._half @ mirrored
 
-    def _interior_norm(self, side: np.ndarray, image: np.ndarray | None) -> np.ndarray:
+    def _interior_norm(self, side: np.ndarray, image: np.ndarray) -> np.ndarray:
         """Norm of K f over the interior vertices, from ``_sides(f)``, for
         each column f."""
-        if image is None:
-            return np.linalg.norm(side[self._unknowns["even"]], axis=0)
         odd, axis = self._unknowns["odd"], self._axis
         return np.sqrt(sum(np.square(part).sum(axis=0) for part in (side[odd], image[odd], side[axis] + image[axis])))
 
@@ -218,14 +206,13 @@ class StiffnessOperator:
         keep, image = self._keep, self._image
         side, mirrored = self._sides(u)
         scale = np.maximum(self._interior_norm(side, mirrored), 1e-30)
-        rows, values = block_solve("even", side if image is None else 0.5 * (side + mirrored))
+        rows, values = block_solve("even", 0.5 * (side + mirrored))
         u[keep[rows]] = values
-        if image is not None:
-            u[image[rows]] = values
+        u[image[rows]] = values
         side, mirrored = self._sides(u)
         res = self._interior_norm(side, mirrored) / scale
         odd = np.flatnonzero(res > _RESIDUAL_BOUND)
-        if image is not None and len(odd):
+        if len(odd):
             rows, step = block_solve("odd", 0.5 * (side[:, odd] - mirrored[:, odd]))
             u[np.ix_(keep[rows], odd)] += step
             u[np.ix_(image[rows], odd)] -= step
@@ -271,7 +258,7 @@ class StiffnessOperator:
     def energy(self, f: ScalarField) -> float:
         """Dirichlet energy f'Kf of a nodal field: f'K_h f plus the same for
         f o m."""
-        sides = [f.values[self._keep]] if self._image is None else [f.values[self._keep], f.values[self._image]]
+        sides = f.values[self._keep], f.values[self._image]
         return float(sum(side @ (self._half @ side) for side in sides))
 
     def fluxes(self, f: ScalarField) -> dict[int, float]:
@@ -283,10 +270,7 @@ class StiffnessOperator:
         Sign convention: the unit-potential field of a conductor has
         positive flux through its own boundary, equal to its energy.
         """
-        values = f.values[self._keep]
-        if self._image is not None:
-            values = values + f.values[self._image]
-        kf = self._half @ values
+        kf = self._half @ (f.values[self._keep] + f.values[self._image])
         return {tag: float(kf[rows].sum()) for tag, rows in self._tag_rows.items()}
 
 

@@ -127,7 +127,9 @@ class MeshParams:
 
 @dataclass
 class Mesh:
-    """Immutable triangulation with tagged boundary and neck bookkeeping."""
+    """Immutable triangulation, mirror symmetric under x -> -x, with tagged
+    boundary and neck bookkeeping.  ``mirror`` is the vertex permutation of
+    the symmetry; ``audit`` checks it."""
 
     vertices: np.ndarray
     triangles: np.ndarray
@@ -137,14 +139,10 @@ class Mesh:
     neck: np.ndarray
     neck_column_x: np.ndarray
     stations: np.ndarray
-    layers: int
-    # The vertex permutation of x -> -x on a mesh built mirror symmetric,
-    # else None.
-    mirror: np.ndarray | None = None
+    mirror: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.mirror is not None:
-            self.mirror.setflags(write=False)
+        self.mirror.setflags(write=False)
         self.vertices.setflags(write=False)
         self.triangles.setflags(write=False)
         self.boundary_edges.setflags(write=False)
@@ -747,14 +745,12 @@ def _mirror_piece(piece: _Piece) -> _Piece:
     )
 
 
-def _merge_pieces(pieces: list[_Piece], mirrored: bool = False) -> tuple:
-    """Glue the pieces at coincident vertices.  Vertices match by value, so
-    -0.0 meets 0.0; ids and coordinates follow first occurrence.
-
-    With ``mirrored``, each piece is followed by its mirror image, and the
-    vertex permutation of x -> -x comes last in the result, else None."""
-    if mirrored:
-        pieces = [p for right in pieces for p in (right, _mirror_piece(right))]
+def _merge_pieces(pieces: list[_Piece]) -> tuple:
+    """Glue the pieces, each followed by its mirror image, at coincident
+    vertices.  Vertices match by value, so -0.0 meets 0.0; ids and
+    coordinates follow first occurrence.  The vertex permutation of
+    x -> -x comes last in the result."""
+    pieces = [p for right in pieces for p in (right, _mirror_piece(right))]
     allv = np.concatenate([piece.vertices for piece in pieces])
     key = allv + 0.0  # -0.0 -> 0.0; every other value is unchanged
     order = np.lexsort((key[:, 1], key[:, 0]))
@@ -783,18 +779,16 @@ def _merge_pieces(pieces: list[_Piece], mirrored: bool = False) -> tuple:
             neck_flags.append(piece.neck)
             col_x.append(piece.column_x)
     verts = allv[np.sort(first)]
-    mirror = None
-    if mirrored:
-        # Vertex j of a piece and vertex j of its image are mirror images.
-        mirror = np.empty(len(verts), dtype=np.int64)
-        starts = np.cumsum([0] + [len(p.vertices) for p in pieces])
-        for lo, mid, hi in zip(starts[0::2], starts[1::2], starts[2::2]):
-            right, left = ids[lo:mid], ids[mid:hi]
-            mirror[right], mirror[left] = left, right
+    # Vertex j of a piece and vertex j of its image are mirror images.
+    mirror = np.empty(len(verts), dtype=np.int64)
+    starts = np.cumsum([0] + [len(p.vertices) for p in pieces])
+    for lo, mid, hi in zip(starts[0::2], starts[1::2], starts[2::2]):
+        right, left = ids[lo:mid], ids[mid:hi]
+        mirror[right], mirror[left] = left, right
     return verts, np.vstack(tris), np.vstack(segs), np.concatenate(neck_flags), np.concatenate(col_x), mirror
 
 
-def _finalize(pair_stations: np.ndarray, layers: int, merged) -> Mesh:
+def _finalize(pair_stations: np.ndarray, merged) -> Mesh:
     verts, tris, segs, neck, col_x, mirror = merged
     area2 = _signed_area2(verts[tris])
     if np.any(area2 == 0.0):
@@ -842,7 +836,6 @@ def _finalize(pair_stations: np.ndarray, layers: int, merged) -> Mesh:
         neck=neck,
         neck_column_x=col_x,
         stations=pair_stations,
-        layers=layers,
         mirror=mirror,
     )
 
@@ -856,8 +849,7 @@ def _glued_mesh(pair: InclusionPair, params: MeshParams, x_start: float) -> Mesh
     far_r, _ = _far_half_piece(pair, params, end_fiber)
     left = -xs[::-1] + 0.0
     stations = np.concatenate([left if x_start > 0.0 else left[:-1], xs])
-    merged = _merge_pieces([strip_r, far_r], mirrored=True)
-    return _finalize(stations, params.layers, merged)
+    return _finalize(stations, _merge_pieces([strip_r, far_r]))
 
 
 def generate(pair: InclusionPair, params: MeshParams) -> Mesh:
@@ -905,9 +897,9 @@ class MeshAudit:
 
 
 def audit(mesh: Mesh) -> MeshAudit:
-    """Invariant replay: watertightness, orientation, Euler count, quality,
-    and the mirror where the mesh carries one."""
-    failures = [] if mesh.mirror is None else _mirror_failures(mesh)
+    """Invariant replay: the mirror, watertightness, orientation, Euler
+    count and quality."""
+    failures = _mirror_failures(mesh)
     areas = mesh.areas()
     if np.any(areas <= 0.0):
         failures.append(f"{int(np.sum(areas <= 0.0))} non-positively oriented triangles")
@@ -1032,14 +1024,11 @@ def refine_quadrisect(mesh: Mesh, pair: InclusionPair) -> Mesh:
     k = np.searchsorted(stations, cx) - 1
     col_x[neck] = 0.5 * (stations[k] + stations[k + 1])
 
-    mirror = mesh.mirror
-    if mirror is not None:
-        # In key order, the images' keys come nearly sorted, which the search favours.
-        a, b = mirror[uniq // n], mirror[uniq % n]
-        image = np.searchsorted(uniq, np.minimum(a, b) * n + np.maximum(a, b))
-        mid_mirror = np.empty(len(uniq), dtype=np.int64)
-        mid_mirror[rank] = n + rank[image]
-        mirror = np.concatenate([mirror, mid_mirror])
+    # In key order, the images' keys come nearly sorted, which the search favours.
+    a, b = mesh.mirror[uniq // n], mesh.mirror[uniq % n]
+    image = np.searchsorted(uniq, np.minimum(a, b) * n + np.maximum(a, b))
+    mid_mirror = np.empty(len(uniq), dtype=np.int64)
+    mid_mirror[rank] = n + rank[image]
 
     return Mesh(
         vertices=verts,
@@ -1050,8 +1039,7 @@ def refine_quadrisect(mesh: Mesh, pair: InclusionPair) -> Mesh:
         neck=neck,
         neck_column_x=col_x,
         stations=stations,
-        layers=2 * mesh.layers,
-        mirror=mirror,
+        mirror=np.concatenate([mesh.mirror, mid_mirror]),
     )
 
 

@@ -262,11 +262,11 @@ class TestCommands:
         assert main(["constants", "-n", "3", "--coefficient", repr(coefficient)]) == 0
         rows = self._constants_rows(capsys.readouterr().out)
         want = math.pi / (2.0 * coefficient)
-        assert float(rows["curvature constant (printed)"]) == pytest.approx(want, rel=1e-11)  # 12 digits
+        assert float(rows["curvature constant (printed)"]) == pytest.approx(want, rel=1e-11, abs=0)  # 12 digits
         assert float(rows["printed / oracle"]) == 0.5
         report = constants_report(AsymptoticParams(n=3, m=2.0, coefficient=coefficient, eps=1e-8))
-        assert report.curvature_constant == pytest.approx(want, rel=1e-15)
-        assert report.printed_constant == pytest.approx(want, rel=1e-15)
+        assert report.curvature_constant == pytest.approx(want, rel=1e-15, abs=0)
+        assert report.printed_constant == pytest.approx(want, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("coefficient", ["1e200", "1e-200"])
     def test_constants_printed_over_oracle_out_of_range(self, coefficient, capsys):

@@ -69,7 +69,6 @@ def synthetic_records(eps_list, fn):
                 centerline_residual=0.1,
                 vertex_count=100,
                 triangle_count=180,
-                wall_time=0.0,
             )
         )
     return out

@@ -29,7 +29,8 @@ from polygon_mesh import mesh_convex_polygon
 
 
 def unit_square_two_triangles():
-    verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
+    # Centred on the axis and cut by one diagonal, so both triangles cross it.
+    verts = np.array([[-0.5, 0], [0.5, 0], [0.5, 1], [-0.5, 1]], float)
     tris = np.array([[0, 1, 2], [0, 2, 3]])
     return Mesh(
         vertices=verts,
@@ -40,7 +41,7 @@ def unit_square_two_triangles():
         neck=np.zeros(2, bool),
         neck_column_x=np.full(2, np.nan),
         stations=np.array([]),
-        layers=4,
+        mirror=np.array([1, 0, 3, 2]),
     )
 
 
@@ -78,6 +79,10 @@ class TestAssembly:
             ]
         )
         assert np.allclose(k, expect, atol=1e-15)
+
+    def test_mirror_must_halve_the_triangles(self):
+        with pytest.raises(fem.SolverError, match=r"^the mirror does not split the triangles into two halves$"):
+            fem.assemble(unit_square_two_triangles())
 
     def test_row_sums_vanish(self, k):
         sums = np.abs(np.asarray(k.sum(axis=1))).max()
@@ -135,7 +140,8 @@ class TestSolve:
         assert np.abs(f.values - 3.5).max() <= 1e-10
 
     def test_linear_reproduction_on_convex_mesh(self):
-        mesh = mesh_convex_polygon(np.array([[0, 0], [2, 0], [2, 1], [0, 1]], float), 0.15)
+        # The rectangle [-1, 1] x [0, 1].
+        mesh = mesh_convex_polygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float), 0.15)
         op = fem.assemble(mesh)
         lin = lambda pts: 3.0 * pts[:, 0] - 2.0 * pts[:, 1] + 0.5
         f = op.solve_dirichlet({OUTER: lin})
@@ -258,17 +264,15 @@ def _reference_error(op, data):
     return np.abs(f.values - ref).max() / np.abs(ref).max()
 
 
-def _nudged(op, mirror=None):
-    # One interior vertex off its mirror image; the mirror is dropped
-    # unless one is given.
+def _nudged(op):
+    # One interior vertex off its mirror image.
     verts = op.mesh.vertices.copy()
     verts[op.interior[len(op.interior) // 2], 0] += 1e-9
-    return dataclasses.replace(op.mesh, vertices=verts, mirror=mirror)
+    return dataclasses.replace(op.mesh, vertices=verts)
 
 
-def _flipped(op, mirror=None):
-    # Mirror-paired vertices and tags, but one diagonal flipped at x > 0;
-    # the mirror is dropped unless one is given.
+def _flipped(op):
+    # Mirror-paired vertices and tags, but one diagonal flipped at x > 0.
     mesh = op.mesh
     tris = mesh.triangles.copy()
     owner = {}
@@ -285,7 +289,7 @@ def _flipped(op, mirror=None):
         area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         if mesh.vertices[d, 0] > 0.0 and np.all(area2 > 0.0):
             tris[[t1, t2]] = new
-            return dataclasses.replace(mesh, triangles=tris, mirror=mirror)
+            return dataclasses.replace(mesh, triangles=tris)
     raise AssertionError("no flippable pair")
 
 
@@ -321,9 +325,7 @@ def _sorted_reflection(mesh):
 
 
 class TestReflection:
-    @pytest.mark.parametrize(
-        "case", ["default", "level1", "level2", "level3", "touching", "quartic", "quadrilateral", "nudged", "flipped"]
-    )
+    @pytest.mark.parametrize("case", ["default", "level1", "level2", "level3", "touching", "quartic"])
     def test_equals_sorted_original(self, pair, op, case):
         if case == "default":
             mesh = op.mesh
@@ -333,29 +335,20 @@ class TestReflection:
                 mesh = refine_quadrisect(mesh, pair)
         elif case == "touching":
             mesh = generate_touching(pair.with_gap(0.0), 0.05, MeshParams())
-        elif case == "quartic":
+        else:
             quartic = InclusionPair(2, NeckProfile(kind=ProfileKind.POWER_LAW, order=4.0, coefficient=4.0), 1e-3)
             mesh = generate(quartic, MeshParams())
-        elif case == "quadrilateral":
-            mesh = mesh_convex_polygon(np.array([[0.0, 0.0], [2.0, 0.0], [2.3, 1.1], [-0.4, 1.0]]), 0.15)
-        else:
-            mesh = _nudged(op) if case == "nudged" else _flipped(op)
         found = _sorted_reflection(mesh)
-        symmetric = case not in ("quadrilateral", "nudged", "flipped")
-        assert np.array_equal(found, np.arange(mesh.vertex_count)) != symmetric
-        if symmetric:
-            assert np.array_equal(mesh.mirror, found)
-            assert audit(mesh).passed
-        else:
-            assert mesh.mirror is None
+        assert not np.array_equal(found, np.arange(mesh.vertex_count))
+        assert np.array_equal(mesh.mirror, found)
+        assert audit(mesh).passed
 
     @pytest.mark.parametrize("case", ["nudged", "flipped", "tags"])
     def test_audit_rejects_a_stale_mirror(self, op, case):
-        mirror = op.mesh.mirror
         if case == "nudged":
-            mesh, failure = _nudged(op, mirror), "mirror does not map (x, y) to (-x, y) exactly"
+            mesh, failure = _nudged(op), "mirror does not map (x, y) to (-x, y) exactly"
         elif case == "flipped":
-            mesh, failure = _flipped(op, mirror), "mirror does not map the triangles onto themselves"
+            mesh, failure = _flipped(op), "mirror does not map the triangles onto themselves"
         else:
             tags = op.mesh.vertex_tags.copy()
             tags[np.flatnonzero(op.mesh.vertices[:, 0] > 0.0)[0]] = INTERIOR
@@ -426,24 +419,6 @@ class TestMirrorSplit:
         assert assembled == [(half, mesh.triangle_count // 2)]
         assert 2 * assembled[0][1] == mesh.triangle_count and half < mesh.vertex_count
         assert fresh._half.shape == (half, half)
-
-    @pytest.mark.parametrize("case", ["quadrilateral", "nudged", "flipped"])
-    def test_asymmetric_mesh_takes_identity(self, op, case):
-        # Without a mirror the whole mesh is assembled and solved as one block.
-        if case == "quadrilateral":
-            corners = np.array([[0.0, 0.0], [2.0, 0.0], [2.3, 1.1], [-0.4, 1.0]])
-            mesh = mesh_convex_polygon(corners, 0.15)
-            data = {OUTER: lambda pts: np.cos(pts[:, 0]) * np.exp(pts[:, 1])}
-        else:
-            mesh = _nudged(op) if case == "nudged" else _flipped(op)
-            phi = BoundaryData(kind="fourier", cos_coeffs=(1.0,), sin_coeffs=(1.0,))
-            data = {INCLUSION1: 1.0, INCLUSION2: 0.0, OUTER: phi.evaluate}
-        assert mesh.mirror is None
-        fresh = fem.assemble(mesh)
-        assert fresh._half.shape == (mesh.vertex_count, mesh.vertex_count)
-        assert np.array_equal(fresh._unknowns["even"], fresh.interior) and "odd" not in fresh._unknowns
-        assert _reference_error(fresh, data) <= 1e-12
-        assert sorted(fresh._factors) == ["even"]
 
 
 class TestFluxAndEnergy:
@@ -702,19 +677,11 @@ class TestSides:
         assert side.tobytes() == (op._half @ u[op._keep]).tobytes()
         assert mirrored.tobytes() == (op._half @ u[op._image]).tobytes()
 
-    def test_without_mirror(self):
-        mesh = mesh_convex_polygon(np.array([[0.0, 0.0], [2.0, 0.0], [2.3, 1.1], [-0.4, 1.0]]), 0.15)
-        new = fem.assemble(mesh)
-        u = new.solve_dirichlet({OUTER: lambda pts: np.cos(pts[:, 0]) * np.exp(pts[:, 1])}).values[:, None]
-        side, mirrored = new._sides(u)
-        assert mirrored is None
-        assert side.tobytes() == (new._half @ u).tobytes()
-
 
 class TestOperatorSetupBits:
     """The half-domain operator against the full-K operator: every number
-    of a solve bundle within 1e-13 of its scale on mirrored meshes, where
-    sums run in another order, and byte for byte without a mirror."""
+    of a solve bundle within 1e-13 of its scale, where sums run in another
+    order."""
 
     @pytest.mark.parametrize(
         "case,kind",
@@ -742,13 +709,3 @@ class TestOperatorSetupBits:
         for name in ("a11", "a12", "a21", "a22", "b1", "b2", "c1", "c2", "b_factor", "b_factor_system",
                      "c_diff_residual"):
             assert abs(getattr(got, name) - getattr(want, name)) <= 1e-13 * want.a11, name
-
-    def test_equals_former_path_without_mirror(self):
-        mesh = mesh_convex_polygon(np.array([[0.0, 0.0], [2.0, 0.0], [2.3, 1.1], [-0.4, 1.0]]), 0.15)
-        assert mesh.mirror is None
-        data = {OUTER: lambda pts: np.cos(pts[:, 0]) * np.exp(pts[:, 1])}
-        new, old = fem.assemble(mesh), _FullOperator(mesh)
-        got, want = new.solve_dirichlet(data), old.solve_dirichlet(data)
-        assert got.values.tobytes() == want.values.tobytes()
-        assert new.energy(got) == old.energy(want)
-        assert new.fluxes(got) == old.fluxes(want)

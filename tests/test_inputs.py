@@ -118,7 +118,8 @@ def constants_runs(draw) -> tuple[str, tuple[str, ...]]:
         "--eps": _floats(1e-12, 1.0, 1e-310, 2.3e-308, 1.0),
         "--neck-radius": _floats(1e-3, 10.0, 0.5),
     }
-    # --flag=value, since argparse takes a separate -1e300 or -inf for a flag.
+    # --flag=value; test_negative_value_as_a_separate_token pins the
+    # separate form against it.
     argv = ["constants"]
     argv += [f"{flag}={draw(flags[flag])}" for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True))]
     argv += [f"--curvature={value}" for value in draw(st.lists(_floats(1e-3, 100.0, 1.0), max_size=3))]
@@ -271,6 +272,28 @@ def test_every_input_works_or_names_itself(case):
         "init-config": _check_init_config,
     }
     checks[kind](value)
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [("constants", flag) for flag in ("--order", "-m", "--m", "--coefficient", "--curvature", "--eps", "--neck-radius")]
+    + [("constants", "--coef"), ("mesh", "--epsilon"), ("solve", "--epsilon")],
+)
+def test_negative_value_as_a_separate_token(argv, value, monkeypatch):
+    # argparse reads a separate -1e-3 or -inf as an option; every float
+    # flag, abbreviated too, takes it as its value, as in --flag=value.
+    def mesher(*args):
+        raise _Meshing
+
+    monkeypatch.setattr(cli, "generate", mesher)
+    command, flag = argv
+    joined = _run([command, f"{flag}={value}"])
+    assert _run([command, flag, value]) == joined
+    code, out, err = joined
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: --"), line
 
 
 @pytest.mark.parametrize(

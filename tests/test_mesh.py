@@ -25,7 +25,7 @@ from neckfield.mesh import (
     write_mesh_text,
 )
 
-from polygon_mesh import mesh_convex_polygon
+from polygon_mesh import mesh_convex_polygon, mirrored_mesh, polygon_chains, polygon_piece
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +35,13 @@ def pair():
 
 
 @pytest.fixture(scope="module")
-def mesh(pair):
-    return generate(pair, MeshParams(layers=4))
+def params():
+    return MeshParams(layers=4)
+
+
+@pytest.fixture(scope="module")
+def mesh(pair, params):
+    return generate(pair, params)
 
 
 @pytest.fixture
@@ -49,11 +54,11 @@ def cold_far_field():
 
 
 class TestGenerate:
-    def test_layer_count_on_strip_fibers(self, pair, mesh):
+    def test_layer_count_on_strip_fibers(self, pair, params, mesh):
         # every station carries exactly layers+1 vertex rows
         for x in mesh.stations:
             rows = np.sum(np.abs(mesh.vertices[:, 0] - x) < 1e-15)
-            assert rows >= mesh.layers + 1
+            assert rows >= params.layers + 1
 
     def test_audit_clean(self, mesh):
         report = audit(mesh)
@@ -80,14 +85,14 @@ class TestGenerate:
         assert np.array_equal(a.triangles, b.triangles)
         assert np.array_equal(a.boundary_tags, b.boundary_tags)
 
-    def test_profile_interpolated_exactly(self, pair, mesh):
+    def test_profile_interpolated_exactly(self, pair, params, mesh):
         # each station fiber spans exactly [h2, eps+h1] with layers+1 rows
         for x in mesh.stations:
             h1, h2 = pair.profile.heights([x])
             top = pair.eps + h1
             at_x = mesh.vertices[mesh.vertices[:, 0] == x]
             band = at_x[(at_x[:, 1] >= h2 - 1e-12) & (at_x[:, 1] <= top + 1e-12)]
-            assert len(band) == mesh.layers + 1
+            assert len(band) == params.layers + 1
             assert abs(band[:, 1].min() - h2) <= 1e-14
             assert abs(band[:, 1].max() - top) <= 1e-14
 
@@ -226,7 +231,8 @@ class TestEdgeIndex:
         assert report.boundary_loop_count == (2 if touching else 3)
 
     def test_audit_counts_overshared_edges(self):
-        verts = np.array([[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.5, 2]], float)
+        # Three triangles on the edge (0, 1), which the mirror reverses.
+        verts = np.array([[-0.5, 0], [0.5, 0], [0, 1], [0, -1], [0, 2]], float)
         tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
         fan = mesh_module.Mesh(
             vertices=verts,
@@ -237,7 +243,7 @@ class TestEdgeIndex:
             neck=np.zeros(3, bool),
             neck_column_x=np.full(3, np.nan),
             stations=np.array([]),
-            layers=4,
+            mirror=np.array([1, 0, 2, 3, 4]),
         )
         report = audit(fan)
         assert report.edge_count == len(_edge_counts_loop(fan)) == 7
@@ -245,16 +251,14 @@ class TestEdgeIndex:
         assert "2 non-manifold boundary vertices" in report.failures
 
 
-_SQUARE_RIM = [(0, 1, OUTER), (1, 2, OUTER), (2, 3, OUTER), (3, 0, OUTER)]
+# The unit square right of the axis, its edge (3, 0) on the axis untagged.
+# Glued to its image, vertices 1 and 2 have the images 4 and 5.
+_SQUARE_RIM = [(0, 1, OUTER), (1, 2, OUTER), (2, 3, OUTER)]
 
 
 def _square(segments, triangles=((0, 1, 2), (0, 2, 3))):
     verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
     return mesh_module._Piece(vertices=verts, triangles=np.array(triangles), segments=np.array(segments))
-
-
-def _glue(*pieces):
-    return mesh_module._finalize(np.asarray([]), 4, mesh_module._merge_pieces(list(pieces)))
 
 
 class TestMergeFinalize:
@@ -265,55 +269,54 @@ class TestMergeFinalize:
             segments=np.array([(0, 1, OUTER), (1, 2, OUTER), (2, 0, OUTER)]),
         )
         with pytest.raises(MeshError, match=r"^degenerate triangle produced during merge$"):
-            _glue(piece)
+            mirrored_mesh(piece)
 
     def test_clockwise_triangle(self):
         # Every piece comes counterclockwise; a clockwise triangle is an error, not flipped.
         with pytest.raises(MeshError, match=r"^clockwise triangle produced during merge$"):
-            _glue(_square(_SQUARE_RIM, triangles=((0, 1, 2), (0, 3, 2))))
+            mirrored_mesh(_square(_SQUARE_RIM, triangles=((0, 1, 2), (0, 3, 2))))
 
     def test_conflicting_tags(self):
         with pytest.raises(MeshError, match=r"^conflicting tags on boundary edge \(0, 1\)$"):
-            _glue(_square(_SQUARE_RIM + [(1, 0, INCLUSION1)]))
+            mirrored_mesh(_square(_SQUARE_RIM + [(1, 0, INCLUSION1)]))
 
     def test_boundary_mismatch(self):
+        # Declared but interior: the axis edge (3, 0) and the diagonal (0, 2)
+        # with its image; untagged: the edge (2, 3) and its image.
         segments = [(0, 1, OUTER), (1, 2, OUTER), (3, 0, OUTER), (0, 2, OUTER)]
         with pytest.raises(
-            MeshError, match=r"^boundary mismatch: 1 declared edges interior, 1 untagged boundary edges$"
+            MeshError, match=r"^boundary mismatch: 3 declared edges interior, 2 untagged boundary edges$"
         ):
-            _glue(_square(segments))
+            mirrored_mesh(_square(segments))
 
     def test_incompatible_vertex_tags(self):
         segments = [(0, 1, INCLUSION1)] + _SQUARE_RIM[1:]
         with pytest.raises(MeshError, match=r"^boundary vertex carries edges of incompatible tags$"):
-            _glue(_square(segments))
+            mirrored_mesh(_square(segments))
 
     def test_inclusion_tags_meet_as_inclusion1(self):
-        segments = [(0, 1, INCLUSION2), (1, 2, INCLUSION2), (2, 3, INCLUSION1), (3, 0, INCLUSION1)]
-        mesh = _glue(_square(segments))
-        assert mesh.vertex_tags.tolist() == [INCLUSION1, INCLUSION2, INCLUSION1, INCLUSION1]
+        segments = [(0, 1, INCLUSION2), (1, 2, INCLUSION2), (2, 3, INCLUSION1)]
+        mesh = mirrored_mesh(_square(segments))
+        assert mesh.vertex_tags.tolist() == [INCLUSION2, INCLUSION2, INCLUSION1, INCLUSION1, INCLUSION2, INCLUSION1]
 
     def test_signed_zero_vertices_merge_keeping_first_coordinates(self):
-        left = mesh_module._Piece(
-            vertices=np.array([[-1.0, 0.0], [-0.0, 0.0], [-0.0, 1.0]]),
-            triangles=np.array([[0, 1, 2]]),
-            segments=np.array([(0, 1, OUTER), (2, 0, OUTER)]),
-        )
+        # The piece's axis vertices sit at -0.0, their images at 0.0.
         right = mesh_module._Piece(
-            vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            vertices=np.array([[-0.0, 0.0], [1.0, 0.0], [-0.0, 1.0]]),
             triangles=np.array([[0, 1, 2]]),
             segments=np.array([(0, 1, OUTER), (1, 2, OUTER)]),
         )
-        mesh = _glue(left, right)
+        mesh = mirrored_mesh(right)
         assert mesh.vertex_count == 4
-        assert mesh.vertices.tolist() == [[-1.0, 0.0], [-0.0, 0.0], [-0.0, 1.0], [1.0, 0.0]]
-        assert np.signbit(mesh.vertices[1:3, 0]).all()
-        assert mesh.triangles.tolist() == [[0, 1, 2], [1, 3, 2]]
+        assert mesh.vertices.tolist() == [[-0.0, 0.0], [1.0, 0.0], [-0.0, 1.0], [-1.0, 0.0]]
+        assert np.signbit(mesh.vertices[[0, 2], 0]).all()
+        assert mesh.triangles.tolist() == [[0, 1, 2], [2, 3, 0]]
+        assert mesh.mirror.tolist() == [0, 3, 2, 1]
 
 
 class TestConvexHelper:
     def test_square(self):
-        mesh = mesh_convex_polygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float), 0.2)
+        mesh = mesh_convex_polygon(np.array([[0, 0], [0.5, 0], [0.5, 1], [0, 1]], float), 0.2)
         report = audit(mesh)
         assert report.passed
         assert report.boundary_loop_count == 1
@@ -328,7 +331,7 @@ def _sha256(mesh):
 
 
 class TestPinnedBytes:
-    """Vertex and triangle bytes pinned: the convex polygon to the loop
+    """Vertex and triangle bytes pinned: the refined unit square to the loop
     version of the far-field refiner; the generated meshes and their
     quadrisections to the far field meshed at gap 0 and moved to the gap."""
 
@@ -340,8 +343,8 @@ class TestPinnedBytes:
         assert _sha256(mesh) == "450a5a0e8772c63415fc57ecdbc95ee9f948ab15927600e98544da977212876e"
 
     def test_convex_polygon(self):
-        mesh = mesh_convex_polygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float), 0.2)
-        assert _sha256(mesh) == "e8bd875e39ec2a94eebc6c6f7081ee7c23c81eb3889a86f9ac247dbbe058a4ca"
+        piece = polygon_piece(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float), 0.2)
+        assert _sha256(piece) == "e8bd875e39ec2a94eebc6c6f7081ee7c23c81eb3889a86f9ac247dbbe058a4ca"
 
     def test_quadrisect_two_levels(self, pair, mesh):
         fine = refine_quadrisect(mesh, pair)
@@ -729,24 +732,22 @@ class TestSplitSegments:
             mesh_module._split_segments(chains, coords, loop, owner, np.array([0]))
 
     def test_refiner_splits_a_segment_missing_from_the_triangulation(self):
-        # A slot over a thin floor: the floor vertex (2, -0.05) lies in every
-        # circle through the ends of the slot's bottom edge that excludes
-        # the slot's top corners, so that edge is no Delaunay edge.
+        # A slot over a thin floor, the polygon's left side on the axis: the
+        # floor vertex (3, -0.05) lies in every circle through the ends of
+        # the slot's bottom edge that excludes the slot's top corners, so
+        # that edge is no Delaunay edge.
         from scipy.spatial import Delaunay
 
-        corners = np.array([(0, 0), (4, 0), (4, 2), (5, 2), (5, -1), (2, -0.05), (-1, -1), (-1, 2), (0, 2)], float)
+        corners = np.array([(1, 0), (5, 0), (5, 2), (6, 2), (6, -1), (3, -0.05), (0, -1), (0, 2), (1, 2)], float)
         simplices = Delaunay(corners).simplices
         assert not any({0, 1} <= set(t) for t in simplices.tolist())
-        chains = [mesh_module._segment_chain(corners[k], corners[(k + 1) % 9], 10.0, OUTER) for k in range(9)]
-        piece = mesh_module._refine_polygon(chains, lambda p: np.full(len(p), 1.0), 1.0)
+        piece = mesh_module._refine_polygon(polygon_chains(corners, 10.0), lambda p: np.full(len(p), 1.0), 1.0)
         assert np.all(mesh_module._signed_area2(piece.vertices[piece.triangles]) > 0.0)
-        count = len(piece.triangles)
-        piece.neck, piece.column_x = np.zeros(count, dtype=bool), np.full(count, np.nan)
-        mesh = mesh_module._finalize(np.asarray([]), 4, mesh_module._merge_pieces([piece]))
+        mesh = mirrored_mesh(piece)
         report = audit(mesh)
         assert report.passed, report.failures
         assert report.boundary_loop_count == 1 and report.far_min_angle_deg >= 20.0
-        assert [2.0, 0.0] in mesh.vertices.tolist()
+        assert [3.0, 0.0] in mesh.vertices.tolist()
 
 
 def _strip_loop(pair, params, x_start, bridge):
