@@ -14,12 +14,17 @@ after each; the parts of an existing OUT that it does not run are kept:
   the C7/C9 ladder (default quadratic pair, eps = 1e-3, ``linear_xn``,
   ``MeshParams()``, three quadrisections) LADDER_REPEATS times per level.
   Per level 0-3, the medians over all repeats of a checkout: V, T, the
-  interior vertices (the unknowns of the full problem), the size of each
-  block ``splu`` factored and nnz(L+U), and the seconds of ``fem.assemble``
-  (operator setup), of ``splu`` (LU), of ``fem._dissection`` (order), of
-  the rest of the first ``solve_bundle`` (solves: block setup, the three
-  solves and the fluxes), and of a second ``solve_bundle`` with the
-  operator factored.  Only names both checkouts have are used.
+  interior vertices (the unknowns of the full problem), each factored
+  block's unknowns, factor kind (``splu`` or ``banded``, the latter
+  ``fem._banded_cholesky``, where a checkout has it) and stored entries
+  (nnz(L+U), or the band's), nnz(L+U) over the ``splu`` blocks, and the
+  seconds of the level's mesh (``generate`` at level 0,
+  ``refine_quadrisect`` of the level below from level 1 on), of
+  ``fem.assemble`` (operator setup), of either factor (LU), of
+  ``fem._dissection`` (order), of the rest of the first ``solve_bundle``
+  (solves: block setup, the three solves and the fluxes; building L and U
+  to count their entries is left out), and of a second ``solve_bundle``
+  with the operator factored.  Only names both checkouts have are used.
 - ``timeline``: RUNS alternating pairs of processes, each of which runs
   ``run_all`` once to warm up, then PASSES more times with two usable
   CPUs.  For each pass, and as medians over all passes of a checkout, for
@@ -86,29 +91,40 @@ class Spla:
     def splu(self, matrix, **kwargs):
         t0 = time.perf_counter()
         lu = self.real.splu(matrix, **kwargs)
-        spans.append(("lu", time.perf_counter() - t0, (matrix.shape[0], int(lu.L.nnz + lu.U.nnz))))
+        t1 = time.perf_counter()
+        stored = int(lu.L.nnz + lu.U.nnz)  # builds L and U: probe time, in no stage
+        spans.append(("lu", t1 - t0, ("splu", matrix.shape[0], stored)))
+        spans.append(("probe", time.perf_counter() - t1, None))
         return lu
 
 
-dissection = fem._dissection
+def timed(name, label, extra=lambda args, out: None):
+    original = getattr(fem, name, None)
+    if original is None:
+        return
 
+    def wrapper(*args):
+        t0 = time.perf_counter()
+        out = original(*args)
+        spans.append((label, time.perf_counter() - t0, extra(args, out)))
+        return out
 
-def order(*args):
-    t0 = time.perf_counter()
-    perm = dissection(*args)
-    spans.append(("order", time.perf_counter() - t0, None))
-    return perm
+    setattr(fem, name, wrapper)
 
 
 fem.spla = Spla(fem.spla)
-fem._dissection = order
+timed("_dissection", "order")
+timed("_banded_cholesky", "lu", lambda args, out: ("banded", args[0].shape[0], int(out[1].size)))
 phi = BoundaryData(kind="linear_xn")
 pair = InclusionPair(2, NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=(2.0,)), 1e-3)
 mesh = generate(pair, MeshParams())
 solve_bundle(mesh, phi)  # warm: imports
 for level in range(4):
-    if level:
-        mesh = refine_quadrisect(mesh, pair)
+    below, mesh_s = mesh, []
+    for _ in range(int(sys.argv[1])):
+        t0 = time.perf_counter()
+        mesh = refine_quadrisect(below, pair) if level else generate(pair, MeshParams())
+        mesh_s.append(time.perf_counter() - t0)
     runs = []
     for _ in range(int(sys.argv[1])):
         spans.clear()
@@ -117,18 +133,19 @@ for level in range(4):
         t1 = time.perf_counter()
         solve_bundle(mesh, phi, op=op)
         t2 = time.perf_counter()
-        lu = sum(s for name, s, _ in spans if name == "lu")
-        order_s = sum(s for name, s, _ in spans if name == "order")
+        lu, order_s, probe = (sum(s for name, s, _ in spans if name == label) for label in ("lu", "order", "probe"))
+        t3 = time.perf_counter()
         solve_bundle(mesh, phi, op=op)  # the operator is factored now
-        runs.append({"setup_s": t1 - t0, "lu_s": lu, "order_s": order_s, "solves_s": t2 - t1 - lu - order_s,
-                     "factored_bundle_s": time.perf_counter() - t2})
+        runs.append({"mesh_s": mesh_s[len(runs)], "setup_s": t1 - t0, "lu_s": lu, "order_s": order_s,
+                     "solves_s": t2 - t1 - lu - order_s - probe, "factored_bundle_s": time.perf_counter() - t3})
+    blocks = [extra for name, _, extra in spans if name == "lu"]
     print(json.dumps({
         "level": level,
         "vertices": mesh.vertex_count,
         "triangles": mesh.triangle_count,
         "unknowns": len(op.interior),
-        "blocks": [extra[0] for name, _, extra in spans if name == "lu"],
-        "lu_nnz": sum(extra[1] for name, _, extra in spans if name == "lu"),
+        "blocks": [{"factor": kind, "unknowns": n, "stored": stored} for kind, n, stored in blocks],
+        "lu_nnz": sum(stored for kind, _, stored in blocks if kind == "splu"),
         **{key: statistics.median(run[key] for run in runs) for key in runs[0]},
     }), flush=True)
 """

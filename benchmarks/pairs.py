@@ -95,7 +95,10 @@ def compare(runs: dict[str, list], values=lambda run: run) -> dict:
 def pairs(parent: Path, change: Path, workload: str, count: int, seconds: float) -> dict:
     """COUNT perfbench pairs of WORKLOAD at seeds 1..COUNT, compared on the
     end-to-end metrics."""
-    runs = alternate(parent, change, count,
-                     lambda root, seed: {key: perfbench(root, workload, seed, seconds)[key] for key in RECORD},
-                     workload, lambda run: f"{run['metrics'].get('wall_s', float('nan')):.3f} s")
+    def measure(root: Path, seed: int) -> dict:
+        run = perfbench(root, workload, seed, seconds)  # one run per side and pair
+        return {key: run[key] for key in RECORD}
+
+    runs = alternate(parent, change, count, measure, workload,
+                     lambda run: f"{run['metrics'].get('wall_s', float('nan')):.3f} s")
     return {"runs": runs, "metrics": compare(runs, lambda run: {name: run["metrics"][name] for name in END_TO_END})}

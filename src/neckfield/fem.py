@@ -104,39 +104,54 @@ class StiffnessOperator:
         self.interior = np.flatnonzero(tags == INTERIOR)
         # The vertex ids of each boundary tag present, in tag order.
         self._tag_ids = {int(tag): np.flatnonzero(tags == tag) for tag in np.unique(tags[tags != INTERIOR])}
-        x = mesh.vertices[:, 0]
-        half = np.all(x[mesh.triangles] >= 0.0, axis=1)
+        right = mesh.vertices[:, 0] >= 0.0
+        tri = mesh.triangles
+        half = right[tri[:, 0]] & right[tri[:, 1]] & right[tri[:, 2]]
         if 2 * np.count_nonzero(half) != mesh.triangle_count:
             raise SolverError("the mirror does not split the triangles into two halves")
-        self._keep = np.flatnonzero(x >= 0.0)
+        self._keep = np.flatnonzero(right)
         self._image = mesh.mirror[self._keep]
-        local = np.empty(mesh.vertex_count, dtype=np.int64)
-        local[self._keep] = np.arange(len(self._keep))
-        self._points = mesh.vertices[self._keep]
-        self._half = stiffness_matrix(self._points, local[mesh.triangles[half]])
+        local = np.cumsum(right, dtype=np.int32) - 1  # each kept vertex's row
+        self._points = mesh.vertices.take(self._keep, axis=0)
+        self._half = stiffness_matrix(self._points, local.take(np.compress(half, tri, axis=0)))
         kept = tags[self._keep]
-        self._tag_rows = {tag: np.flatnonzero(kept == tag) for tag in self._tag_ids}
         # The unknowns of each block, as rows of K_h; the odd block leaves
-        # out the axis.
+        # out the axis.  K f over the interior has the squared norm
+        # 2 (e'W_e e + o'W_o o) for the even and odd parts e and o of K_h f:
+        # W_o weighs the odd block's rows by 1, W_e the even block's rows by
+        # 1 and those on the axis by 2.
         inner, off_axis = kept == INTERIOR, self._points[:, 0] > 0.0
         self._unknowns = {"even": np.flatnonzero(inner), "odd": np.flatnonzero(inner & off_axis)}
-        self._axis = np.flatnonzero(inner & ~off_axis)
+        self._weights = np.where(off_axis, 1.0, 2.0) * inner, 1.0 * (inner & off_axis)
+        # The boundary rows of K_h: their vertices and images, whose data
+        # tell whether a solve is even, and the rows on the columns they
+        # couple, enough for every flux, with each tag's rows among them.
+        tagged = np.flatnonzero(~inner)
+        rows = self._half[tagged]
+        cols = np.unique(rows.indices)
+        self._flux_rows = sp.csr_matrix((rows.data, np.searchsorted(cols, rows.indices), rows.indptr),
+                                        shape=(len(tagged), len(cols)))
+        self._flux_cols = self._keep[cols], self._image[cols]
+        self._tagged = self._keep[tagged], self._image[tagged]
+        self._tag_rows = {tag: np.flatnonzero(kept[tagged] == tag) for tag in self._tag_ids}
         self._factors: dict[str, tuple[np.ndarray, object]] = {}
 
-    def _sides(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """K_h f and K_h (f o m) over the fundamental domain.  Where f o m
-        equals f on the kept rows, the second is the first itself: its
-        product would be the same bits."""
-        kept = values[self._keep]
-        side = self._half @ kept
-        mirrored = values[self._image]
-        return side, side if np.array_equal(kept, mirrored) else self._half @ mirrored
+    def _sides(self, values: np.ndarray, even: bool) -> tuple[np.ndarray, np.ndarray]:
+        """K_h f and K_h (f o m) over the fundamental domain.  Where f is
+        even, f o m is f and the second is the first itself."""
+        side = self._half @ values.take(self._keep, axis=0)
+        return side, side if even else self._half @ values.take(self._image, axis=0)
 
-    def _interior_norm(self, side: np.ndarray, image: np.ndarray) -> np.ndarray:
-        """Norm of K f over the interior vertices, from ``_sides(f)``, for
-        each column f."""
-        odd, axis = self._unknowns["odd"], self._axis
-        return np.sqrt(sum(np.square(part).sum(axis=0) for part in (side[odd], image[odd], side[axis] + image[axis])))
+    def _parts(self, values: np.ndarray, even: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """The even and odd parts (K_h f ± K_h (f o m)) / 2 over the rows of
+        K_h, the odd one None where f is even, and the norm of K f over the
+        interior, for each column f."""
+        side, mirrored = self._sides(values, even)
+        if even:  # (s + s) / 2 is s, bit for bit
+            return side, None, np.sqrt(2.0 * (self._weights[0] @ np.square(side)))
+        even_part, odd_part = 0.5 * (side + mirrored), 0.5 * (side - mirrored)
+        square = self._weights[0] @ np.square(even_part) + self._weights[1] @ np.square(odd_part)
+        return even_part, odd_part, np.sqrt(2.0 * square)
 
     def _block(self, rows: np.ndarray) -> sp.csc_matrix:
         """The principal block of K_h on ``rows``, in CSC."""
@@ -158,15 +173,17 @@ class StiffnessOperator:
             block = self._block(rows)
             if block.shape[0] < _DISSECTION_MIN:
                 perm, factor = _banded_cholesky(block)
+                rows = rows[perm]
             else:
                 perm = _dissection(block, self._points[rows])
+                rows = rows[perm]
                 factor = spla.splu(
-                    block[perm][:, perm],
+                    _permuted(block, perm),
                     permc_spec="NATURAL",
                     diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True},
                 )
-            self._factors[part] = rows[perm], factor
+            self._factors[part] = rows, factor
         return self._factors[part]
 
     def _lu(self, part: str, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,8 +191,8 @@ class StiffnessOperator:
         residual over the rows of K_h, by its factor."""
         rows, factor = self._factor(part)
         if isinstance(factor, np.ndarray):
-            return rows, linalg.cho_solve_banded((factor, True), -residual[rows])
-        return rows, factor.solve(-residual[rows])
+            return rows, linalg.cho_solve_banded((factor, True), -residual.take(rows, axis=0))
+        return rows, factor.solve(-residual.take(rows, axis=0))
 
     def _cg(self, part: str, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_lu`` by Jacobi preconditioned conjugate gradients, one column
@@ -204,20 +221,22 @@ class StiffnessOperator:
         residual bound.  ``block_solve(part, residual)`` solves a block.
         """
         keep, image = self._keep, self._image
-        side, mirrored = self._sides(u)
-        scale = np.maximum(self._interior_norm(side, mirrored), 1e-30)
-        rows, values = block_solve("even", 0.5 * (side + mirrored))
+        # u is even where its boundary data are: the interior is zero, and
+        # the even part keeps it so.
+        even = np.array_equal(*(u.take(ids, axis=0) for ids in self._tagged))
+        even_part, _, scale = self._parts(u, even)
+        scale = np.maximum(scale, 1e-30)
+        rows, values = block_solve("even", even_part)
         u[keep[rows]] = values
         u[image[rows]] = values
-        side, mirrored = self._sides(u)
-        res = self._interior_norm(side, mirrored) / scale
-        odd = np.flatnonzero(res > _RESIDUAL_BOUND)
-        if len(odd):
-            rows, step = block_solve("odd", 0.5 * (side[:, odd] - mirrored[:, odd]))
-            u[np.ix_(keep[rows], odd)] += step
-            u[np.ix_(image[rows], odd)] -= step
-            side, mirrored = self._sides(u)
-            res = self._interior_norm(side, mirrored) / scale
+        _, odd_part, norm = self._parts(u, even)
+        res = norm / scale
+        cols = np.flatnonzero(res > _RESIDUAL_BOUND)
+        if len(cols) and odd_part is not None:
+            rows, step = block_solve("odd", odd_part[:, cols])
+            u[np.ix_(keep[rows], cols)] += step
+            u[np.ix_(image[rows], cols)] -= step
+            res = self._parts(u, False)[2] / scale
         return float(res.max())
 
     def solve_dirichlet(self, data: dict[int, object] | list[dict[int, object]]):
@@ -270,7 +289,8 @@ class StiffnessOperator:
         Sign convention: the unit-potential field of a conductor has
         positive flux through its own boundary, equal to its energy.
         """
-        kf = self._half @ (f.values[self._keep] + f.values[self._image])
+        at, images = self._flux_cols
+        kf = self._flux_rows @ (f.values[at] + f.values[images])
         return {tag: float(kf[rows].sum()) for tag, rows in self._tag_rows.items()}
 
 
@@ -292,6 +312,17 @@ def _banded_cholesky(block: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
         raise SolverError(f"banded Cholesky failed: {exc}") from exc
 
 
+def _permuted(block: sp.csc_matrix, perm: np.ndarray) -> sp.csc_matrix:
+    """P B P' of a symmetric CSC block B, where row k of P B is row
+    ``perm[k]`` of B, with every column's rows sorted, as ``splu`` would
+    sort them: B's rows gathered in ``perm`` order (a symmetric block's
+    CSC arrays are its CSR arrays), transposed, which sorts each row's
+    columns, and gathered once more."""
+    arrays = sp.csr_matrix((block.data, block.indices, block.indptr), shape=block.shape)[perm].tocsc()
+    rows = sp.csr_matrix((arrays.data, arrays.indices, arrays.indptr), shape=block.shape)[perm]
+    return sp.csc_matrix((rows.data, rows.indices, rows.indptr), shape=block.shape)
+
+
 def _bit_length(a: np.ndarray) -> np.ndarray:
     """Bit length of each entry of a non-negative integer array below 2**53."""
     return np.frexp(a)[1].astype(np.int64)
@@ -309,19 +340,20 @@ def _dissection(block: sp.csc_matrix, points: np.ndarray) -> np.ndarray:
     """
     n = block.shape[0]
     node = _kd_leaves(points)
+    leaf_depth = _bit_length(node) - 1
 
-    # The lowest common ancestor of the two leaves of each coupling, by
-    # bringing both heap indices to the same depth and dropping the bits
-    # in which they differ.
+    # The lowest common ancestor of the two leaves of each coupling across
+    # leaves, by bringing both heap indices to the same depth and dropping
+    # the bits in which they differ.
     cols = np.repeat(np.arange(n, dtype=block.indices.dtype), np.diff(block.indptr))
     upper = block.indices < cols
     ei, ej = block.indices[upper], cols[upper]
     a, b = node[ei], node[ej]
-    da, db = _bit_length(a), _bit_length(b)
+    cut = np.flatnonzero(a != b)
+    ei, ej, a, b = ei[cut], ej[cut], a[cut], b[cut]
+    da, db = leaf_depth[ei], leaf_depth[ej]
     a, b = a >> np.maximum(da - db, 0), b >> np.maximum(db - da, 0)
     below = _bit_length(a ^ b)  # levels between the ancestor and a
-    cut = np.flatnonzero(below)
-    ei, ej, a, below = ei[cut], ej[cut], a[cut], below[cut]
     depth = _bit_length(a) - 1 - below
     i_low = ((a >> (below - 1)) & 1) == 0
     low_end, high_end = np.where(i_low, ei, ej), np.where(i_low, ej, ei)
@@ -335,15 +367,15 @@ def _dissection(block: sp.csc_matrix, points: np.ndarray) -> np.ndarray:
 
     # Sort key: the leaf's path, left-aligned to the deepest leaf, so that
     # every subtree takes a contiguous range; a separator sorts just before
-    # the end of its node's range, deeper separators first.
-    leaf_depth = _bit_length(node) - 1
+    # the end of its node's range, deeper separators first.  Ties go by
+    # index, folded into the key.
     deepest = int(leaf_depth.max())
     key = ((node - (1 << leaf_depth)) << (deepest - leaf_depth)) * 64
     s = np.flatnonzero(sep <= deepest)
     d = sep[s]
     end = (node[s] >> (leaf_depth[s] - d)) - (1 << d) + 1
     key[s] = (end << (deepest - d)) * 64 - 1 - d
-    return np.argsort(key, kind="stable")
+    return np.argsort(key * n + np.arange(n))
 
 
 def _kd_leaves(points: np.ndarray) -> np.ndarray:
@@ -355,7 +387,7 @@ def _kd_leaves(points: np.ndarray) -> np.ndarray:
     # The points of the cells left to split, grouped by cell, each cell in
     # x order and in y order.  A split partitions the order across its cut
     # stably, so no level sorts again.
-    orders = [np.argsort(c, kind="stable") for c in coords]
+    orders = [_index_order(c) for c in coords]
     node = np.ones(n, dtype=np.int64)
     high = np.zeros(n, dtype=bool)  # whether a point went to its cell's high half
     sizes, ids = np.array([n]), np.array([1])  # each cell's point count and heap index
@@ -383,17 +415,37 @@ def _kd_leaves(points: np.ndarray) -> np.ndarray:
     return node
 
 
+def _index_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` of a float array: numpy's
+    default sort, about three times faster, with each run of equal values
+    put back in index order."""
+    order = np.argsort(values)
+    ordered = values[order]
+    tie = ordered[1:] == ordered[:-1]
+    if tie.any():
+        run = np.cumsum(np.concatenate([[True], ~tie]))  # the run of each position
+        at = np.flatnonzero(np.concatenate([tie, [False]]) | np.concatenate([[False], tie]))
+        tied = order[at]
+        order[at] = tied[np.argsort(run[at] * len(values) + tied)]
+    return order
+
+
 def stiffness_matrix(vertices: np.ndarray, triangles: np.ndarray) -> sp.csr_matrix:
     """P1 stiffness matrix of counterclockwise triangles, exactly symmetric."""
-    tri = triangles.astype(np.int32)  # vertex counts stay far below 2**31
-    x, y = vertices[:, 0][tri], vertices[:, 1][tri]
-    # edge opposite each vertex i, from vertex i+1 to vertex i+2
-    ex = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
-    ey = y[:, [2, 0, 1]] - y[:, [1, 2, 0]]
-    area2 = ex[:, 2] * (-ey[:, 1]) - ey[:, 2] * (-ex[:, 1])
+    tri = triangles.astype(np.int32, copy=False)  # vertex counts stay far below 2**31
+    # The coordinates of each corner, and the edge opposite each corner i,
+    # from corner i+1 to corner i+2.
+    corners = tri.T.copy()
+    (x0, x1, x2), (y0, y1, y2) = ([c.take(at) for at in corners] for c in vertices.T.copy())
+    ex, ey = (x2 - x1, x0 - x2, x1 - x0), (y2 - y1, y0 - y2, y1 - y0)
+    area2 = ex[2] * (-ey[1]) - ey[2] * (-ex[1])
     if np.any(area2 <= 0.0):
         raise SolverError("mesh contains non-positive triangle areas")
-    local = (ex[:, :, None] * ex[:, None, :] + ey[:, :, None] * ey[:, None, :]) / (2.0 * area2)[:, None, None]
+    # Entry (i, j) of each local matrix, which is symmetric, row by row.
+    twice = 2.0 * area2
+    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    upper = np.stack([(ex[i] * ex[j] + ey[i] * ey[j]) / twice for i, j in pairs], axis=1)
+    local = upper.take([0, 1, 2, 1, 3, 4, 2, 4, 5], axis=1)
     rows = np.repeat(tri, 3, axis=1).reshape(-1)
     cols = np.tile(tri, (1, 3)).reshape(-1)
     k = sp.coo_matrix(

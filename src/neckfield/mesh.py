@@ -752,9 +752,8 @@ def _merge_pieces(pieces: list[_Piece]) -> tuple:
     x -> -x comes last in the result."""
     pieces = [p for right in pieces for p in (right, _mirror_piece(right))]
     allv = np.concatenate([piece.vertices for piece in pieces])
-    key = allv + 0.0  # -0.0 -> 0.0; every other value is unchanged
-    order = np.lexsort((key[:, 1], key[:, 0]))
-    ks = key[order]
+    order = np.lexsort((allv[:, 1], allv[:, 0]))  # sorts -0.0 as equal to 0.0
+    ks = allv[order]
     starts = np.ones(len(ks), dtype=bool)
     starts[1:] = np.any(ks[1:] != ks[:-1], axis=1)
     # lexsort is stable, so each run of equal keys starts at its first occurrence.
@@ -997,12 +996,19 @@ def refine_quadrisect(mesh: Mesh, pair: InclusionPair) -> Mesh:
     """
     n = mesh.vertex_count
     keys = _edge_keys(mesh.triangles, n)
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # Any sort will do: each run of equal keys is one edge, and the least
+    # position in its run is the edge's first occurrence.
+    by_key = np.argsort(keys)
+    runs = np.flatnonzero(np.diff(keys[by_key], prepend=-1))
+    uniq = keys[by_key[runs]]
+    first = np.minimum.reduceat(by_key, runs)
     fresh = np.zeros(len(keys), dtype=bool)  # the first occurrence of each edge
     fresh[first] = True
     rank = (np.cumsum(fresh) - 1)[first]  # each edge's number in order of first occurrence
-    new_keys = keys[fresh]
-    verts = np.concatenate([mesh.vertices, 0.5 * (mesh.vertices[new_keys // n] + mesh.vertices[new_keys % n])])
+    mids = np.empty(len(keys), dtype=np.int64)  # the midpoint of each triangle edge
+    mids[by_key] = n + np.repeat(rank, np.diff(runs, append=len(keys)))
+    a, b = np.divmod(keys[fresh], n)
+    verts = np.concatenate([mesh.vertices, 0.5 * (mesh.vertices.take(a, axis=0) + mesh.vertices.take(b, axis=0))])
     vtags = np.concatenate([mesh.vertex_tags, np.full(len(uniq), INTERIOR, dtype=np.int64)])
 
     lo = mesh.boundary_edges.min(axis=1)
@@ -1013,19 +1019,25 @@ def refine_quadrisect(mesh: Mesh, pair: InclusionPair) -> Mesh:
     b_edges = np.column_stack([np.concatenate([lo, hi]), np.concatenate([b_mid, b_mid])])
     order = np.lexsort((b_edges[:, 1], b_edges[:, 0]))
 
-    v0, v1, v2 = mesh.triangles.T
-    m01, m12, m20 = (n + rank[inverse]).reshape(-1, 3).T
-    tris = np.stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1).reshape(-1, 3)
+    # The children of a triangle (v0, v1, v2) with edge midpoints m01, m12
+    # and m20: (v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20).
+    mids = mids.reshape(-1, 3)
+    tris = np.empty((len(mids), 4, 3), dtype=np.int64)
+    tris[:, :3, 0] = mesh.triangles
+    tris[:, :3, 1] = tris[:, 3] = mids
+    tris[:, 0, 2], tris[:, 1, 2], tris[:, 2, 2] = mids[:, 2], mids[:, 0], mids[:, 1]
+    tris = tris.reshape(-1, 3)
     neck = np.repeat(mesh.neck, 4)
 
     stations = np.union1d(mesh.stations, mesh.neck_column_x[mesh.neck])
     col_x = np.full(len(tris), np.nan)
-    cx = verts[tris[neck], 0].mean(axis=1)
-    k = np.searchsorted(stations, cx) - 1
-    col_x[neck] = 0.5 * (stations[k] + stations[k + 1])
+    at = np.flatnonzero(neck)
+    k = np.searchsorted(stations, verts[:, 0].take(tris.take(at, axis=0)).mean(axis=1)) - 1
+    col_x[at] = 0.5 * (stations[k] + stations[k + 1])
 
     # In key order, the images' keys come nearly sorted, which the search favours.
-    a, b = mesh.mirror[uniq // n], mesh.mirror[uniq % n]
+    a, b = np.divmod(uniq, n)
+    a, b = mesh.mirror[a], mesh.mirror[b]
     image = np.searchsorted(uniq, np.minimum(a, b) * n + np.maximum(a, b))
     mid_mirror = np.empty(len(uniq), dtype=np.int64)
     mid_mirror[rank] = n + rank[image]

@@ -534,6 +534,18 @@ def test_finest_ladder_level_passes_the_audit(finest_op):
     assert report.far_min_angle_deg >= 20.0
 
 
+def test_finest_ladder_level_keeps_its_numbers(finest_op):
+    # The energy, level gap and blow-up factor that C7 and C9 read off ladder
+    # level 3, and its LU fill, as they were before the work around the LU
+    # was cut.
+    bundle = solve_bundle(finest_op.mesh, BoundaryData(kind="linear_xn"), op=finest_op)
+    assert bundle.a11.hex() == "0x1.9a3b98aac3336p+6"
+    assert (bundle.c1 - bundle.c2).hex() == "0x1.82ccb2f26d1bbp-4"
+    assert bundle.b_factor.hex() == "0x1.35eaf13886dd2p+3"
+    _, lu = finest_op._factor("even")
+    assert lu.L.nnz + lu.U.nnz == 5_119_112
+
+
 def _even_block(op):
     rows = op._unknowns["even"]
     return op._block(rows), op._points[rows]
@@ -568,9 +580,39 @@ def _former_kd_leaves(points):
 
 
 def _former_dissection(block, points):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fem, "_kd_leaves", _former_kd_leaves)
-        return fem._dissection(block, points)
+    # The former nested-dissection order, the oracle of ``fem._dissection``:
+    # the common ancestor of every coupling, leaves shared or not, and a
+    # stable sort of the keys, over the former tree.
+    n = block.shape[0]
+    node = _former_kd_leaves(points)
+    bits = fem._bit_length
+    cols = np.repeat(np.arange(n, dtype=block.indices.dtype), np.diff(block.indptr))
+    upper = block.indices < cols
+    ei, ej = block.indices[upper], cols[upper]
+    a, b = node[ei], node[ej]
+    da, db = bits(a), bits(b)
+    a, b = a >> np.maximum(da - db, 0), b >> np.maximum(db - da, 0)
+    below = bits(a ^ b)
+    cut = np.flatnonzero(below)
+    ei, ej, a, below = ei[cut], ej[cut], a[cut], below[cut]
+    depth = bits(a) - 1 - below
+    i_low = ((a >> (below - 1)) & 1) == 0
+    low_end, high_end = np.where(i_low, ei, ej), np.where(i_low, ej, ei)
+    order = np.argsort(depth.astype(np.int16), kind="stable")
+    low_end, high_end, depth = low_end[order], high_end[order], depth[order]
+    sep = np.full(n, np.iinfo(np.int64).max)
+    starts = np.flatnonzero(np.diff(depth, prepend=-1))
+    for lo, hi in zip(starts, np.append(starts[1:], len(depth))):
+        d, u, v = depth[lo], low_end[lo:hi], high_end[lo:hi]
+        sep[u[(sep[u] > d) & (sep[v] > d)]] = d
+    leaf_depth = bits(node) - 1
+    deepest = int(leaf_depth.max())
+    key = ((node - (1 << leaf_depth)) << (deepest - leaf_depth)) * 64
+    s = np.flatnonzero(sep <= deepest)
+    d = sep[s]
+    end = (node[s] >> (leaf_depth[s] - d)) - (1 << d) + 1
+    key[s] = (end << (deepest - d)) * 64 - 1 - d
+    return np.argsort(key, kind="stable")
 
 
 class TestDissection:
@@ -623,9 +665,25 @@ class TestDissection:
                                   shape=(n, n))
             assert np.array_equal(fem._dissection(block, points), _former_dissection(block, points))
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(0, 2000),
+        spread=st.integers(1, 50),
+        signed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_index_order_is_the_stable_sort(self, n, spread, signed, seed):
+        # Few distinct values, so most tie; with signed zeros mixed in.
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, spread, size=n).astype(float) / 7.0
+        if signed:
+            values[rng.random(n) < 0.3] = -0.0
+        assert np.array_equal(fem._index_order(values), np.argsort(values, kind="stable"))
+
     def test_lu_gets_the_former_arrays(self, ladder_op, monkeypatch):
         # The block is sliced from K_h once and then permuted; SuperLU gets
-        # the bytes of slicing K_h on the permuted unknowns.
+        # the bytes of slicing K_h on the permuted unknowns, in the canonical
+        # form to which ``splu`` brings its input before it factors.
         log = _SpluLog(splu=lambda matrix, **kwargs: matrix)
         monkeypatch.setattr(fem, "spla", log)
         fresh = fem.StiffnessOperator(ladder_op.mesh)
@@ -635,7 +693,9 @@ class TestDissection:
             want = want[_former_dissection(fresh._block(want), fresh._points[want])]
             assert np.array_equal(rows, want)
             half = fresh._half[want][:, want]
-            assert got.format == "csc"
+            assert not half.has_sorted_indices
+            half.sum_duplicates()
+            assert got.format == "csc" and got.has_canonical_format
             for name in ("data", "indices", "indptr"):
                 assert getattr(got, name).tobytes() == getattr(half, name).tobytes(), name
 
@@ -666,13 +726,15 @@ class TestDissection:
 
 class TestSides:
     """``_sides`` against its two products, byte for byte; one product when
-    the field is even."""
+    the field is even, which the solve reads off its boundary data."""
 
     @pytest.mark.parametrize("kind,even", [("linear_xn", True), ("linear_x1", False)])
     def test_equals_two_products(self, op, kind, even):
         fields = solve_components(op, BoundaryData(kind=kind))
         u = np.column_stack([f.values for f in fields])
-        side, mirrored = op._sides(u)
+        assert np.array_equal(*(u[ids] for ids in op._tagged)) == even
+        assert np.array_equal(u[op._keep], u[op._image]) == even
+        side, mirrored = op._sides(u, even)
         assert (mirrored is side) == even
         assert side.tobytes() == (op._half @ u[op._keep]).tobytes()
         assert mirrored.tobytes() == (op._half @ u[op._image]).tobytes()
@@ -709,3 +771,123 @@ class TestOperatorSetupBits:
         for name in ("a11", "a12", "a21", "a22", "b1", "b2", "c1", "c2", "b_factor", "b_factor_system",
                      "c_diff_residual"):
             assert abs(getattr(got, name) - getattr(want, name)) <= 1e-13 * want.a11, name
+
+
+def _former_stiffness(vertices, triangles):
+    # The former P1 assembly, the oracle of ``fem.stiffness_matrix``: every
+    # local matrix as (T, 3, 3) products of the edge vectors.
+    tri = triangles.astype(np.int32)
+    x, y = vertices[:, 0][tri], vertices[:, 1][tri]
+    ex = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    ey = y[:, [2, 0, 1]] - y[:, [1, 2, 0]]
+    area2 = ex[:, 2] * (-ey[:, 1]) - ey[:, 2] * (-ex[:, 1])
+    local = (ex[:, :, None] * ex[:, None, :] + ey[:, :, None] * ey[:, None, :]) / (2.0 * area2)[:, None, None]
+    rows = np.repeat(tri, 3, axis=1).reshape(-1)
+    cols = np.tile(tri, (1, 3)).reshape(-1)
+    k = sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(len(vertices), len(vertices))).tocsr()
+    k.eliminate_zeros()
+    return k
+
+
+class _FormerOperator(fem.StiffnessOperator):
+    """The operator as it was before the finest ladder level's work around
+    its LU was cut, the oracle of its bits: K_h from the half mask over the
+    three corners at once and a scattered row numbering, the evenness test
+    and residual norm over every kept row, the permuted block sliced from
+    the block in the former dissection order, and each flux from the whole
+    product K_h (f + f o m)."""
+
+    def __init__(self, mesh):
+        super().__init__(mesh)
+        x = mesh.vertices[:, 0]
+        half = np.all(x[mesh.triangles] >= 0.0, axis=1)
+        local = np.empty(mesh.vertex_count, dtype=np.int64)
+        local[self._keep] = np.arange(len(self._keep))
+        self._half = _former_stiffness(mesh.vertices[self._keep], local[mesh.triangles[half]])
+        kept = mesh.vertex_tags[self._keep]
+        self._rows_of_tag = {tag: np.flatnonzero(kept == tag) for tag in self._tag_ids}
+        self._axis = np.flatnonzero((kept == INTERIOR) & ~(self._points[:, 0] > 0.0))
+
+    def _sides(self, values):
+        kept = values[self._keep]
+        side = self._half @ kept
+        mirrored = values[self._image]
+        return side, side if np.array_equal(kept, mirrored) else self._half @ mirrored
+
+    def _interior_norm(self, side, image):
+        odd, axis = self._unknowns["odd"], self._axis
+        return np.sqrt(sum(np.square(part).sum(axis=0) for part in (side[odd], image[odd], side[axis] + image[axis])))
+
+    def _factor(self, part):
+        if part not in self._factors:
+            rows = self._unknowns[part]
+            block = self._block(rows)
+            if block.shape[0] < fem._DISSECTION_MIN:
+                perm, factor = fem._banded_cholesky(block)
+            else:
+                perm = _former_dissection(block, self._points[rows])
+                factor = spla.splu(block[perm][:, perm], permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                   options={"SymmetricMode": True})
+            self._factors[part] = rows[perm], factor
+        return self._factors[part]
+
+    def _lu(self, part, residual):
+        rows, factor = self._factor(part)
+        if isinstance(factor, np.ndarray):
+            return rows, cho_solve_banded((factor, True), -residual[rows])
+        return rows, factor.solve(-residual[rows])
+
+    def _solve(self, u, block_solve):
+        keep, image = self._keep, self._image
+        side, mirrored = self._sides(u)
+        scale = np.maximum(self._interior_norm(side, mirrored), 1e-30)
+        rows, values = block_solve("even", 0.5 * (side + mirrored))
+        u[keep[rows]] = values
+        u[image[rows]] = values
+        side, mirrored = self._sides(u)
+        res = self._interior_norm(side, mirrored) / scale
+        odd = np.flatnonzero(res > 1e-10)
+        if len(odd):
+            rows, step = block_solve("odd", 0.5 * (side[:, odd] - mirrored[:, odd]))
+            u[np.ix_(keep[rows], odd)] += step
+            u[np.ix_(image[rows], odd)] -= step
+            side, mirrored = self._sides(u)
+            res = self._interior_norm(side, mirrored) / scale
+        return float(res.max())
+
+    def fluxes(self, f):
+        kf = self._half @ (f.values[self._keep] + f.values[self._image])
+        return {tag: float(kf[rows].sum()) for tag, rows in self._rows_of_tag.items()}
+
+
+class TestSolveBits:
+    """Setup, factor order, solve and fluxes against the former operator:
+    K_h, the factors' unknowns and every number of a solve bundle, byte for
+    byte, with and without an odd part, on both factor paths."""
+
+    @pytest.mark.parametrize("case", ["default", "ladder", "touching", "quartic"])
+    @pytest.mark.parametrize("kind", ["linear_xn", "linear_x1", "fourier"])
+    def test_equals_former_operator(self, pair, op, ladder_op, case, kind):
+        if case in ("default", "ladder"):
+            mesh = (op if case == "default" else ladder_op).mesh
+        elif case == "touching":
+            mesh = generate_touching(pair.with_gap(0.0), 0.05, MeshParams())
+        else:
+            quartic = InclusionPair(2, NeckProfile(kind=ProfileKind.POWER_LAW, order=4.0, coefficient=4.0), 1e-3)
+            mesh = generate(quartic, MeshParams())
+        if kind == "fourier":
+            phi = BoundaryData(kind="fourier", cos_coeffs=(1.0, 1.0), sin_coeffs=(1.0,))
+        else:
+            phi = BoundaryData(kind=kind)
+        new, former = fem.assemble(mesh), _FormerOperator(mesh)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(new._half, name).tobytes() == getattr(former._half, name).tobytes(), name
+        got, want = solve_bundle(mesh, phi, op=new), solve_bundle(mesh, phi, op=former)
+        assert sorted(new._factors) == sorted(former._factors) == (["even"] if kind == "linear_xn" else ["even", "odd"])
+        for part, (rows, _) in new._factors.items():
+            assert np.array_equal(rows, former._factors[part][0]), part
+        for name in ("v1", "v2", "v0", "u", "vb"):
+            assert getattr(got, name).values.tobytes() == getattr(want, name).values.tobytes(), name
+        for name in ("a11", "a12", "a21", "a22", "b1", "b2", "c1", "c2", "b_factor", "b_factor_system",
+                     "c_diff_residual"):
+            assert getattr(got, name).hex() == getattr(want, name).hex(), name

@@ -814,6 +814,56 @@ def _project_loop(mesh, pair, a, b, mid):
     return out
 
 
+def _quadrisect_unique(mesh, pair):
+    # The former quadrisection, the oracle of ``refine_quadrisect``: edges
+    # numbered through a stable ``np.unique`` of their keys, children
+    # stacked from twelve corner columns, and centroids of the neck
+    # children picked by a mask.
+    n = mesh.vertex_count
+    keys = mesh_module._edge_keys(mesh.triangles, n)
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    fresh = np.zeros(len(keys), dtype=bool)
+    fresh[first] = True
+    rank = (np.cumsum(fresh) - 1)[first]
+    new_keys = keys[fresh]
+    verts = np.concatenate([mesh.vertices, 0.5 * (mesh.vertices[new_keys // n] + mesh.vertices[new_keys % n])])
+    vtags = np.concatenate([mesh.vertex_tags, np.full(len(uniq), INTERIOR, dtype=np.int64)])
+    lo = mesh.boundary_edges.min(axis=1)
+    hi = mesh.boundary_edges.max(axis=1)
+    b_mid = n + rank[np.searchsorted(uniq, lo * n + hi)]
+    verts[b_mid] = mesh_module._project_midpoints(mesh, pair, lo, hi, verts[b_mid])
+    vtags[b_mid] = mesh.boundary_tags
+    b_edges = np.column_stack([np.concatenate([lo, hi]), np.concatenate([b_mid, b_mid])])
+    order = np.lexsort((b_edges[:, 1], b_edges[:, 0]))
+    v0, v1, v2 = mesh.triangles.T
+    m01, m12, m20 = (n + rank[inverse]).reshape(-1, 3).T
+    tris = np.stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1).reshape(-1, 3)
+    neck = np.repeat(mesh.neck, 4)
+    stations = np.union1d(mesh.stations, mesh.neck_column_x[mesh.neck])
+    col_x = np.full(len(tris), np.nan)
+    k = np.searchsorted(stations, verts[tris[neck], 0].mean(axis=1)) - 1
+    col_x[neck] = 0.5 * (stations[k] + stations[k + 1])
+    a, b = mesh.mirror[uniq // n], mesh.mirror[uniq % n]
+    image = np.searchsorted(uniq, np.minimum(a, b) * n + np.maximum(a, b))
+    mid_mirror = np.empty(len(uniq), dtype=np.int64)
+    mid_mirror[rank] = n + rank[image]
+    return mesh_module.Mesh(
+        vertices=verts,
+        triangles=tris,
+        boundary_edges=b_edges[order],
+        boundary_tags=np.tile(mesh.boundary_tags, 2)[order],
+        vertex_tags=vtags,
+        neck=neck,
+        neck_column_x=col_x,
+        stations=stations,
+        mirror=np.concatenate([mesh.mirror, mid_mirror]),
+    )
+
+
+_MESH_FIELDS = ("vertices", "triangles", "boundary_edges", "boundary_tags", "vertex_tags", "neck", "neck_column_x",
+                "stations", "mirror")
+
+
 def _profile_pair(kind, eps, split=(0.5, 0.5), outer_radius=4.0):
     if kind == "quadratic":
         prof = NeckProfile(kind=ProfileKind.QUADRATIC, curvatures=(2.0,), split=split)
@@ -873,3 +923,26 @@ class TestArrayBits:
                 want = refine_quadrisect(coarse, pair)
             for name in ("vertices", "triangles", "boundary_edges", "boundary_tags", "vertex_tags", "neck_column_x"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("case", ["ladder", "touching", "quartic", "polygon"])
+    def test_quadrisection_matches_unique_numbering(self, case):
+        # Every field, dtype and byte, from ladder level 0 to level 3.
+        if case == "ladder":
+            pair = _profile_pair("quadratic", 1e-3)
+            meshes = [generate(pair, MeshParams())]
+            for _ in range(2):
+                meshes.append(_quadrisect_unique(meshes[-1], pair))
+        elif case == "touching":
+            pair = _profile_pair("quadratic", 0.0)
+            meshes = [generate_touching(pair, 0.05, MeshParams())]
+        elif case == "quartic":
+            pair = _profile_pair("4", 1e-3)
+            meshes = [generate(pair, MeshParams())]
+        else:  # no neck, vertical boundary edges
+            pair = _profile_pair("quadratic", 1e-3)
+            meshes = [mesh_convex_polygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float), 0.3)]
+        for coarse in meshes:
+            got, want = refine_quadrisect(coarse, pair), _quadrisect_unique(coarse, pair)
+            for name in _MESH_FIELDS:
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), name
