@@ -1,4 +1,4 @@
-"""Before/after figures for the gate's critical path, in both of its processes.
+"""Before/after figures for the gate's critical path and for a sweep gap's stages.
 
     python3 benchmarks/critical_path.py --parent CHECKOUT --change CHECKOUT --out BENCH.json
         [--pairs 10] [--runs 3] [--holdout SEED] [--parts ladder,timeline,...]
@@ -39,6 +39,16 @@ after each; the parts of an existing OUT that it does not run are kept:
   first build (the fork, when it forks first) and from its last build to
   the end of ``prefetch`` (its wait on the worker), the worker's start
   and idle seconds, and each criterion's seconds after ``prefetch``.
+- ``sweep``: RUNS alternating pairs of processes, each of which runs the
+  two sweeps of perfbench's seed-0 ``sweep`` workload (the default config
+  and its quartic pair) once to warm up, then SWEEP_PASSES more times,
+  gap by gap as ``run_sweep`` does.  Per gap of each config, the medians
+  over all passes of a checkout: V, T, the neck triangles, and the seconds
+  of the strip (``mesh._strip_piece``), of the far-field move and its test
+  (``mesh._far_half_piece``), of the glue and ``mesh._finalize``, of
+  ``fem.assemble`` with the factor (``StiffnessOperator._factor``), of the
+  solves with their fluxes (the rest of ``solve_bundle``), of the
+  observables (the rest of ``sweep_record``) and of the whole gap.
 - ``fingerprints``: perfbench's seed-0 fingerprint line (meshes, and the
   sweep's CSVs) for one pass of each workload in each checkout, the gate
   also under ``taskset -c 0``.
@@ -306,6 +316,85 @@ for _ in range(int(sys.argv[1])):
 print(json.dumps(rows))
 """
 
+SWEEP_PASSES = 20
+SWEEP_CODE = """
+import json, statistics, sys, time
+from dataclasses import replace
+from neckfield import config, experiments, fem, mesh
+
+spans = []  # (label, seconds)
+
+
+def timed(owner, name, label):
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            spans.append((label, time.perf_counter() - t0))
+
+    setattr(owner, name, wrapper)
+
+
+for name, label in (("_strip_piece", "strip"), ("_far_half_piece", "far"), ("_merge_pieces", "glue"),
+                    ("_finalize", "glue")):
+    timed(mesh, name, label)
+timed(fem, "assemble", "factor")
+timed(fem.StiffnessOperator, "_factor", "factor")
+timed(experiments, "solve_bundle", "bundle")
+base = config.parse_config(config.default_config_text())
+cases = {"m2": base, "m4": replace(base, geometry=replace(base.geometry, profile="power", order=4.0, coefficient=4.0))}
+
+
+def sweep_pass():
+    rows = []
+    for key, cfg in cases.items():
+        eps_list = cfg.sweep.eps_list()
+        pair, phi = cfg.geometry.pair(eps_list[0]), cfg.boundary.data()
+        for eps in experiments.sweep_gaps(eps_list):
+            spans.clear()
+            t0 = time.perf_counter()
+            p = pair.with_gap(eps)
+            m = experiments.generate(p, cfg.mesh)
+            t1 = time.perf_counter()
+            experiments.sweep_record(p, m, phi)
+            t2 = time.perf_counter()
+            s = {label: sum(x for name, x in spans if name == label) for label in ("strip", "far", "glue", "factor", "bundle")}
+            rows.append({"config": key, "eps": eps, "vertices": m.vertex_count, "triangles": m.triangle_count,
+                         "neck_triangles": int(m.neck.sum()), "strip_s": s["strip"], "far_field_s": s["far"],
+                         "glue_s": s["glue"], "mesh_rest_s": t1 - t0 - s["strip"] - s["far"] - s["glue"],
+                         "assemble_factor_s": s["factor"], "solves_s": s["bundle"] - s["factor"],
+                         "observables_s": t2 - t1 - s["bundle"], "gap_s": t2 - t0})
+    return rows
+
+
+sweep_pass()  # warm: imports, far-field caches
+passes = [sweep_pass() for _ in range(int(sys.argv[1]))]
+print(json.dumps(passes))
+"""
+
+
+def _sweep(parent: Path, change: Path, runs: int) -> dict:
+    """RUNS alternating processes of SWEEP_CODE per checkout; per gap, the
+    medians over all passes of a checkout, and each stage's sum over the
+    gaps of a pass, as a median."""
+    def total(passes):
+        return statistics.median(sum(row["gap_s"] for row in rows) for rows in passes)
+
+    per_run = alternate(parent, change, runs, lambda root, _: json.loads(python(root, SWEEP_CODE, str(SWEEP_PASSES))[-1]),
+                        "sweep", lambda passes: f"{total(passes) * 1e3:.1f} ms a pass")
+    out = {}
+    for side, side_runs in per_run.items():
+        passes = [rows for run in side_runs for rows in run]
+        gaps = [{"config": rows[0]["config"], **_median([{k: v for k, v in row.items() if k != "config"} for row in rows])}
+                for rows in zip(*passes)]
+        stages = [key for key in gaps[0] if key.endswith("_s")]
+        out[side] = {"gaps": gaps, "pass_s": _median([{key: sum(row[key] for row in rows) for key in stages}
+                                                      for rows in passes])}
+    return out
+
 
 def _median(values: list):
     """Median of each number, through nested dicts; keys as in the first."""
@@ -353,7 +442,7 @@ def _traced(root: Path, workload: str, seconds: float) -> dict:
             **{name: run["metrics"].get(name) for name in TRACED_METRICS}}
 
 
-PARTS = ("ladder", "timeline", "fingerprints", "traced", "verify", "pairs", "holdout")
+PARTS = ("ladder", "timeline", "sweep", "fingerprints", "traced", "verify", "pairs", "holdout")
 
 
 def main() -> None:
@@ -388,6 +477,11 @@ def main() -> None:
         doc["timeline"] = _timeline(parent, change, args.runs)
         for side in ("parent", "change"):
             print(f"timeline {side}: {json.dumps(doc['timeline'][side]['median'])}", flush=True)
+        save()
+    if "sweep" in parts:
+        doc["sweep"] = _sweep(parent, change, args.runs)
+        for side in ("parent", "change"):
+            print(f"sweep {side}: {json.dumps(doc['sweep'][side]['pass_s'])}", flush=True)
         save()
     if "fingerprints" in parts:
         doc["fingerprints"] = {f"{side}_{workload}": perfbench(root, workload, 0, 1)["fingerprints"]

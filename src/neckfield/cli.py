@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -264,20 +265,61 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+# The columns ``report`` prints or plots; the plotted ones must be positive.
+_REPORT_COLUMNS = ("eps", "energy_v1", "c1", "c2", "b_factor", "max_grad_u_neck", "max_grad_v1_neck")
+_PLOTTED_COLUMNS = ("eps", "rate", "energy_v1", "max_grad_u_neck")
+
+
 def _read_sweep(outdir: Path) -> tuple[list[dict[str, float]], dict]:
     """The rows of ``sweep.csv`` under OUTDIR, and its ``summary.json`` or
-    an empty dict; ValueError if the CSV is missing or of another schema."""
+    an empty dict.  ValueError, naming the file and the row or key at
+    fault, unless the CSV is of this schema, has the printed and plotted
+    columns and at least one row, every row has a number in each field and
+    a positive one in each plotted column, and the summary is a JSON object
+    whose gradient rate, if any, has a finite slope and intercept."""
     import csv
 
     csv_path = outdir / "sweep.csv"
     if not csv_path.exists():
         raise ValueError(f"no sweep.csv under {outdir}")
     lines = csv_path.read_text().splitlines()
-    if not lines or not lines[0].startswith("# neckfield-sweep-v1"):
-        raise ValueError("unrecognized sweep schema")
-    rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(lines[1:])]
+    if not lines or not lines[0].startswith(SWEEP_CSV_HEADER[0]):
+        raise ValueError(f"{csv_path}: unrecognized sweep schema")
+    reader = csv.DictReader(lines[1:])
+    missing = [name for name in (*_REPORT_COLUMNS, *_PLOTTED_COLUMNS) if name not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{csv_path}: no column {missing[0]}")
+    rows = []
+    for number, row in enumerate(reader, start=1):
+        # A short row leaves fields None, a long one puts the rest under None.
+        present = [value for key, value in row.items() if key is not None and value is not None] + row.get(None, [])
+        if len(present) != len(reader.fieldnames):
+            raise ValueError(f"{csv_path}: row {number} has {len(present)} fields, the header {len(reader.fieldnames)}")
+        try:
+            values = {key: float(text) for key, text in row.items()}
+        except ValueError:
+            key = next(key for key, text in row.items() if not _is_number(text))
+            raise ValueError(f"{csv_path}: row {number}: {key} = {row[key]!r} is not a number") from None
+        for key in _PLOTTED_COLUMNS:
+            if not (math.isfinite(values[key]) and values[key] > 0.0):
+                raise ValueError(f"{csv_path}: row {number}: {key} = {row[key]} is not positive and finite")
+        rows.append(values)
+    if not rows:
+        raise ValueError(f"{csv_path}: no rows below the header")
     summary_path = outdir / "summary.json"
-    summary = json.loads(summary_path.read_text()) if summary_path.exists() else {}
+    if not summary_path.exists():
+        return rows, {}
+    try:
+        summary = json.loads(summary_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{summary_path}: {exc}") from None
+    if not isinstance(summary, dict):
+        raise ValueError(f"{summary_path}: not a JSON object")
+    rate = summary.get("rate_max_grad_u_neck")
+    for key in ("slope", "intercept") if rate is not None else ():
+        value = rate.get(key) if isinstance(rate, dict) else None
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"{summary_path}: rate_max_grad_u_neck has no finite {key}")
     return rows, summary
 
 
@@ -285,7 +327,7 @@ def _plot_sweep(outdir: Path, rows: list[dict[str, float]], summary: dict) -> li
     """The two log-log plots of a stored sweep; the gradient plot carries
     the summary's fitted rate line when the sweep had one."""
     rate = summary.get("rate_max_grad_u_neck")
-    line = (rate["slope"], rate["intercept"]) if rate else None
+    line = (rate["slope"], rate["intercept"]) if rate is not None else None
     grad_points = [(row["eps"], row["max_grad_u_neck"]) for row in rows]
     path = outdir / "report_gradient.svg"
     path.write_text(render_loglog(grad_points, "neck gradient vs gap", "gap", "max |grad u|", fit=line))
@@ -298,11 +340,9 @@ def _plot_sweep(outdir: Path, rows: list[dict[str, float]], summary: dict) -> li
 def _cmd_report(args) -> int:
     outdir = Path(args.dir)
     rows, summary = _read_sweep(outdir)
-    cols = ("eps", "energy_v1", "c1", "c2", "b_factor", "max_grad_u_neck", "max_grad_v1_neck")
-    header = "  ".join(f"{c:>16}" for c in cols)
-    print(header)
+    print("  ".join(f"{c:>16}" for c in _REPORT_COLUMNS))
     for row in rows:
-        print("  ".join(f"{row[c]:>16.8g}" for c in cols))
+        print("  ".join(f"{row[c]:>16.8g}" for c in _REPORT_COLUMNS))
     for key in sorted(summary):
         print(f"{key}: {json.dumps(summary[key], sort_keys=True)}")
     path, path2 = _plot_sweep(outdir, rows, summary)

@@ -186,7 +186,7 @@ def solve_bundle(
 def neck_interpolant(pair: InclusionPair, mesh: Mesh) -> np.ndarray:
     """Nodal interpolant of the explicit neck potential: its values at the
     vertices of the neck strip, 0 elsewhere."""
-    ids = np.unique(mesh.triangles[mesh.neck])
+    ids = mesh.neck_view.vertex_ids
     ramp = np.zeros(mesh.vertex_count)
     ramp[ids] = neck_potential(pair, mesh.vertices[ids])
     return ramp
@@ -197,7 +197,7 @@ def neck_remainder(bundle: SolveBundle, ramp: np.ndarray) -> fem.ScalarField:
     nodal interpolant of the explicit neck potential, as a nodal field
     supported on the neck strip."""
     mesh = bundle.mesh
-    ids = np.unique(mesh.triangles[mesh.neck])
+    ids = mesh.neck_view.vertex_ids
     w = np.zeros(mesh.vertex_count)
     w[ids] = bundle.v1.values[ids] - ramp[ids]
     return fem.ScalarField(mesh, w)

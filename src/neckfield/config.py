@@ -149,6 +149,14 @@ def _parse_floats(s: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in s.split())
 
 
+def _parse_directory(s: str) -> str:
+    """A directory as written: values are not quoted, so quotes around one
+    would become part of its name."""
+    if len(s) >= 2 and s[0] == s[-1] and s[0] in "\"'":
+        raise ValueError(f"write the directory without quotes, got {s}")
+    return s
+
+
 # Each section's keys are its dataclass's fields, parsed after the type of
 # their defaults.
 _SECTIONS = {
@@ -161,7 +169,7 @@ _SECTIONS = {
 _PARSERS = {int: _parse_int, float: float, tuple: _parse_floats, str: str}
 _SCHEMA: dict[str, dict[str, object]] = {
     **{name: {f.name: _PARSERS[type(f.default)] for f in fields(cls)} for name, cls in _SECTIONS.items()},
-    "output": {"directory": str},
+    "output": {"directory": _parse_directory},
 }
 
 

@@ -126,15 +126,11 @@ def fit_line(x: np.ndarray, y: np.ndarray, model: str = "", max_cond: float = ma
 
 def vb_station_profile(bundle: SolveBundle) -> list[tuple[float, float]]:
     """Largest |grad vb| per neck station column, inner to outer."""
-    mesh = bundle.mesh
-    neck_ids = np.flatnonzero(mesh.neck)
-    grads = fem.element_gradients(bundle.vb, neck_ids)
+    view = bundle.mesh.neck_view
+    grads = view.gradients(bundle.vb.values)
     norms = np.hypot(grads[:, 0], grads[:, 1])
-    cols = mesh.neck_column_x[neck_ids]
-    order = np.argsort(cols, kind="stable")
-    xs, starts = np.unique(cols[order], return_index=True)
-    peaks = np.maximum.reduceat(norms[order], starts)
-    return list(zip(xs.tolist(), peaks.tolist()))
+    peaks = np.maximum.reduceat(norms[view.column_order], view.column_starts)
+    return list(zip(view.column_x.tolist(), peaks.tolist()))
 
 
 def _centerline_residual(bundle: SolveBundle, ramp: np.ndarray) -> float:
@@ -142,17 +138,14 @@ def _centerline_residual(bundle: SolveBundle, ramp: np.ndarray) -> float:
     explicit neck potential|, with the potential represented in the same
     P1 space (its nodal interpolant ``ramp``) so the comparison is
     consistent."""
-    mesh = bundle.mesh
-    neck_ids = np.flatnonzero(mesh.neck)
-    levels = ramp[mesh.triangles[neck_ids]].mean(axis=1)
-    col_vals = mesh.neck_column_x[neck_ids]
+    view = bundle.mesh.neck_view
+    gradients = view.gradients
+    levels = ramp[gradients.corners].mean(axis=1)
     # Per column, the triangle with the level nearest 1/2; lexsort is
-    # stable, so ties go to the first triangle, as argmin's do.
-    order = np.lexsort((np.abs(levels - 0.5), col_vals))
-    tri = neck_ids[order[np.unique(col_vals[order], return_index=True)[1]]]
-    grads_u = fem.element_gradients(bundle.u, tri)
-    grads_ramp = fem.element_gradients(fem.ScalarField(mesh, ramp), tri)
-    resid = grads_u - (bundle.c1 - bundle.c2) * grads_ramp
+    # stable, so ties go to the first triangle, as argmin's do.  Its runs of
+    # columns are those of the view's stable column order.
+    at = np.lexsort((np.abs(levels - 0.5), view.columns))[view.column_starts]
+    resid = gradients(bundle.u.values, at) - (bundle.c1 - bundle.c2) * gradients(ramp, at)
     return float(np.hypot(resid[:, 0], resid[:, 1]).max(initial=0.0))
 
 
@@ -202,6 +195,9 @@ def sweep_record(
         triangle_count=mesh.triangle_count,
         vb_profile=profile,
     )
+    # The observables are read: a mesh kept after its record, as the gate
+    # keeps its sweeps' meshes, need not keep its neck view too.
+    del mesh.neck_view
     return record, bundle, w
 
 

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 from . import _Deferred
-from .mesh import INTERIOR, Mesh
+from .mesh import INTERIOR, Mesh, _corners
 
 np = _Deferred("numpy")
 sp = _Deferred("scipy.sparse")
@@ -128,7 +128,7 @@ class StiffnessOperator:
         # couple, enough for every flux, with each tag's rows among them.
         tagged = np.flatnonzero(~inner)
         rows = self._half[tagged]
-        cols = np.unique(rows.indices)
+        cols = _distinct(rows.indices, len(self._keep))
         self._flux_rows = sp.csr_matrix((rows.data, np.searchsorted(cols, rows.indices), rows.indptr),
                                         shape=(len(tagged), len(cols)))
         self._flux_cols = self._keep[cols], self._image[cols]
@@ -294,6 +294,14 @@ class StiffnessOperator:
         return {tag: float(kf[rows].sum()) for tag, rows in self._tag_rows.items()}
 
 
+def _distinct(ids: np.ndarray, n: int) -> np.ndarray:
+    """``np.unique`` of an array of integers in [0, n), by marking them:
+    several times faster at a sweep's sizes."""
+    seen = np.zeros(n, dtype=bool)
+    seen[ids] = True
+    return np.flatnonzero(seen)
+
+
 def _banded_cholesky(block: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Reverse Cuthill-McKee order of a symmetric positive definite CSC block
     (``perm[k]`` is the unknown numbered k) and the lower band of its
@@ -435,8 +443,7 @@ def stiffness_matrix(vertices: np.ndarray, triangles: np.ndarray) -> sp.csr_matr
     tri = triangles.astype(np.int32, copy=False)  # vertex counts stay far below 2**31
     # The coordinates of each corner, and the edge opposite each corner i,
     # from corner i+1 to corner i+2.
-    corners = tri.T.copy()
-    (x0, x1, x2), (y0, y1, y2) = ([c.take(at) for at in corners] for c in vertices.T.copy())
+    (x0, x1, x2), (y0, y1, y2) = _corners(vertices, tri)
     ex, ey = (x2 - x1, x0 - x2, x1 - x0), (y2 - y1, y0 - y2, y1 - y0)
     area2 = ex[2] * (-ey[1]) - ey[2] * (-ex[1])
     if np.any(area2 <= 0.0):
@@ -464,24 +471,56 @@ def assemble(mesh: Mesh) -> StiffnessOperator:
     return StiffnessOperator(mesh)
 
 
+class _Gradients:
+    """The exact P1 gradient operator of some triangles, given by their
+    corners' vertex ids: the gradient of barycentric i is the edge opposite
+    corner i rotated by +90 degrees, over twice the area."""
+
+    def __init__(self, vertices: np.ndarray, corners: np.ndarray):
+        self.corners = corners
+        (x0, x1, x2), (y0, y1, y2) = _corners(vertices, corners)
+        ex, ey = (x2 - x1, x0 - x2, x1 - x0), (y2 - y1, y0 - y2, y1 - y0)
+        self.area2 = ex[2] * (-ey[1]) - ey[2] * (-ex[1])
+        self.rotated = np.stack([np.stack([-e for e in ey], axis=1), np.stack(ex, axis=1)], axis=2)
+
+    def __call__(self, values: np.ndarray, at=slice(None)) -> np.ndarray:
+        """The gradient of the nodal field ``values`` on each triangle, or on
+        those at the positions ``at`` only, with the same values."""
+        return np.einsum("ti,tid->td", values[self.corners[at]], self.rotated[at]) / self.area2[at, None]
+
+
+class NeckView:
+    """What the neck observables read of a mesh, derived once and read-only
+    (``Mesh.neck_view``): the sorted ids of the neck triangles' vertices,
+    the triangles' gradient operator, in triangle order, and their station
+    columns.  ``column_order`` sorts the neck triangles by column x,
+    stably; the distinct columns ``column_x`` start at ``column_starts`` in
+    that order."""
+
+    def __init__(self, mesh: Mesh):
+        ids = np.flatnonzero(mesh.neck)
+        corners = mesh.triangles[ids]
+        self.vertex_ids = _distinct(corners, mesh.vertex_count)
+        self.gradients = _Gradients(mesh.vertices, corners)
+        self.columns = mesh.neck_column_x[ids]
+        self.column_order = np.argsort(self.columns, kind="stable")
+        self.column_x, self.column_starts = np.unique(self.columns[self.column_order], return_index=True)
+        for a in (self.vertex_ids, self.columns, self.column_order, self.column_x, self.column_starts,
+                  *vars(self.gradients).values()):
+            a.setflags(write=False)
+
+
 def element_gradients(f: ScalarField, rows: np.ndarray | None = None) -> np.ndarray:
     """Exact P1 gradient on each triangle, shape (T, 2), or on the triangles
     ``rows`` only, shape (len(rows), 2), with the same values."""
     mesh = f.mesh
-    tris = mesh.triangles if rows is None else mesh.triangles[rows]
-    p = mesh.vertices[tris]
-    v = f.values[tris]
-    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
-    area2 = e[:, 2, 0] * (-e[:, 1, 1]) - e[:, 2, 1] * (-e[:, 1, 0])
-    # grad of barycentric i is the opposite edge rotated by +90deg over 2A
-    rot = np.stack([-e[:, :, 1], e[:, :, 0]], axis=2)
-    return np.einsum("ti,tid->td", v, rot) / area2[:, None]
+    return _Gradients(mesh.vertices, mesh.triangles if rows is None else mesh.triangles[rows])(f.values)
 
 
 def max_gradient(f: ScalarField) -> tuple[float, np.ndarray]:
     """Largest |grad| over the neck triangles and its centroid."""
-    idx = np.flatnonzero(f.mesh.neck)
-    grads = element_gradients(f, idx)
+    view = f.mesh.neck_view
+    grads = view.gradients(f.values)
     norms = np.hypot(grads[:, 0], grads[:, 1])
     best = int(np.argmax(norms))
-    return float(norms[best]), f.mesh.vertices[f.mesh.triangles[idx[best]]].mean(axis=0)
+    return float(norms[best]), f.mesh.vertices[view.gradients.corners[best]].mean(axis=0)

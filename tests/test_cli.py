@@ -494,3 +494,77 @@ class TestCommands:
             lambda cfg, echo=print: [CriterionResult("C1", True, 0.0, [])],
         )
         assert main(["verify"]) == 0
+
+
+@pytest.fixture(scope="module")
+def stored_sweep(tmp_path_factory):
+    """The sweep.csv and summary.json of a fast sweep, as text."""
+    root = tmp_path_factory.mktemp("stored")
+    path = root / "fast.cfg"
+    path.write_text(FAST_CONFIG.format(outdir=root / "out"))
+    assert main(["sweep", "--config", str(path)]) == 0
+    return {name: (root / "out" / name).read_text() for name in ("sweep.csv", "summary.json")}
+
+
+def _cut_last_row(files):
+    lines = files["sweep.csv"].splitlines(keepends=True)
+    files["sweep.csv"] = "".join(lines[:-1]) + ",".join(lines[-1].split(",")[:5]) + "\n"
+
+
+def _nan_gradient(files):
+    lines = files["sweep.csv"].splitlines(keepends=True)
+    fields = lines[1].strip().split(",")
+    row = lines[3].split(",")
+    row[fields.index("max_grad_u_neck")] = "nan"
+    lines[3] = ",".join(row)
+    files["sweep.csv"] = "".join(lines)
+
+
+def _header_only(files):
+    files["sweep.csv"] = "".join(files["sweep.csv"].splitlines(keepends=True)[:2])
+
+
+def _rate_without_slope(files):
+    summary = json.loads(files["summary.json"])
+    del summary["rate_max_grad_u_neck"]["slope"]
+    files["summary.json"] = json.dumps(summary)
+
+
+def _cut_summary(files):
+    files["summary.json"] = files["summary.json"][:50]
+
+
+def _list_summary(files):
+    files["summary.json"] = "[1, 2]"
+
+
+class TestDamagedReport:
+    """``report --dir`` on a damaged sweep directory exits 2 with one line
+    that names the file and the row or key at fault."""
+
+    @pytest.mark.parametrize(
+        "damage,name,where",
+        [
+            (_cut_last_row, "sweep.csv", "row 4 has 5 fields, the header 21"),
+            (_nan_gradient, "sweep.csv", "row 2: max_grad_u_neck = nan is not positive and finite"),
+            (_header_only, "sweep.csv", "no rows below the header"),
+            (_rate_without_slope, "summary.json", "rate_max_grad_u_neck has no finite slope"),
+            (_cut_summary, "summary.json", "line 3 column"),
+            (_list_summary, "summary.json", "not a JSON object"),
+        ],
+    )
+    def test_damage_is_located(self, tmp_path, capsys, stored_sweep, damage, name, where):
+        files = dict(stored_sweep)
+        damage(files)
+        for file, text in files.items():
+            (tmp_path / file).write_text(text)
+        assert main(["report", "--dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / name}: ")
+        assert err.count("\n") == 1 and where in err
+        assert not (tmp_path / "report_gradient.svg").exists()
+
+    def test_undamaged_copy_reports(self, tmp_path, stored_sweep):
+        for file, text in stored_sweep.items():
+            (tmp_path / file).write_text(text)
+        assert main(["report", "--dir", str(tmp_path)]) == 0

@@ -332,8 +332,25 @@ class TestStationProfile:
         grads[list(first.values())] = 1.0
         fake = lambda f, rows=slice(None): (grads if f is bundle.u else 0.0 * grads)[rows]  # noqa: E731
         monkeypatch.setattr(fem, "element_gradients", fake)
+        # The residual reads the neck view's operator, at positions among
+        # the neck triangles.
+        neck = grads[neck_ids]
+        fake_view = lambda self, values, at=slice(None): (neck if values is bundle.u.values else 0.0 * neck)[at]  # noqa: E731
+        monkeypatch.setattr(fem._Gradients, "__call__", fake_view)
         assert experiments._centerline_residual(bundle, ramp) == math.sqrt(2.0)
         assert _centerline_residual_loop(bundle, ramp) == math.sqrt(2.0)
+
+    def test_one_neck_view_per_record(self, pair, phi, monkeypatch):
+        # Every observable of a record reads one view of the mesh, which
+        # the record drops: a mesh kept after its record does not keep it.
+        built = []
+        view = fem.NeckView
+        monkeypatch.setattr(fem, "NeckView", lambda mesh: built.append(mesh) or view(mesh))
+        mesh = generate(pair, MeshParams())
+        experiments.sweep_record(pair, mesh, phi)
+        assert len(built) == 1 and built[0] is mesh
+        assert "neck_view" not in vars(mesh)
+        assert not mesh.neck_view.gradients.rotated.flags.writeable
 
     def test_refined_mesh_doubles_the_columns(self, pair, phi):
         mesh = generate(pair, MeshParams())

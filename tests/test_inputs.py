@@ -230,6 +230,7 @@ def _check_init_config(out_file: bool) -> None:
 @example(case=("config", "[geometry]\nouter_radius = 3\n"))
 @example(case=("config", "[geometry]\ndimension = -inf\n"))
 @example(case=("config", "[geometry]\nprofile = cubic\n"))
+@example(case=("config", '[output]\ndirectory = "out"\n'))
 @example(case=("config", "[geometry]\nsplit = 0.5 0.3 0.2\n"))
 @example(case=("config", "[sweep]\nstart = 2.0\n"))
 @example(case=("config", "[sweep]\nfactor = 1e300\n"))
@@ -326,6 +327,10 @@ def test_negative_value_as_a_separate_token(argv, value, monkeypatch):
         ("[sweep]\nepsilons = 1e-2 1e-3 1e-4 1e-30\n", 2, "epsilons"),
         ("[sweep]\nepsilons = 1e-2 1e-3 1e-4 1e-14\n[mesh]\nh_far = 0.2\n", 2, "epsilons"),
         ("[sweep]\nepsilons = 1e-2 1e-3 1e-4 1e-10\n[mesh]\ngrading_exponent = 1\n", 4, "grading_exponent"),
+        # Values are not quoted; quotes would become part of the name.
+        ('[geometry]\nprofile = "power"\n', 2, "profile"),
+        ('[output]\ndirectory = "out"\n', 2, "directory"),
+        ("[output]\ndirectory = 'out'\n", 2, "directory"),
     ],
 )
 def test_error_on_the_line_of_its_key(text, line, key, tmp_path, capsys):

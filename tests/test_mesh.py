@@ -25,6 +25,7 @@ from neckfield.mesh import (
     write_mesh_text,
 )
 
+import former_kernels
 from polygon_mesh import mesh_convex_polygon, mirrored_mesh, polygon_chains, polygon_piece
 
 
@@ -492,6 +493,9 @@ class TestMovedFarField:
         assert np.abs(radii - cap1.radius).max() <= 1e-12
 
         _assert_solve_invariants(mesh)
+        # The gap's kernels match their former ones, bit for bit.
+        former_kernels.assert_mesh_kernels_match(pair, params)
+        former_kernels.assert_observables_match(pair, solve_bundle(mesh, BoundaryData(kind="linear_xn")))
         if refinement == 0:
             # A quadrisected mesh keeps them too, its mirror included.
             finer = refine_quadrisect(mesh, pair)
@@ -742,7 +746,7 @@ class TestSplitSegments:
         simplices = Delaunay(corners).simplices
         assert not any({0, 1} <= set(t) for t in simplices.tolist())
         piece = mesh_module._refine_polygon(polygon_chains(corners, 10.0), lambda p: np.full(len(p), 1.0), 1.0)
-        assert np.all(mesh_module._signed_area2(piece.vertices[piece.triangles]) > 0.0)
+        assert np.all(mesh_module._signed_area2(*mesh_module._corners(piece.vertices, piece.triangles)) > 0.0)
         mesh = mirrored_mesh(piece)
         report = audit(mesh)
         assert report.passed, report.failures
